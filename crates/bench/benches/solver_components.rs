@@ -1,9 +1,8 @@
 //! Criterion microbenchmarks of the FlexSP solver components: bucketing
 //! DP, blaster DP, heuristic and MILP planners, and the full Algorithm 1 —
 //! plus a per-phase solver-trajectory report (build / LP+branch-and-bound
-//! per engine / basis-reuse hit rate) emitted as one JSON line so future
-//! PRs can track the solver's speed trajectory without parsing bench
-//! prose.
+//! / basis-reuse hit rate) emitted as one JSON line so future PRs can
+//! track the solver's speed trajectory without parsing bench prose.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
@@ -14,7 +13,7 @@ use flexsp_telemetry as tel;
 
 use flexsp_core::blaster::blast;
 use flexsp_core::bucketing::bucket_dp;
-use flexsp_core::{plan_micro_batch, FlexSpSolver, LpEngine, PlannerConfig, SolverConfig};
+use flexsp_core::{plan_micro_batch, FlexSpSolver, PlannerConfig, SolverConfig};
 use flexsp_cost::CostModel;
 use flexsp_data::{GlobalBatchLoader, LengthDistribution, Sequence};
 use flexsp_model::{ActivationPolicy, ModelConfig};
@@ -166,14 +165,15 @@ fn traced_span_us<T>(mut f: impl FnMut() -> T) -> BTreeMap<&'static str, u64> {
 
 /// Per-phase solver trajectory on a fixed instance that the MILP solves
 /// to completion: build (bucketing), candidate portfolio (heuristic), and
-/// the MILP search under each LP engine on identical inputs, with the
-/// engine counters (pivots, nodes, basis-reuse hit rate) attached.
+/// the MILP search, with the search counters (pivots, nodes, basis-reuse
+/// hit rate) attached. `crates/core/tests/search_trajectory.rs` pins the
+/// counters of this instance.
 fn bench_trajectory(c: &mut Criterion) {
     let _ = c;
     let cost = cost64();
     // Deterministic mixed-length micro-batch (cycled 1K..16K lengths):
-    // small enough to solve to optimality under a generous budget, so the
-    // engines do the same logical work and wall times are comparable.
+    // small enough to solve to optimality under a generous budget, so no
+    // limit binds and every run does the same logical work.
     let input: Vec<Sequence> = (0..12)
         .map(|i| Sequence::new(i, 1024 * (1 + (i % 16))))
         .collect();
@@ -193,13 +193,8 @@ fn bench_trajectory(c: &mut Criterion) {
         milp_node_limit: 100_000,
         ..PlannerConfig::default()
     };
-    let dense_cfg = PlannerConfig {
-        lp_engine: LpEngine::DenseTableau,
-        ..ample.clone()
-    };
-    let sparse_s = mean_secs(reps, || plan_micro_batch(&cost, &buckets, 64, &ample));
-    let dense_s = mean_secs(reps, || plan_micro_batch(&cost, &buckets, 64, &dense_cfg));
-    // Span-level MILP breakdown of one sparse solve: the whole MILP
+    let milp_s = mean_secs(reps, || plan_micro_batch(&cost, &buckets, 64, &ample));
+    // Span-level MILP breakdown of one solve: the whole MILP
     // improvement phase, model builds, and time inside the LP kernels.
     let milp_us = traced_span_us(|| plan_micro_batch(&cost, &buckets, 64, &ample));
     let milp_span_s = milp_us.get("plan.milp").copied().unwrap_or(0) as f64 / 1e6;
@@ -213,17 +208,14 @@ fn bench_trajectory(c: &mut Criterion) {
     let shape_signature = plan.shape_signature();
     let stats = plan.stats;
 
-    let speedup = dense_s / sparse_s;
     println!(
         "{{\"solver_trajectory\":{{\
          \"build_s\":{build_s:.6},\
          \"portfolio_s\":{portfolio_s:.6},\
-         \"milp_sparse_s\":{sparse_s:.6},\
-         \"milp_dense_s\":{dense_s:.6},\
+         \"milp_sparse_s\":{milp_s:.6},\
          \"milp_span_s\":{milp_span_s:.6},\
          \"model_build_span_s\":{model_build_span_s:.6},\
          \"lp_span_s\":{lp_span_s:.6},\
-         \"speedup_sparse_vs_dense\":{speedup:.3},\
          \"model_builds\":{},\
          \"search_steps\":{},\
          \"bnb_nodes\":{},\
@@ -242,11 +234,6 @@ fn bench_trajectory(c: &mut Criterion) {
         stats.milp.refactorizations,
         stats.milp.basis_reuse_rate(),
     );
-    if speedup < 1.0 {
-        // Wall-clock comparison: flag regressions without panicking the
-        // whole bench run over scheduler noise.
-        eprintln!("WARNING: sparse warm path slower than dense cold path ({speedup:.2}x)");
-    }
 }
 
 criterion_group! {

@@ -99,7 +99,7 @@ pub use trainer::{IterationStats, TrainError, Trainer, TrainingStats};
 pub use workflow::{BucketingMode, FlexSpSolver, SolvedIteration, SolverConfig};
 
 // Solver internals callers commonly need alongside the planner API.
-pub use flexsp_milp::{LpEngine, SolveStats};
+pub use flexsp_milp::SolveStats;
 // Placement vocabulary callers need alongside plans (the restricted
 // `NodeSlots` ledger is what arbiter leases materialize as).
 pub use flexsp_sim::{GroupShape, NodeSlots, NodeSpec, SkuId, Topology};

@@ -90,7 +90,6 @@ pub(crate) fn plan_aggregated(
             .time_limit(config.milp_time_limit)
             .node_limit(config.milp_node_limit)
             .relative_gap(0.02)
-            .lp_engine(config.lp_engine)
             .threads(config.milp_threads);
         if let Some(basis) = carried.clone() {
             solver = solver.root_basis(basis);
@@ -507,13 +506,12 @@ pub(crate) fn plan_per_group(
     p.set_objective(LinExpr::term(c_var, 1.0));
 
     // Warm start from the heuristic plan.
-    let warm_values = warm_start_values(cost, buckets, &slots, warm, 1 + np, q, np);
+    let warm_values = warm_start_values(cost, buckets, &slots, warm);
 
     let mut solver = MilpSolver::new()
         .time_limit(config.milp_time_limit)
         .node_limit(config.milp_node_limit)
         .relative_gap(config.search_rel_tol)
-        .lp_engine(config.lp_engine)
         .threads(config.milp_threads);
     if let Some(ws) = warm_values {
         solver = solver.warm_start(ws);
@@ -568,11 +566,8 @@ fn warm_start_values(
     buckets: &[Bucket],
     slots: &[GroupShape],
     warm: &MicroBatchPlan,
-    total_vars: usize,
-    q: usize,
-    np: usize,
 ) -> Option<Vec<f64>> {
-    let _ = total_vars;
+    let (q, np) = (buckets.len(), slots.len());
     let mut values = vec![0.0; 1 + np + q * np];
     values[0] = warm.predicted_time(cost);
     // Slot indices per shape, in declaration order. The warm plan carries

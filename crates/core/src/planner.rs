@@ -32,7 +32,6 @@ use std::time::Duration;
 
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
-use flexsp_milp::LpEngine;
 use flexsp_sim::{GroupShape, NodeSlots};
 use flexsp_telemetry as tel;
 
@@ -65,14 +64,11 @@ pub struct PlannerConfig {
     pub search_iters: usize,
     /// Stop the binary search when the bracket is this tight (relative).
     pub search_rel_tol: f64,
-    /// LP engine for the MILP relaxations: the sparse revised simplex
-    /// with warm-basis reuse (default), or the legacy dense tableau kept
-    /// for A/B validation.
-    pub lp_engine: LpEngine,
-    /// Branch-and-bound worker threads per MILP solve (`1` = the serial
-    /// search). Parallelism pays off on to-completion solves with large
-    /// trees; the default stays serial so short budgeted solves don't
-    /// spend their wall-clock on thread coordination.
+    /// Branch-and-bound worker threads per MILP solve (`1` = the search
+    /// runs inline on the planning thread). Parallelism pays off on
+    /// to-completion solves with large trees; the default stays at one so
+    /// short budgeted solves don't spend their wall-clock on thread
+    /// coordination.
     pub milp_threads: usize,
 }
 
@@ -84,7 +80,6 @@ impl Default for PlannerConfig {
             milp_node_limit: 4_000,
             search_iters: 14,
             search_rel_tol: 0.01,
-            lp_engine: LpEngine::SparseRevised,
             milp_threads: 1,
         }
     }
@@ -756,30 +751,6 @@ mod tests {
             "warm bases must carry across steps/nodes: {s:?}"
         );
         assert!(s.milp.lp_solves > 0 && s.milp.pivots() > 0, "{s:?}");
-    }
-
-    #[test]
-    fn dense_engine_ab_path_agrees() {
-        // The legacy dense engine stays available behind the config flag
-        // and produces equally valid plans.
-        let cost = cost64();
-        let input = seqs(&[64 * 1024, 32 * 1024, 8192, 8192, 4096, 2048, 2048, 1024]);
-        let buckets = bucket_dp(&input, 8);
-        let dense_cfg = PlannerConfig {
-            lp_engine: flexsp_milp::LpEngine::DenseTableau,
-            ..PlannerConfig::default()
-        };
-        let dense = plan_micro_batch(&cost, &buckets, 64, &dense_cfg).unwrap();
-        check_plan(&dense, &cost, &input, 64);
-        let sparse = plan_micro_batch(&cost, &buckets, 64, &PlannerConfig::default()).unwrap();
-        check_plan(&sparse, &cost, &input, 64);
-        // Both engines explore the same search space under the same
-        // budget; predicted times must be in the same ballpark.
-        let (td, ts) = (dense.predicted_time(&cost), sparse.predicted_time(&cost));
-        assert!(
-            ts <= td * 1.25 + 1e-9,
-            "sparse {ts} much worse than dense {td}"
-        );
     }
 
     #[test]

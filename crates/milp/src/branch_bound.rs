@@ -11,7 +11,7 @@ use flexsp_telemetry as tel;
 use crate::basis::Basis;
 use crate::error::SolveError;
 use crate::problem::{ObjectiveSense, Problem, VarKind};
-use crate::simplex::{solve_lp_opts, LpEngine, LpOptions, LpOutcome, LpStats};
+use crate::simplex::{solve_lp_opts, LpOptions, LpOutcome, LpStats};
 use crate::solution::{MilpSolution, MilpStatus};
 use crate::{FEAS_TOL, INT_TOL};
 
@@ -114,9 +114,6 @@ pub struct MilpSolver {
     node_limit: u64,
     relative_gap: f64,
     warm_start: Option<Vec<f64>>,
-    rounding_heuristic: bool,
-    lp_engine: LpEngine,
-    reuse_bases: bool,
     root_basis: Option<Basis>,
     threads: usize,
 }
@@ -129,17 +126,13 @@ impl Default for MilpSolver {
 
 impl MilpSolver {
     /// Creates a solver with defaults: 30 s time limit, 200 000 nodes,
-    /// 10⁻⁶ relative gap, rounding heuristic enabled, sparse LP engine
-    /// with parent-basis reuse.
+    /// 10⁻⁶ relative gap, one worker thread.
     pub fn new() -> Self {
         Self {
             time_limit: Duration::from_secs(30),
             node_limit: 200_000,
             relative_gap: 1e-6,
             warm_start: None,
-            rounding_heuristic: true,
-            lp_engine: LpEngine::default(),
-            reuse_bases: true,
             root_basis: None,
             threads: 1,
         }
@@ -172,39 +165,22 @@ impl MilpSolver {
         self
     }
 
-    /// Enables or disables the fix-and-complete rounding heuristic.
-    pub fn rounding_heuristic(mut self, enabled: bool) -> Self {
-        self.rounding_heuristic = enabled;
-        self
-    }
-
-    /// Selects the LP engine for every relaxation. The dense tableau
-    /// engine implies cold starts (basis reuse is a sparse-engine
-    /// feature).
-    pub fn lp_engine(mut self, engine: LpEngine) -> Self {
-        self.lp_engine = engine;
-        self
-    }
-
-    /// Enables or disables dual-simplex re-solves of child nodes from the
-    /// parent's basis (on by default with the sparse engine).
-    pub fn reuse_bases(mut self, enabled: bool) -> Self {
-        self.reuse_bases = enabled;
-        self
-    }
-
-    /// Sets the number of branch-and-bound worker threads.
+    /// Sets the number of branch-and-bound workers. `0` is treated as `1`.
     ///
-    /// `threads(1)` (the default) runs the single-threaded best-first
-    /// search unchanged. With `n > 1`, `n` workers drain one shared open
-    /// node heap, share one atomic incumbent, and re-solve children warm
-    /// from their parents' bases exactly as the serial search does; the
-    /// wall-clock deadline and node budget are shared across workers.
-    /// Any thread count returns the same objective (the search only
-    /// terminates when the global bound — over open *and* in-flight
-    /// nodes — proves the incumbent optimal within the configured gap),
-    /// though tie-equivalent optimal *assignments* and effort counters
-    /// may differ. `0` is treated as `1`.
+    /// Every thread count runs the same worker protocol (see
+    /// [`MilpSolver::solve`]). The calling thread is worker 0 and `n − 1`
+    /// helper threads join it, so `threads(1)`, the default, runs the
+    /// search inline and spawns no thread. The wall-clock deadline and the
+    /// node budget are shared by all workers.
+    ///
+    /// When the search drains the open-node heap or closes the relative
+    /// gap, the incumbent is proven within that gap of the optimum, so
+    /// every thread count returns the same objective up to the gap
+    /// (tie-equivalent assignments and effort counters may differ). When
+    /// the node budget or the time limit stops the search first, the
+    /// incumbent depends on how far the workers got: different thread
+    /// counts, and under the time limit different runs, may return
+    /// different objectives.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -220,6 +196,16 @@ impl MilpSolver {
     }
 
     /// Solves `problem` to the configured limits.
+    ///
+    /// After the root relaxation, the workers run best-first branch and
+    /// bound over one shared open-node heap. Each loops *claim* (pop the
+    /// best open node under the state lock), *expand* (outside the lock:
+    /// re-solve the node's LP warm from its parent's basis, prune against
+    /// the incumbent, run the rounding heuristic, branch on the most
+    /// fractional variable), and *publish* (push the children). The
+    /// search stops when the heap drains with every worker idle, when the
+    /// bound over open *and* in-flight nodes closes the relative gap, or
+    /// when the node budget or time limit trips.
     ///
     /// # Errors
     ///
@@ -242,38 +228,27 @@ impl MilpSolver {
         let root_bounds: Vec<(f64, f64)> =
             problem.vars.iter().map(|v| (v.lower, v.upper)).collect();
 
-        let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, score)
-        if let Some(ws) = &self.warm_start {
-            if problem.is_feasible(ws, 1e-6) {
-                let mut vals = ws.clone();
-                for &j in &int_vars {
-                    vals[j] = vals[j].round();
-                }
+        // A valid warm start is the first incumbent: `(values, score)`.
+        let incumbent = self
+            .warm_start
+            .as_ref()
+            .filter(|ws| problem.is_feasible(ws, 1e-6))
+            .map(|ws| {
+                let vals = round_integers(ws.clone(), &int_vars);
                 let score = sense_sign * problem.objective_value(&vals);
-                incumbent = Some((vals, score));
-            }
-        }
+                (vals, score)
+            });
 
-        stats.lp_solves += 1;
-        let (root_outcome, root_lp_stats) = {
+        let root_outcome = {
             let _root_span = tel::span!(tel::Category::Solver, "milp.root_lp");
-            solve_lp_opts(
-                problem,
-                &LpOptions {
-                    bound_overrides: Some(&root_bounds),
-                    warm_basis: self.root_basis.as_ref(),
-                    engine: self.lp_engine,
-                },
-            )?
+            solve_relaxation(problem, &root_bounds, self.root_basis.as_ref(), &mut stats)?
         };
-        stats.absorb_lp(&root_lp_stats);
         let mut root = match root_outcome {
             LpOutcome::Infeasible => {
-                return Ok(self.finish(
+                return Ok(finish(
                     problem,
                     incumbent,
-                    f64::NEG_INFINITY,
-                    sense_sign,
+                    sense_sign * f64::NEG_INFINITY,
                     MilpStatus::Infeasible,
                     stats,
                     start,
@@ -284,11 +259,10 @@ impl MilpSolver {
                 // If a warm start exists the problem is feasible but the
                 // relaxation is unbounded; report unbounded either way, as
                 // the true MILP optimum cannot be bounded.
-                return Ok(self.finish(
+                return Ok(finish(
                     problem,
                     None,
-                    f64::NEG_INFINITY,
-                    sense_sign,
+                    sense_sign * f64::NEG_INFINITY,
                     MilpStatus::Unbounded,
                     stats,
                     start,
@@ -309,198 +283,12 @@ impl MilpSolver {
             bounds: root_bounds,
             basis: root_basis.clone(),
         });
-
-        if self.threads > 1 {
-            return self.solve_parallel(
-                problem, &int_vars, sense_sign, incumbent, heap, stats, start, root_basis,
-            );
-        }
-        let mut next_seq: u64 = 1;
-        let mut status = MilpStatus::Optimal;
-        while let Some(node) = heap.pop() {
-            // Global bound = best open node (best-first ⇒ the popped one).
-            let bound = match &incumbent {
-                Some((_, inc)) => node.score.min(*inc),
-                None => node.score,
-            };
-            if let Some((_, inc)) = &incumbent {
-                if self.gap_closed(*inc, bound) {
-                    return Ok(self.finish(
-                        problem,
-                        incumbent,
-                        bound,
-                        sense_sign,
-                        MilpStatus::Optimal,
-                        stats,
-                        start,
-                        root_basis,
-                    ));
-                }
-                if node.score >= *inc - 1e-9 {
-                    // Nothing left can improve the incumbent.
-                    return Ok(self.finish(
-                        problem,
-                        incumbent,
-                        bound,
-                        sense_sign,
-                        MilpStatus::Optimal,
-                        stats,
-                        start,
-                        root_basis,
-                    ));
-                }
-            }
-            if start.elapsed() > self.time_limit || stats.nodes >= self.node_limit {
-                status = if incumbent.is_some() {
-                    MilpStatus::Feasible
-                } else {
-                    MilpStatus::Infeasible
-                };
-                return Ok(self.finish(
-                    problem, incumbent, bound, sense_sign, status, stats, start, root_basis,
-                ));
-            }
-
-            stats.nodes += 1;
-            stats.lp_solves += 1;
-            let warm = if self.reuse_bases {
-                node.basis.as_ref()
-            } else {
-                None
-            };
-            let (node_outcome, node_lp_stats) = solve_lp_opts(
-                problem,
-                &LpOptions {
-                    bound_overrides: Some(&node.bounds),
-                    warm_basis: warm,
-                    engine: self.lp_engine,
-                },
-            )?;
-            stats.absorb_lp(&node_lp_stats);
-            let mut lp = match node_outcome {
-                LpOutcome::Infeasible => continue,
-                LpOutcome::Unbounded => {
-                    // Can only happen at the root, handled above.
-                    continue;
-                }
-                LpOutcome::Optimal(s) => s,
-            };
-            // Children re-solve from this node's optimal basis with the
-            // dual simplex instead of cold-starting.
-            let child_basis = lp.take_basis();
-            let lp_score = sense_sign * lp.objective;
-            if let Some((_, inc)) = &incumbent {
-                if lp_score >= *inc - 1e-9 {
-                    continue;
-                }
-            }
-
-            let frac = most_fractional(&lp.values, &int_vars);
-            match frac {
-                None => {
-                    // Integral: new incumbent.
-                    let mut vals = lp.values.clone();
-                    for &j in &int_vars {
-                        vals[j] = vals[j].round();
-                    }
-                    let score = sense_sign * problem.objective_value(&vals);
-                    if incumbent.as_ref().is_none_or(|(_, s)| score < *s) {
-                        incumbent = Some((vals, score));
-                        tel::count!("flexsp.milp.incumbents");
-                    }
-                }
-                Some((bvar, bval)) => {
-                    if self.rounding_heuristic {
-                        if let Some((vals, score)) = self.fix_and_complete(
-                            problem,
-                            &node.bounds,
-                            &lp.values,
-                            child_basis.as_ref(),
-                            &int_vars,
-                            sense_sign,
-                            &mut stats,
-                        )? {
-                            if incumbent.as_ref().is_none_or(|(_, s)| score < *s) {
-                                incumbent = Some((vals, score));
-                                stats.heuristic_incumbents += 1;
-                                tel::count!("flexsp.milp.incumbents");
-                            }
-                        }
-                    }
-                    // Branch on the most fractional variable.
-                    let (lo, hi) = node.bounds[bvar];
-                    let floor = bval.floor();
-                    if floor >= lo - FEAS_TOL {
-                        let mut b = node.bounds.clone();
-                        b[bvar] = (lo, floor.min(hi));
-                        if b[bvar].0 <= b[bvar].1 + FEAS_TOL {
-                            heap.push(OpenNode {
-                                score: lp_score,
-                                depth: node.depth + 1,
-                                seq: next_seq,
-                                bounds: b,
-                                basis: child_basis.clone(),
-                            });
-                            next_seq += 1;
-                        }
-                    }
-                    let ceil = bval.ceil();
-                    if ceil <= hi + FEAS_TOL {
-                        let mut b = node.bounds.clone();
-                        b[bvar] = (ceil.max(lo), hi);
-                        if b[bvar].0 <= b[bvar].1 + FEAS_TOL {
-                            heap.push(OpenNode {
-                                score: lp_score,
-                                depth: node.depth + 1,
-                                seq: next_seq,
-                                bounds: b,
-                                basis: child_basis,
-                            });
-                            next_seq += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Heap exhausted: incumbent (if any) is optimal.
-        let bound = incumbent.as_ref().map(|(_, s)| *s).unwrap_or(f64::INFINITY);
-        let status = if incumbent.is_some() {
-            status
-        } else {
-            MilpStatus::Infeasible
-        };
-        Ok(self.finish(
-            problem, incumbent, bound, sense_sign, status, stats, start, root_basis,
-        ))
-    }
-
-    /// Multi-threaded best-first search over the open-node heap built by
-    /// [`MilpSolver::solve`] (root already expanded). `threads` workers
-    /// drain the lock-protected heap under a condvar, share one atomic
-    /// incumbent, re-solve children warm from their parents' bases, and
-    /// respect the shared wall-clock deadline and node budget. The search
-    /// terminates only when (a) the heap drains with every worker idle,
-    /// (b) the global bound over open *and* in-flight nodes closes the
-    /// gap, or (c) a shared limit trips — so any thread count returns the
-    /// same objective as the serial search.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_parallel(
-        &self,
-        problem: &Problem,
-        int_vars: &[usize],
-        sense_sign: f64,
-        incumbent: Option<(Vec<f64>, f64)>,
-        heap: BinaryHeap<OpenNode>,
-        mut stats: SolveStats,
-        start: Instant,
-        root_basis: Option<Basis>,
-    ) -> Result<MilpSolution, SolveError> {
         let n = self.threads;
+        let incumbent_score = incumbent.as_ref().map_or(f64::INFINITY, |(_, s)| *s);
         let shared = SharedSearch {
             solver: self,
             problem,
-            int_vars,
+            int_vars: &int_vars,
             sense_sign,
             start,
             state: Mutex::new(SearchState {
@@ -508,143 +296,112 @@ impl MilpSolver {
                 next_seq: 1,
                 claimed: 0,
                 active: 0,
+                parked: 0,
                 active_scores: vec![f64::INFINITY; n],
-                incumbent: incumbent.clone(),
+                incumbent,
                 stop: None,
                 final_bound: f64::NEG_INFINITY,
                 error: None,
             }),
             work: Condvar::new(),
-            incumbent_score: AtomicU64::new(
-                incumbent.map(|(_, s)| s).unwrap_or(f64::INFINITY).to_bits(),
-            ),
+            incumbent_score: AtomicU64::new(incumbent_score.to_bits()),
         };
-        let worker_stats: Vec<SolveStats> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let shared = &shared;
-            let handles: Vec<_> = (0..n)
+            let helpers: Vec<_> = (1..n)
                 .map(|w| scope.spawn(move || shared.worker(w)))
                 .collect();
-            handles
-                .into_iter()
+            stats.absorb(&shared.worker(0));
+            for helper in helpers {
                 // lint: allow(unwrap) join fails only on a worker panic; re-raise it, don't swallow it
-                .map(|h| h.join().expect("branch-and-bound worker panicked"))
-                .collect()
+                stats.absorb(&helper.join().expect("branch-and-bound worker panicked"));
+            }
         });
-        for ws in &worker_stats {
-            stats.absorb(ws);
-        }
+
         let state = shared.state.into_inner().unwrap_or_else(|e| e.into_inner());
         if let Some(e) = state.error {
             return Err(e);
         }
-        let stop = state.stop.unwrap_or(StopReason::Drained);
-        let incumbent = state.incumbent;
-        let status = match stop {
-            // `finish` downgrades Optimal to Infeasible when no incumbent
-            // exists, mirroring the serial drain path.
-            StopReason::Drained | StopReason::GapClosed => MilpStatus::Optimal,
-            StopReason::Limit => {
-                if incumbent.is_some() {
-                    MilpStatus::Feasible
-                } else {
-                    MilpStatus::Infeasible
-                }
-            }
+        let status = match state.stop {
+            Some(StopReason::Limit) => MilpStatus::Feasible,
+            _ => MilpStatus::Optimal,
         };
-        let bound = match stop {
-            StopReason::Drained => incumbent.as_ref().map(|(_, s)| *s).unwrap_or(f64::INFINITY),
-            _ => state.final_bound,
-        };
-        Ok(self.finish(
-            problem, incumbent, bound, sense_sign, status, stats, start, root_basis,
-        ))
-    }
-
-    /// Rounds the integer part of an LP solution, fixes it, and re-solves
-    /// the LP for the continuous completion (warm from the node's basis).
-    #[allow(clippy::too_many_arguments)]
-    fn fix_and_complete(
-        &self,
-        problem: &Problem,
-        bounds: &[(f64, f64)],
-        lp_values: &[f64],
-        node_basis: Option<&Basis>,
-        int_vars: &[usize],
-        sense_sign: f64,
-        stats: &mut SolveStats,
-    ) -> Result<Option<(Vec<f64>, f64)>, SolveError> {
-        let mut fixed = bounds.to_vec();
-        for &j in int_vars {
-            let r = lp_values[j].round().clamp(bounds[j].0, bounds[j].1);
-            let r = r.round();
-            fixed[j] = (r, r);
-        }
-        stats.lp_solves += 1;
-        let warm = if self.reuse_bases { node_basis } else { None };
-        let (outcome, lp_stats) = solve_lp_opts(
+        Ok(finish(
             problem,
-            &LpOptions {
-                bound_overrides: Some(&fixed),
-                warm_basis: warm,
-                engine: self.lp_engine,
-            },
-        )?;
-        stats.absorb_lp(&lp_stats);
-        match outcome {
-            LpOutcome::Optimal(s) => {
-                let mut vals = s.values;
-                for &j in int_vars {
-                    vals[j] = vals[j].round();
-                }
-                if problem.is_feasible(&vals, 1e-6) {
-                    let score = sense_sign * problem.objective_value(&vals);
-                    Ok(Some((vals, score)))
-                } else {
-                    Ok(None)
-                }
-            }
-            _ => Ok(None),
-        }
+            state.incumbent,
+            sense_sign * state.final_bound,
+            status,
+            stats,
+            start,
+            root_basis,
+        ))
     }
 
     fn gap_closed(&self, incumbent_score: f64, bound: f64) -> bool {
         (incumbent_score - bound) <= self.relative_gap * incumbent_score.abs().max(1.0) + 1e-12
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        problem: &Problem,
-        incumbent: Option<(Vec<f64>, f64)>,
-        bound_score: f64,
-        sense_sign: f64,
-        status: MilpStatus,
-        stats: SolveStats,
-        start: Instant,
-        root_basis: Option<Basis>,
-    ) -> MilpSolution {
-        let (values, objective) = match &incumbent {
-            Some((vals, _)) => (vals.clone(), problem.objective_value(vals)),
-            None => (Vec::new(), f64::NAN),
-        };
-        let status = match (status, incumbent.is_some()) {
-            (MilpStatus::Optimal, false) => MilpStatus::Infeasible,
-            (s, _) => s,
-        };
-        tel::count!("flexsp.milp.solves");
-        tel::count!("flexsp.milp.nodes", stats.nodes);
-        tel::count!("flexsp.milp.lp_solves", stats.lp_solves);
-        MilpSolution {
-            status,
-            values,
-            objective,
-            best_bound: sense_sign * bound_score,
-            nodes: stats.nodes,
-            solve_time_secs: start.elapsed().as_secs_f64(),
-            stats,
-            root_basis,
+/// Packages a finished search. Without an incumbent, every status but
+/// [`MilpStatus::Unbounded`] becomes [`MilpStatus::Infeasible`].
+fn finish(
+    problem: &Problem,
+    incumbent: Option<(Vec<f64>, f64)>,
+    best_bound: f64,
+    status: MilpStatus,
+    stats: SolveStats,
+    start: Instant,
+    root_basis: Option<Basis>,
+) -> MilpSolution {
+    let (status, values, objective) = match incumbent {
+        Some((vals, _)) => {
+            let objective = problem.objective_value(&vals);
+            (status, vals, objective)
         }
+        None if status == MilpStatus::Unbounded => (status, Vec::new(), f64::NAN),
+        None => (MilpStatus::Infeasible, Vec::new(), f64::NAN),
+    };
+    tel::count!("flexsp.milp.solves");
+    tel::count!("flexsp.milp.nodes", stats.nodes);
+    tel::count!("flexsp.milp.lp_solves", stats.lp_solves);
+    MilpSolution {
+        status,
+        values,
+        objective,
+        best_bound,
+        nodes: stats.nodes,
+        solve_time_secs: start.elapsed().as_secs_f64(),
+        stats,
+        root_basis,
     }
+}
+
+/// Solves one relaxation under `bounds`, warm from `warm` when given,
+/// and counts it into `stats`.
+fn solve_relaxation(
+    problem: &Problem,
+    bounds: &[(f64, f64)],
+    warm: Option<&Basis>,
+    stats: &mut SolveStats,
+) -> Result<LpOutcome, SolveError> {
+    stats.lp_solves += 1;
+    let (outcome, lp_stats) = solve_lp_opts(
+        problem,
+        &LpOptions {
+            bound_overrides: Some(bounds),
+            warm_basis: warm,
+        },
+    )?;
+    stats.absorb_lp(&lp_stats);
+    Ok(outcome)
+}
+
+/// Rounds every integer variable of `values` to the nearest integer.
+fn round_integers(mut values: Vec<f64>, int_vars: &[usize]) -> Vec<f64> {
+    for &j in int_vars {
+        values[j] = values[j].round();
+    }
+    values
 }
 
 fn most_fractional(values: &[f64], int_vars: &[usize]) -> Option<(usize, f64)> {
@@ -704,12 +461,11 @@ impl PartialOrd for OpenNode {
 /// 2. Ties break toward *deeper* nodes, so dives finish and produce
 ///    incumbents.
 /// 3. Remaining ties break toward the *older* node (lower `seq`) — FIFO
-///    among full equals, matching the order the serial search discovered
-///    them.
+///    among full equals, in the order the search published them.
 ///
-/// `seq` is unique per search, so the order is total and deterministic:
-/// serial and parallel runs pop equal-scored nodes in the same relative
-/// order, and heap behavior never depends on unspecified tie handling.
+/// `seq` is unique per search, so the order is total: heap behavior never
+/// depends on unspecified tie handling, and a single worker's search is
+/// deterministic.
 impl Ord for OpenNode {
     fn cmp(&self, other: &Self) -> Ordering {
         score_cmp(other.score, self.score)
@@ -718,7 +474,7 @@ impl Ord for OpenNode {
     }
 }
 
-/// Why the parallel search stopped.
+/// Why the search stopped.
 #[derive(Debug, Clone, Copy)]
 enum StopReason {
     /// Heap drained with every worker idle — the incumbent is optimal.
@@ -740,6 +496,9 @@ struct SearchState {
     claimed: u64,
     /// Workers currently expanding a node.
     active: usize,
+    /// Workers parked on the condvar waiting for work. Publishing skips
+    /// the wake-up (a syscall) when nobody is parked, as with one worker.
+    parked: usize,
     /// Per-worker score of the node being expanded (`INFINITY` = idle).
     /// Folded into the global bound so the gap check never ignores work
     /// still in flight.
@@ -747,14 +506,14 @@ struct SearchState {
     /// Best feasible point: `(values, score)` in minimize-score space.
     incumbent: Option<(Vec<f64>, f64)>,
     stop: Option<StopReason>,
-    /// Best bound to report when stopping on `GapClosed` / `Limit`.
+    /// Best bound (minimize-score space) at the moment the search stopped.
     final_bound: f64,
     /// First LP error; aborts the whole search.
     error: Option<SolveError>,
 }
 
-/// Everything the worker pool shares. The incumbent *score* is mirrored
-/// into a lock-free bit-cast atomic so the hot pruning path inside node
+/// Everything the workers share. The incumbent *score* is mirrored into
+/// a lock-free bit-cast atomic so the hot pruning path inside node
 /// expansion never touches the mutex.
 struct SharedSearch<'a> {
     solver: &'a MilpSolver,
@@ -810,10 +569,19 @@ impl SharedSearch<'_> {
         st.active_scores.iter().fold(open, |acc, &s| acc.min(s))
     }
 
+    /// Stops the search for every worker, recording why and the best
+    /// bound (the global bound, capped by the incumbent).
+    fn stop(&self, st: &mut SearchState, reason: StopReason) {
+        let inc = st.incumbent.as_ref().map_or(f64::INFINITY, |(_, s)| *s);
+        st.final_bound = Self::global_bound(st).min(inc);
+        st.stop = Some(reason);
+        self.work.notify_all();
+    }
+
     /// Worker loop: claim a node under the lock, expand it outside the
-    /// lock, push children back, repeat. Termination mirrors the serial
-    /// loop's exits — gap closed, everything prunable, limits, or the
-    /// heap drained with all workers idle.
+    /// lock, publish its children, repeat — until the gap closes, nothing
+    /// open can improve the incumbent, a limit trips, or the heap drains
+    /// with every worker idle.
     fn worker(&self, w: usize) -> SolveStats {
         let mut stats = SolveStats::default();
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -824,42 +592,34 @@ impl SharedSearch<'_> {
             if let Some((_, inc)) = &st.incumbent {
                 let inc = *inc;
                 // The heap top is the minimum open score; if it cannot
-                // improve the incumbent nothing in the heap can (serial:
-                // "nothing left can improve" exit). In-flight workers may
-                // still push improving children, so keep draining.
+                // improve the incumbent nothing in the heap can. In-flight
+                // workers may still push improving children, so keep
+                // draining.
                 if st.heap.peek().is_some_and(|n| n.score >= inc - 1e-9) {
                     st.heap.clear();
                 }
-                let bound = Self::global_bound(&st);
-                if self.solver.gap_closed(inc, bound) {
-                    st.final_bound = bound.min(inc);
-                    st.stop = Some(StopReason::GapClosed);
-                    self.work.notify_all();
+                if self.solver.gap_closed(inc, Self::global_bound(&st)) {
+                    self.stop(&mut st, StopReason::GapClosed);
                     break;
                 }
             }
             if st.heap.is_empty() {
                 if st.active == 0 {
-                    st.stop = Some(StopReason::Drained);
-                    self.work.notify_all();
+                    self.stop(&mut st, StopReason::Drained);
                     break;
                 }
+                st.parked += 1;
                 st = {
                     let _wait_span =
                         tel::span!(tel::Category::Solver, "bnb.claim.wait", "worker" => w as u64);
                     self.work.wait(st).unwrap_or_else(|e| e.into_inner())
                 };
+                st.parked -= 1;
                 continue;
             }
             if self.start.elapsed() > self.solver.time_limit || st.claimed >= self.solver.node_limit
             {
-                let bound = Self::global_bound(&st);
-                st.final_bound = match &st.incumbent {
-                    Some((_, inc)) => bound.min(*inc),
-                    None => bound,
-                };
-                st.stop = Some(StopReason::Limit);
-                self.work.notify_all();
+                self.stop(&mut st, StopReason::Limit);
                 break;
             }
             let node = {
@@ -891,7 +651,9 @@ impl SharedSearch<'_> {
                         child.seq = st.next_seq;
                         st.next_seq += 1;
                         st.heap.push(child);
-                        self.work.notify_one();
+                        if st.parked > 0 {
+                            self.work.notify_one();
+                        }
                     }
                     // If this was the last in-flight node and it produced
                     // nothing, the loop iteration below declares Drained.
@@ -913,95 +675,80 @@ impl SharedSearch<'_> {
     /// heuristic, and return up to two children (`seq` is assigned by
     /// the caller under the state lock). Runs without holding the lock.
     fn expand(&self, node: OpenNode, stats: &mut SolveStats) -> Result<Vec<OpenNode>, SolveError> {
-        let solver = self.solver;
         stats.nodes += 1;
-        stats.lp_solves += 1;
-        let warm = if solver.reuse_bases {
-            node.basis.as_ref()
-        } else {
-            None
-        };
-        let (outcome, lp_stats) = solve_lp_opts(
-            self.problem,
-            &LpOptions {
-                bound_overrides: Some(&node.bounds),
-                warm_basis: warm,
-                engine: solver.lp_engine,
-            },
-        )?;
-        stats.absorb_lp(&lp_stats);
-        let mut lp = match outcome {
+        let mut lp = match solve_relaxation(self.problem, &node.bounds, node.basis.as_ref(), stats)?
+        {
             LpOutcome::Optimal(s) => s,
             // Infeasible subtree, or unbounded (root-only, handled before
-            // workers start).
+            // the workers start).
             _ => return Ok(Vec::new()),
         };
+        // Children re-solve from this node's optimal basis with the dual
+        // simplex instead of cold-starting.
         let child_basis = lp.take_basis();
         let lp_score = self.sense_sign * lp.objective;
         if lp_score >= self.best_score() - 1e-9 {
             return Ok(Vec::new());
         }
-        match most_fractional(&lp.values, self.int_vars) {
-            None => {
-                // Integral: candidate incumbent.
-                let mut vals = lp.values.clone();
-                for &j in self.int_vars {
-                    vals[j] = vals[j].round();
-                }
-                let score = self.sense_sign * self.problem.objective_value(&vals);
+        let Some((bvar, bval)) = most_fractional(&lp.values, self.int_vars) else {
+            // Integral: candidate incumbent.
+            let vals = round_integers(lp.values, self.int_vars);
+            let score = self.sense_sign * self.problem.objective_value(&vals);
+            self.try_improve(vals, score);
+            return Ok(Vec::new());
+        };
+        if let Some((vals, score)) =
+            self.fix_and_complete(&node.bounds, &lp.values, child_basis.as_ref(), stats)?
+        {
+            if score < self.best_score() {
+                stats.heuristic_incumbents += 1;
                 self.try_improve(vals, score);
-                Ok(Vec::new())
-            }
-            Some((bvar, bval)) => {
-                if solver.rounding_heuristic {
-                    if let Some((vals, score)) = solver.fix_and_complete(
-                        self.problem,
-                        &node.bounds,
-                        &lp.values,
-                        child_basis.as_ref(),
-                        self.int_vars,
-                        self.sense_sign,
-                        stats,
-                    )? {
-                        if score < self.best_score() {
-                            stats.heuristic_incumbents += 1;
-                            self.try_improve(vals, score);
-                        }
-                    }
-                }
-                let mut children = Vec::with_capacity(2);
-                let (lo, hi) = node.bounds[bvar];
-                let floor = bval.floor();
-                if floor >= lo - FEAS_TOL {
-                    let mut b = node.bounds.clone();
-                    b[bvar] = (lo, floor.min(hi));
-                    if b[bvar].0 <= b[bvar].1 + FEAS_TOL {
-                        children.push(OpenNode {
-                            score: lp_score,
-                            depth: node.depth + 1,
-                            seq: 0, // assigned under the state lock
-                            bounds: b,
-                            basis: child_basis.clone(),
-                        });
-                    }
-                }
-                let ceil = bval.ceil();
-                if ceil <= hi + FEAS_TOL {
-                    let mut b = node.bounds.clone();
-                    b[bvar] = (ceil.max(lo), hi);
-                    if b[bvar].0 <= b[bvar].1 + FEAS_TOL {
-                        children.push(OpenNode {
-                            score: lp_score,
-                            depth: node.depth + 1,
-                            seq: 0,
-                            bounds: b,
-                            basis: child_basis,
-                        });
-                    }
-                }
-                Ok(children)
             }
         }
+        // Branch on the most fractional variable: down, then up.
+        let (lo, hi) = node.bounds[bvar];
+        let mut children = Vec::with_capacity(2);
+        for range in [(lo, bval.floor().min(hi)), (bval.ceil().max(lo), hi)] {
+            if range.0 <= range.1 + FEAS_TOL {
+                let mut bounds = node.bounds.clone();
+                bounds[bvar] = range;
+                children.push(OpenNode {
+                    score: lp_score,
+                    depth: node.depth + 1,
+                    seq: 0, // assigned under the state lock
+                    bounds,
+                    basis: child_basis.clone(),
+                });
+            }
+        }
+        Ok(children)
+    }
+
+    /// Rounds the integer part of an LP solution, fixes it, and re-solves
+    /// the LP for the continuous completion (warm from the node's basis).
+    fn fix_and_complete(
+        &self,
+        bounds: &[(f64, f64)],
+        lp_values: &[f64],
+        node_basis: Option<&Basis>,
+        stats: &mut SolveStats,
+    ) -> Result<Option<(Vec<f64>, f64)>, SolveError> {
+        let mut fixed = bounds.to_vec();
+        for &j in self.int_vars {
+            let r = lp_values[j].round().clamp(bounds[j].0, bounds[j].1);
+            let r = r.round();
+            fixed[j] = (r, r);
+        }
+        let LpOutcome::Optimal(s) = solve_relaxation(self.problem, &fixed, node_basis, stats)?
+        else {
+            return Ok(None);
+        };
+        let vals = round_integers(s.values, self.int_vars);
+        if !self.problem.is_feasible(&vals, 1e-6) {
+            return Ok(None);
+        }
+        let score = self.sense_sign * self.problem.objective_value(&vals);
+        Ok(Some((vals, score)))
     }
 }
 

@@ -1,9 +1,9 @@
-//! Legacy dense two-phase primal simplex with bounded variables.
+//! Dense two-phase primal simplex with bounded variables: the test
+//! oracle for the sparse revised engine.
 //!
-//! This is the original solver kept behind [`LpEngine::DenseTableau`]
-//! (see [`crate::simplex`]) as an A/B reference for the sparse revised
-//! engine: property tests assert both paths agree on randomized LPs, and
-//! benchmarks report the speedup of the sparse path against this one.
+//! Compiled for tests only. The unit tests in [`crate::simplex`] solve
+//! each hand-built LP with both engines, and a property test checks that
+//! they agree on outcome and objective over random bounded LPs.
 //!
 //! The implementation keeps a full dense tableau `T = B⁻¹·A` over all
 //! columns (structural variables, slacks, artificials) together with the

@@ -6,10 +6,10 @@
 //! The FlexSP paper (ASPLOS 2025) formulates heterogeneous sequence-parallel
 //! group selection and sequence assignment as a mixed-integer linear program
 //! (MILP) and solves it with SCIP. This crate is a from-scratch replacement
-//! for that dependency: a dense, bounded-variable, two-phase primal simplex
+//! for that dependency: a sparse revised simplex with bounded variables
 //! for linear relaxations ([`solve_lp`]) and a best-first branch-and-bound
-//! driver with warm starts, a rounding heuristic, and time/node/gap limits
-//! ([`MilpSolver`]).
+//! driver with warm starts, a rounding heuristic, time/node/gap limits,
+//! and optional worker threads ([`MilpSolver`]).
 //!
 //! The solver is deliberately engineered for the planner's regime —
 //! problems with a few hundred rows and a few hundred to a couple of
@@ -30,16 +30,16 @@
 //! * **Mutation API** — [`Problem::set_rhs`], [`Problem::set_bounds`],
 //!   [`Problem::set_objective_coef`], and [`Problem::set_constraint_coef`]
 //!   edit numbers without changing the problem's shape.
-//! * **[`Basis`]** — every sparse-engine [`LpSolution`] carries its
-//!   optimal basis ([`LpSolution::basis`]); re-install it via
+//! * **[`Basis`]** — every [`LpSolution`] carries its optimal basis
+//!   ([`LpSolution::basis`]); re-install it via
 //!   [`LpOptions::warm_basis`] or [`MilpSolver::root_basis`] and the
 //!   bounded *dual simplex* repairs primal feasibility in a handful of
 //!   pivots instead of a cold two-phase solve. Branch and bound re-solves
 //!   every child node from its parent's basis the same way.
-//! * **Engines** — [`LpEngine::SparseRevised`] (default) runs a revised
-//!   simplex over sparse columns with an LU-factored basis and eta
-//!   updates; [`LpEngine::DenseTableau`] keeps the original dense tableau
-//!   as an A/B reference, and property tests assert the two agree.
+//! * **One engine** — every relaxation runs on the revised simplex over
+//!   sparse columns with an LU-factored basis and eta updates. A dense
+//!   tableau is compiled into the unit tests only, as the oracle that
+//!   property tests check the sparse engine against.
 //!
 //! Warm starts are best-effort by construction: a basis that no longer
 //! fits (shape change, singular after edits, stalled dual) is dropped and
@@ -76,6 +76,7 @@
 
 mod basis;
 mod branch_bound;
+#[cfg(test)]
 mod dense;
 mod error;
 mod expr;
@@ -91,7 +92,7 @@ pub use branch_bound::{MilpSolver, SolveStats};
 pub use error::SolveError;
 pub use expr::{LinExpr, VarId};
 pub use problem::{Cmp, Constraint, ObjectiveSense, Problem, VarKind};
-pub use simplex::{solve_lp, solve_lp_opts, LpEngine, LpOptions, LpOutcome, LpSolution, LpStats};
+pub use simplex::{solve_lp, solve_lp_opts, LpOptions, LpOutcome, LpSolution, LpStats};
 pub use solution::{MilpSolution, MilpStatus};
 
 /// Feasibility tolerance used throughout the crate.

@@ -1,15 +1,13 @@
-//! LP entry points: engine selection, warm starts, and solve statistics.
+//! LP entry points: warm starts and solve statistics.
 //!
-//! Two interchangeable engines solve the linear relaxation:
-//!
-//! * [`LpEngine::SparseRevised`] (default) — revised simplex over sparse
-//!   columns with an LU-factored basis, product-form eta updates, and
-//!   periodic refactorization ([`crate::revised`]). Supports warm-basis
-//!   re-solves: install a [`Basis`] from a previous solution and the
-//!   bounded dual simplex repairs primal feasibility after RHS/bound
-//!   edits instead of re-running phase 1.
-//! * [`LpEngine::DenseTableau`] — the original dense two-phase tableau
-//!   ([`crate::dense`]), kept as an always-available A/B reference.
+//! Every relaxation runs on one engine, the sparse revised simplex in
+//! [`crate::revised`]: bounded variables, sparse columns, an LU-factored
+//! basis with product-form eta updates, and periodic refactorization. A
+//! cold solve runs phase 1 then phase 2. A warm solve installs a [`Basis`]
+//! from a previous solution, and the bounded dual simplex repairs primal
+//! feasibility after RHS, bound, or coefficient edits instead of
+//! re-running phase 1. (Unit tests check it against the dense tableau in
+//! [`crate::dense`], which is compiled for tests only.)
 //!
 //! [`solve_lp`] keeps the original cold-start signature; [`solve_lp_opts`]
 //! exposes warm starts and per-solve [`LpStats`].
@@ -21,27 +19,14 @@ use crate::revised::Engine;
 use crate::sparse::{BuildOutcome, SparseModel};
 use crate::FEAS_TOL;
 
-/// Which LP algorithm runs the relaxation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Sparse revised simplex with warm-basis support (default).
-    #[default]
-    SparseRevised,
-    /// Legacy dense tableau (cold starts only; A/B reference).
-    DenseTableau,
-}
-
 /// Options for [`solve_lp_opts`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LpOptions<'a> {
     /// Per-variable `(lower, upper)` overrides (used by branch and bound).
     pub bound_overrides: Option<&'a [(f64, f64)]>,
     /// Basis from a previous solve of the same-shaped problem to warm
-    /// start from. Ignored by the dense engine; silently dropped when it
-    /// no longer fits.
+    /// start from. Silently dropped when it no longer fits.
     pub warm_basis: Option<&'a Basis>,
-    /// Engine selection.
-    pub engine: LpEngine,
 }
 
 /// Counters describing one LP solve.
@@ -98,14 +83,14 @@ pub struct LpSolution {
     /// Objective value in the problem's own sense (including the
     /// objective's constant term).
     pub objective: f64,
-    /// The optimal basis (sparse engine only), reusable via
-    /// [`LpOptions::warm_basis`].
+    /// The optimal basis, reusable via [`LpOptions::warm_basis`].
     pub(crate) basis: Option<Basis>,
 }
 
 impl LpSolution {
-    /// The optimal basis, when the solving engine produced one. Feed it
-    /// back through [`LpOptions::warm_basis`] (or
+    /// The optimal basis (`None` once taken with
+    /// [`LpSolution::take_basis`]). Feed it back through
+    /// [`LpOptions::warm_basis`] (or
     /// [`MilpSolver::root_basis`](crate::MilpSolver::root_basis)) after
     /// mutating the problem's RHS, bounds, or coefficients to re-solve
     /// incrementally.
@@ -120,8 +105,8 @@ impl LpSolution {
 }
 
 /// Solves the linear relaxation of `problem`, optionally overriding
-/// variable bounds (used by branch and bound). Cold start on the default
-/// (sparse revised) engine; see [`solve_lp_opts`] for warm starts.
+/// variable bounds (used by branch and bound). Always a cold start; see
+/// [`solve_lp_opts`] for warm starts.
 ///
 /// Integer/binary kinds are ignored — every variable is relaxed to its
 /// (possibly overridden) continuous range.
@@ -159,14 +144,13 @@ pub fn solve_lp(
         &LpOptions {
             bound_overrides,
             warm_basis: None,
-            engine: LpEngine::SparseRevised,
         },
     )
     .map(|(outcome, _)| outcome)
 }
 
-/// Solves the linear relaxation with full control over engine, bound
-/// overrides, and warm-basis reuse, returning per-solve [`LpStats`].
+/// Solves the linear relaxation with bound overrides and warm-basis
+/// reuse, returning per-solve [`LpStats`].
 ///
 /// A warm basis that cannot be installed (shape mismatch, singular after
 /// coefficient edits) or whose dual repair stalls is dropped and the
@@ -205,11 +189,6 @@ pub fn solve_lp_opts(
         }
     }
 
-    if opts.engine == LpEngine::DenseTableau {
-        let outcome = crate::dense::solve_dense(problem, opts.bound_overrides)?;
-        return Ok((outcome, LpStats::default()));
-    }
-
     let model = match SparseModel::build(problem) {
         BuildOutcome::Model(m) => m,
         BuildOutcome::TriviallyInfeasible => {
@@ -236,24 +215,17 @@ pub fn solve_lp_opts(
 mod tests {
     use super::*;
     use crate::{LinExpr, VarKind};
+    use proptest::prelude::*;
 
     fn approx(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// Runs both engines and asserts they agree before returning the
-    /// sparse result.
+    /// Solves with the sparse engine and the dense tableau oracle, asserts
+    /// they agree, and returns the sparse result.
     fn solve_both(p: &Problem) -> LpOutcome {
         let sparse = solve_lp(p, None).unwrap();
-        let dense = solve_lp_opts(
-            p,
-            &LpOptions {
-                engine: LpEngine::DenseTableau,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .0;
+        let dense = crate::dense::solve_dense(p, None).unwrap();
         match (&sparse, &dense) {
             (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => approx(a.objective, b.objective),
             (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
@@ -468,5 +440,86 @@ mod tests {
         .unwrap();
         assert!(stats.warm_attempted && !stats.warm_used);
         approx(warm.optimal().unwrap().objective, 1.5);
+    }
+
+    /// A small random bounded LP over continuous variables.
+    #[derive(Debug, Clone)]
+    struct RandomLp {
+        upper: Vec<i32>,
+        obj: Vec<i32>,
+        maximize: bool,
+        /// Each row: (coefficients, cmp: 0 = Le / 1 = Ge / 2 = Eq, rhs).
+        rows: Vec<(Vec<i32>, u8, i32)>,
+    }
+
+    fn random_lp() -> impl Strategy<Value = RandomLp> {
+        (2usize..=5).prop_flat_map(|n| {
+            let upper = prop::collection::vec(1i32..=6, n);
+            let obj = prop::collection::vec(-5i32..=5, n);
+            let row = (prop::collection::vec(-4i32..=4, n), 0u8..=2, -8i32..=16);
+            let rows = prop::collection::vec(row, 1..=4);
+            (upper, obj, any::<bool>(), rows).prop_map(|(upper, obj, maximize, rows)| RandomLp {
+                upper,
+                obj,
+                maximize,
+                rows,
+            })
+        })
+    }
+
+    impl RandomLp {
+        fn build(&self) -> Problem {
+            let mut p = if self.maximize {
+                Problem::maximize()
+            } else {
+                Problem::minimize()
+            };
+            let vars: Vec<_> = (self.upper.iter().enumerate())
+                .map(|(i, &u)| p.add_var(format!("x{i}"), VarKind::Continuous, 0.0, u as f64))
+                .collect();
+            let expr = |coefs: &[i32]| {
+                LinExpr::from_terms(vars.iter().copied().zip(coefs.iter().map(|&c| c as f64)))
+            };
+            for (coefs, cmp, rhs) in &self.rows {
+                match cmp {
+                    0 => p.add_le(expr(coefs), *rhs as f64),
+                    1 => p.add_ge(expr(coefs), *rhs as f64),
+                    _ => p.add_eq(expr(coefs), *rhs as f64),
+                }
+            }
+            p.set_objective(expr(&self.obj));
+            p
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The sparse revised engine and the dense tableau oracle must
+        /// agree on outcome class and (for optimal LPs) on the objective,
+        /// and both solutions must be feasible for the original problem.
+        #[test]
+        fn sparse_and_dense_engines_agree(lp in random_lp()) {
+            let p = lp.build();
+            let sparse = solve_lp(&p, None).unwrap();
+            let dense = crate::dense::solve_dense(&p, None).unwrap();
+            match (&sparse, &dense) {
+                (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
+                    prop_assert!(
+                        (a.objective - b.objective).abs() < 1e-5,
+                        "sparse {} vs dense {}",
+                        a.objective,
+                        b.objective
+                    );
+                    prop_assert!(p.is_feasible(&a.values, 1e-6), "sparse solution infeasible");
+                    prop_assert!(p.is_feasible(&b.values, 1e-6), "dense solution infeasible");
+                }
+                (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
+                (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
+                other => {
+                    return Err(TestCaseError::fail(format!("engines disagree: {other:?}")));
+                }
+            }
+        }
     }
 }

@@ -95,8 +95,8 @@ impl MilpSolution {
         self.stats
     }
 
-    /// Optimal basis of the *root* relaxation, if the sparse engine
-    /// produced one. Feed it to
+    /// Optimal basis of the *root* relaxation (`None` when the root was
+    /// infeasible or unbounded, or once taken). Feed it to
     /// [`MilpSolver::root_basis`](crate::MilpSolver::root_basis) on the
     /// next solve of the same-shaped (mutated) problem — the pattern the
     /// planner's makespan binary search uses between steps.

@@ -1,9 +1,9 @@
-//! Property-based A/B validation of the sparse revised simplex against
-//! the legacy dense tableau, and of warm-basis re-solves of a mutated
-//! problem against cold rebuilds.
+//! Property-based validation of warm-basis re-solves of a mutated problem
+//! against cold rebuilds. (The agreement of the sparse engine with the
+//! dense tableau oracle is a unit test, since the oracle is test-only.)
 
 use flexsp_milp::{
-    solve_lp_opts, LinExpr, LpEngine, LpOptions, LpOutcome, Problem, VarId, VarKind,
+    solve_lp, solve_lp_opts, LinExpr, LpOptions, LpOutcome, Problem, VarId, VarKind,
 };
 use proptest::prelude::*;
 
@@ -64,18 +64,6 @@ fn build(lp: &RandomLp) -> (Problem, Vec<VarId>) {
     (p, vars)
 }
 
-fn solve(p: &Problem, engine: LpEngine) -> LpOutcome {
-    solve_lp_opts(
-        p,
-        &LpOptions {
-            engine,
-            ..Default::default()
-        },
-    )
-    .expect("bounded LPs never hit iteration limits at this size")
-    .0
-}
-
 /// A structured mutation of an existing LP: new RHS and new first-variable
 /// coefficient per row (the same edit `AggregatedModel::set_makespan`
 /// performs each binary-search step), new upper bound and new objective
@@ -118,33 +106,6 @@ fn apply_mutation(lp: &RandomLp, m: &Mutation) -> RandomLp {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The sparse revised engine and the legacy dense tableau must agree
-    /// on outcome class and (for optimal LPs) on the objective, and both
-    /// solutions must be feasible for the original problem.
-    #[test]
-    fn sparse_and_dense_engines_agree(lp in random_lp()) {
-        let (p, _) = build(&lp);
-        let sparse = solve(&p, LpEngine::SparseRevised);
-        let dense = solve(&p, LpEngine::DenseTableau);
-        match (&sparse, &dense) {
-            (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
-                prop_assert!(
-                    (a.objective - b.objective).abs() < 1e-5,
-                    "sparse {} vs dense {}",
-                    a.objective,
-                    b.objective
-                );
-                prop_assert!(p.is_feasible(&a.values, 1e-6), "sparse solution infeasible");
-                prop_assert!(p.is_feasible(&b.values, 1e-6), "dense solution infeasible");
-            }
-            (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
-            (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
-            other => {
-                return Err(TestCaseError::fail(format!("engines disagree: {other:?}")));
-            }
-        }
-    }
-
     /// Mutating a solved problem in place (RHS, bounds, objective) and
     /// warm re-solving from the previous basis must match a cold solve of
     /// an identically mutated fresh build.
@@ -181,7 +142,8 @@ proptest! {
         prop_assert!(warm_stats.warm_attempted);
 
         let (cold_build, _) = build(&apply_mutation(&lp, &mutation));
-        let cold = solve(&cold_build, LpEngine::SparseRevised);
+        let cold = solve_lp(&cold_build, None)
+            .expect("bounded LPs never hit iteration limits at this size");
 
         match (&warm, &cold) {
             (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use flexsp_arbiter::{
     AdmissionPolicy, ArbiterStats, ClusterArbiter, JobId, Lease, LeaseEvent, LogicalClock,
@@ -33,6 +34,16 @@ use flexsp_sim::{ClusterSpec, Topology};
 use flexsp_telemetry as tel;
 
 use crate::gen::{Trace, TraceOp};
+
+/// The configuration every sampled job plans with: the fast experiment
+/// settings with the per-solve MILP wall-clock limit lifted, so the node
+/// budget always binds first. A plan is then a function of its inputs
+/// alone, and so is the replay log, however loaded the host is.
+fn replay_solver_config() -> SolverConfig {
+    let mut config = SolverConfig::fast();
+    config.planner.milp_time_limit = Duration::from_secs(3600);
+    config
+}
 
 /// How logical time is driven through the arbiter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,7 +287,7 @@ impl Engine<'_> {
         let sampled = self.cfg.plan_every > 0 && job.is_multiple_of(self.cfg.plan_every);
         let service = match (&self.cost, sampled) {
             (Some(cost), true) => {
-                let solver = lease.bind(FlexSpSolver::new(cost.clone(), SolverConfig::fast()));
+                let solver = lease.bind(FlexSpSolver::new(cost.clone(), replay_solver_config()));
                 Some(SolverService::spawn(solver, 1))
             }
             _ => None,
@@ -377,7 +388,7 @@ impl Engine<'_> {
                 let slot = &mut self.held[i];
                 let solver = slot.lease.bind(FlexSpSolver::new(
                     self.cost.clone().expect("planned slot has a cost model"),
-                    SolverConfig::fast(),
+                    replay_solver_config(),
                 ));
                 slot.service.as_ref().expect("checked").rebind(solver);
                 slot.replans += 1;

@@ -64,9 +64,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Stage 3: the planner. Heuristic first, then the MILP — serial and
-    // with a multi-threaded branch & bound (same objective either way;
-    // wall-clock only improves when the host has spare cores).
+    // Stage 3: the planner. Heuristic first, then the MILP — with one
+    // and with four branch-and-bound workers (the same objective whenever
+    // no node or time budget cuts a search short; wall-clock only
+    // improves when the host has spare cores).
     for (name, cfg) in [
         ("heuristic", PlannerConfig::heuristic_only()),
         (

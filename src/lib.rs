@@ -34,7 +34,7 @@
 //! [`core::PlanStats`] (model builds, search steps, pivots, basis-reuse
 //! hit rate) surfaces this through every plan, and
 //! `crates/bench/benches/solver_components.rs` tracks the resulting
-//! speedup as JSON.
+//! search counters and phase timings as JSON.
 //!
 //! # Quickstart
 //!
