@@ -11,8 +11,9 @@ use flexsp_telemetry as tel;
 use crate::basis::Basis;
 use crate::error::SolveError;
 use crate::problem::{ObjectiveSense, Problem, VarKind};
-use crate::simplex::{solve_lp_opts, LpOptions, LpOutcome, LpStats};
+use crate::simplex::{solve_lp_model, LpOptions, LpOutcome, LpStats};
 use crate::solution::{MilpSolution, MilpStatus};
+use crate::sparse::{BuildOutcome, SparseModel};
 use crate::{FEAS_TOL, INT_TOL};
 
 /// Counters describing a branch-and-bound run.
@@ -239,9 +240,31 @@ impl MilpSolver {
                 (vals, score)
             });
 
+        // The constraint matrix is the same at every node (branching only
+        // moves bounds), so one model serves the root and every worker.
+        let model = match SparseModel::build(problem) {
+            BuildOutcome::Model(model) => model,
+            BuildOutcome::TriviallyInfeasible => {
+                return Ok(finish(
+                    problem,
+                    incumbent,
+                    sense_sign * f64::NEG_INFINITY,
+                    MilpStatus::Infeasible,
+                    stats,
+                    start,
+                    None,
+                ));
+            }
+        };
         let root_outcome = {
             let _root_span = tel::span!(tel::Category::Solver, "milp.root_lp");
-            solve_relaxation(problem, &root_bounds, self.root_basis.as_ref(), &mut stats)?
+            solve_relaxation(
+                problem,
+                &model,
+                &root_bounds,
+                self.root_basis.as_ref(),
+                &mut stats,
+            )?
         };
         let mut root = match root_outcome {
             LpOutcome::Infeasible => {
@@ -288,6 +311,7 @@ impl MilpSolver {
         let shared = SharedSearch {
             solver: self,
             problem,
+            model: &model,
             int_vars: &int_vars,
             sense_sign,
             start,
@@ -376,17 +400,19 @@ fn finish(
     }
 }
 
-/// Solves one relaxation under `bounds`, warm from `warm` when given,
-/// and counts it into `stats`.
+/// Solves one relaxation of `problem` (prebuilt as `model`) under
+/// `bounds`, warm from `warm` when given, and counts it into `stats`.
 fn solve_relaxation(
     problem: &Problem,
+    model: &SparseModel,
     bounds: &[(f64, f64)],
     warm: Option<&Basis>,
     stats: &mut SolveStats,
 ) -> Result<LpOutcome, SolveError> {
     stats.lp_solves += 1;
-    let (outcome, lp_stats) = solve_lp_opts(
+    let (outcome, lp_stats) = solve_lp_model(
         problem,
+        model,
         &LpOptions {
             bound_overrides: Some(bounds),
             warm_basis: warm,
@@ -518,6 +544,8 @@ struct SearchState {
 struct SharedSearch<'a> {
     solver: &'a MilpSolver,
     problem: &'a Problem,
+    /// `problem`'s constraint matrix, built once and read by every worker.
+    model: &'a SparseModel,
     int_vars: &'a [usize],
     sense_sign: f64,
     start: Instant,
@@ -676,8 +704,13 @@ impl SharedSearch<'_> {
     /// the caller under the state lock). Runs without holding the lock.
     fn expand(&self, node: OpenNode, stats: &mut SolveStats) -> Result<Vec<OpenNode>, SolveError> {
         stats.nodes += 1;
-        let mut lp = match solve_relaxation(self.problem, &node.bounds, node.basis.as_ref(), stats)?
-        {
+        let mut lp = match solve_relaxation(
+            self.problem,
+            self.model,
+            &node.bounds,
+            node.basis.as_ref(),
+            stats,
+        )? {
             LpOutcome::Optimal(s) => s,
             // Infeasible subtree, or unbounded (root-only, handled before
             // the workers start).
@@ -739,7 +772,8 @@ impl SharedSearch<'_> {
             let r = r.round();
             fixed[j] = (r, r);
         }
-        let LpOutcome::Optimal(s) = solve_relaxation(self.problem, &fixed, node_basis, stats)?
+        let LpOutcome::Optimal(s) =
+            solve_relaxation(self.problem, self.model, &fixed, node_basis, stats)?
         else {
             return Ok(None);
         };
@@ -1066,5 +1100,48 @@ mod tests {
         p.set_objective(LinExpr::from_terms([(x, 1.0), (y, 1.0)]));
         let sol = MilpSolver::new().threads(4).solve(&p).unwrap();
         assert_eq!(sol.status(), MilpStatus::Infeasible);
+    }
+
+    /// `wide_knapsack` plus the variable-free row `0 ≤ −1`, which no
+    /// assignment satisfies.
+    fn knapsack_with_violated_constant_row() -> Problem {
+        let (mut p, _) = wide_knapsack();
+        p.add_le(LinExpr::new(), -1.0);
+        p
+    }
+
+    #[test]
+    fn violated_variable_free_row_is_infeasible() {
+        let p = knapsack_with_violated_constant_row();
+        let sol = MilpSolver::new().solve(&p).unwrap();
+        assert_eq!(sol.status(), MilpStatus::Infeasible);
+    }
+
+    #[test]
+    fn violated_variable_free_row_rejects_warm_start() {
+        // All-zero is feasible for the knapsack rows, but not for `0 ≤ −1`.
+        let p = knapsack_with_violated_constant_row();
+        let sol = MilpSolver::new()
+            .warm_start(vec![0.0; 10])
+            .solve(&p)
+            .unwrap();
+        assert_eq!(sol.status(), MilpStatus::Infeasible);
+    }
+
+    #[test]
+    fn satisfied_variable_free_rows_change_nothing() {
+        let (plain, best) = wide_knapsack();
+        let mut padded = plain.clone();
+        padded.add_le(LinExpr::new(), 1.0);
+        padded.add_ge(LinExpr::new(), -2.0);
+        padded.add_eq(LinExpr::new(), 0.0);
+        let a = MilpSolver::new().solve(&plain).unwrap();
+        let b = MilpSolver::new().solve(&padded).unwrap();
+        approx(a.objective(), best);
+        assert_eq!(a.status(), b.status());
+        assert_eq!(a.values(), b.values());
+        assert_eq!(a.objective(), b.objective());
+        assert_eq!(a.best_bound(), b.best_bound());
+        assert_eq!(a.stats(), b.stats());
     }
 }

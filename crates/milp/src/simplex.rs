@@ -164,8 +164,38 @@ pub fn solve_lp_opts(
     problem: &Problem,
     opts: &LpOptions<'_>,
 ) -> Result<(LpOutcome, LpStats), SolveError> {
+    let Some(bound) = checked_bounds(problem, opts.bound_overrides)? else {
+        return Ok((LpOutcome::Infeasible, LpStats::default()));
+    };
+    match SparseModel::build(problem) {
+        BuildOutcome::Model(model) => run_engine(problem, &model, &bound, opts.warm_basis),
+        BuildOutcome::TriviallyInfeasible => Ok((LpOutcome::Infeasible, LpStats::default())),
+    }
+}
+
+/// [`solve_lp_opts`] over a `model` already built from `problem`. Branch
+/// and bound builds the model once per MILP solve and shares it across
+/// the root and every node relaxation; the problem must not change in
+/// between.
+pub(crate) fn solve_lp_model(
+    problem: &Problem,
+    model: &SparseModel,
+    opts: &LpOptions<'_>,
+) -> Result<(LpOutcome, LpStats), SolveError> {
+    let Some(bound) = checked_bounds(problem, opts.bound_overrides)? else {
+        return Ok((LpOutcome::Infeasible, LpStats::default()));
+    };
+    run_engine(problem, model, &bound, opts.warm_basis)
+}
+
+/// The effective bound of each variable, or `None` when some range is
+/// empty (the LP is infeasible without solving it).
+fn checked_bounds<'a>(
+    problem: &'a Problem,
+    overrides: Option<&'a [(f64, f64)]>,
+) -> Result<Option<impl Fn(usize) -> (f64, f64) + 'a>, SolveError> {
     let nv = problem.num_vars();
-    if let Some(b) = opts.bound_overrides {
+    if let Some(b) = overrides {
         if b.len() != nv {
             return Err(SolveError::BoundMismatch {
                 expected: nv,
@@ -173,8 +203,8 @@ pub fn solve_lp_opts(
             });
         }
     }
-    let bound = |j: usize| -> (f64, f64) {
-        match opts.bound_overrides {
+    let bound = move |j: usize| -> (f64, f64) {
+        match overrides {
             Some(b) => b[j],
             None => {
                 let d = &problem.vars[j];
@@ -182,33 +212,34 @@ pub fn solve_lp_opts(
             }
         }
     };
-    for j in 0..nv {
+    let empty = (0..nv).any(|j| {
         let (l, u) = bound(j);
-        if l > u + FEAS_TOL {
-            return Ok((LpOutcome::Infeasible, LpStats::default()));
-        }
-    }
+        l > u + FEAS_TOL
+    });
+    Ok((!empty).then_some(bound))
+}
 
-    let model = match SparseModel::build(problem) {
-        BuildOutcome::Model(m) => m,
-        BuildOutcome::TriviallyInfeasible => {
-            return Ok((LpOutcome::Infeasible, LpStats::default()))
-        }
-    };
-
-    if let Some(warm) = opts.warm_basis {
-        match Engine::solve_warm(problem, &model, &bound, warm) {
+/// Runs the engine warm from `warm` when given, falling back to a cold
+/// solve when the basis cannot carry the solve.
+fn run_engine(
+    problem: &Problem,
+    model: &SparseModel,
+    bound: &dyn Fn(usize) -> (f64, f64),
+    warm: Option<&Basis>,
+) -> Result<(LpOutcome, LpStats), SolveError> {
+    if let Some(warm) = warm {
+        match Engine::solve_warm(problem, model, bound, warm) {
             Ok(result) => return Ok(result),
             Err(_) => {
                 // Fall through to a cold solve, remembering the miss.
-                let (outcome, mut stats) = Engine::solve_cold(problem, &model, &bound)?;
+                let (outcome, mut stats) = Engine::solve_cold(problem, model, bound)?;
                 stats.warm_attempted = true;
                 stats.warm_used = false;
                 return Ok((outcome, stats));
             }
         }
     }
-    Engine::solve_cold(problem, &model, &bound)
+    Engine::solve_cold(problem, model, bound)
 }
 
 #[cfg(test)]
