@@ -39,9 +39,9 @@ fn default_planner_search_trajectory_is_pinned() {
     assert_eq!(s.model_builds, 1, "{s:?}");
     assert_eq!(s.search_steps, 7, "{s:?}");
     assert_eq!(s.milp.nodes, 1779, "{s:?}");
-    assert_eq!(s.milp.lp_solves, 2852, "{s:?}");
+    assert_eq!(s.milp.lp_solves, 1786, "{s:?}");
     assert_eq!(s.milp.primal_pivots, 140, "{s:?}");
-    assert_eq!(s.milp.dual_pivots, 9920, "{s:?}");
+    assert_eq!(s.milp.dual_pivots, 8800, "{s:?}");
     assert_eq!(s.milp.refactorizations, 1, "{s:?}");
     assert_eq!(s.milp.heuristic_incumbents, 4, "{s:?}");
     assert_eq!(plan.shape_signature(), "<8x8>");

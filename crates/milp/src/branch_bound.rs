@@ -315,18 +315,7 @@ impl MilpSolver {
             int_vars: &int_vars,
             sense_sign,
             start,
-            state: Mutex::new(SearchState {
-                heap,
-                next_seq: 1,
-                claimed: 0,
-                active: 0,
-                parked: 0,
-                active_scores: vec![f64::INFINITY; n],
-                incumbent,
-                stop: None,
-                final_bound: f64::NEG_INFINITY,
-                error: None,
-            }),
+            state: Mutex::new(SearchState::new(heap, incumbent, n)),
             work: Condvar::new(),
             incumbent_score: AtomicU64::new(incumbent_score.to_bits()),
         };
@@ -536,6 +525,24 @@ struct SearchState {
     final_bound: f64,
     /// First LP error; aborts the whole search.
     error: Option<SolveError>,
+}
+
+impl SearchState {
+    /// State before any node is claimed, for `workers` workers.
+    fn new(heap: BinaryHeap<OpenNode>, incumbent: Option<(Vec<f64>, f64)>, workers: usize) -> Self {
+        Self {
+            heap,
+            next_seq: 1,
+            claimed: 0,
+            active: 0,
+            parked: 0,
+            active_scores: vec![f64::INFINITY; workers],
+            incumbent,
+            stop: None,
+            final_bound: f64::NEG_INFINITY,
+            error: None,
+        }
+    }
 }
 
 /// Everything the workers share. The incumbent *score* is mirrored into
@@ -757,8 +764,12 @@ impl SharedSearch<'_> {
         Ok(children)
     }
 
-    /// Rounds the integer part of an LP solution, fixes it, and re-solves
-    /// the LP for the continuous completion (warm from the node's basis).
+    /// The fix-and-complete rounding heuristic. Rounds each integer
+    /// variable of a node's LP solution into the node's bounds and fixes
+    /// it there. When every variable is integer, that point is the whole
+    /// candidate. Otherwise an LP over the remaining continuous variables
+    /// completes it, warm from the node's basis. The candidate counts only
+    /// if it is feasible for the original problem.
     fn fix_and_complete(
         &self,
         bounds: &[(f64, f64)],
@@ -766,18 +777,22 @@ impl SharedSearch<'_> {
         node_basis: Option<&Basis>,
         stats: &mut SolveStats,
     ) -> Result<Option<(Vec<f64>, f64)>, SolveError> {
-        let mut fixed = bounds.to_vec();
-        for &j in self.int_vars {
-            let r = lp_values[j].round().clamp(bounds[j].0, bounds[j].1);
-            let r = r.round();
-            fixed[j] = (r, r);
-        }
-        let LpOutcome::Optimal(s) =
-            solve_relaxation(self.problem, self.model, &fixed, node_basis, stats)?
-        else {
-            return Ok(None);
+        let fixed = fix_integers(bounds, lp_values, self.int_vars);
+        let vals = if self.int_vars.len() == fixed.len() {
+            fixed.iter().map(|&(v, _)| v).collect()
+        } else {
+            match complete_by_lp(
+                self.problem,
+                self.model,
+                &fixed,
+                self.int_vars,
+                node_basis,
+                stats,
+            )? {
+                Some(vals) => vals,
+                None => return Ok(None),
+            }
         };
-        let vals = round_integers(s.values, self.int_vars);
         if !self.problem.is_feasible(&vals, 1e-6) {
             return Ok(None);
         }
@@ -786,10 +801,41 @@ impl SharedSearch<'_> {
     }
 }
 
+/// `bounds` with every integer variable fixed at its `lp_values` entry,
+/// rounded into its range.
+fn fix_integers(bounds: &[(f64, f64)], lp_values: &[f64], int_vars: &[usize]) -> Vec<(f64, f64)> {
+    let mut fixed = bounds.to_vec();
+    for &j in int_vars {
+        let r = lp_values[j].round().clamp(bounds[j].0, bounds[j].1);
+        let r = r.round();
+        fixed[j] = (r, r);
+    }
+    fixed
+}
+
+/// Completes the continuous variables of `fixed` by solving the LP under
+/// those bounds, warm from `basis`; `None` when that LP has no optimum.
+fn complete_by_lp(
+    problem: &Problem,
+    model: &SparseModel,
+    fixed: &[(f64, f64)],
+    int_vars: &[usize],
+    basis: Option<&Basis>,
+    stats: &mut SolveStats,
+) -> Result<Option<Vec<f64>>, SolveError> {
+    Ok(
+        match solve_relaxation(problem, model, fixed, basis, stats)? {
+            LpOutcome::Optimal(s) => Some(round_integers(s.values, int_vars)),
+            _ => None,
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{LinExpr, Problem, VarKind};
+    use proptest::prelude::*;
 
     fn approx(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -1143,5 +1189,131 @@ mod tests {
         assert_eq!(a.objective(), b.objective());
         assert_eq!(a.best_bound(), b.best_bound());
         assert_eq!(a.stats(), b.stats());
+    }
+
+    /// A small random MILP whose variables are all integer, plus one
+    /// branch-and-bound node inside it.
+    #[derive(Debug, Clone)]
+    struct RandomNode {
+        upper: Vec<i32>,
+        obj: Vec<i32>,
+        maximize: bool,
+        /// Each row: (coefficients, cmp: 0 = Le / 1 = Ge / 2 = Eq, rhs).
+        rows: Vec<(Vec<i32>, u8, i32)>,
+        /// Per variable: the node range's lower end and width, clamped
+        /// into the variable's own range.
+        node: Vec<(i32, i32)>,
+    }
+
+    fn random_node() -> impl Strategy<Value = RandomNode> {
+        (2usize..=5).prop_flat_map(|n| {
+            let upper = prop::collection::vec(1i32..=6, n);
+            let obj = prop::collection::vec(-5i32..=5, n);
+            let row = (prop::collection::vec(-4i32..=4, n), 0u8..=2, -8i32..=16);
+            let rows = prop::collection::vec(row, 1..=4);
+            let node = prop::collection::vec((0i32..=6, 0i32..=6), n);
+            (upper, obj, any::<bool>(), rows, node).prop_map(
+                |(upper, obj, maximize, rows, node)| RandomNode {
+                    upper,
+                    obj,
+                    maximize,
+                    rows,
+                    node,
+                },
+            )
+        })
+    }
+
+    impl RandomNode {
+        fn problem(&self) -> Problem {
+            let mut p = if self.maximize {
+                Problem::maximize()
+            } else {
+                Problem::minimize()
+            };
+            let vars: Vec<_> = (self.upper.iter().enumerate())
+                .map(|(i, &u)| p.add_var(format!("x{i}"), VarKind::Integer, 0.0, u as f64))
+                .collect();
+            let expr = |coefs: &[i32]| {
+                LinExpr::from_terms(vars.iter().copied().zip(coefs.iter().map(|&c| c as f64)))
+            };
+            for (coefs, cmp, rhs) in &self.rows {
+                match cmp {
+                    0 => p.add_le(expr(coefs), *rhs as f64),
+                    1 => p.add_ge(expr(coefs), *rhs as f64),
+                    _ => p.add_eq(expr(coefs), *rhs as f64),
+                }
+            }
+            p.set_objective(expr(&self.obj));
+            p
+        }
+
+        fn bounds(&self) -> Vec<(f64, f64)> {
+            (self.upper.iter().zip(&self.node))
+                .map(|(&u, &(lo, width))| {
+                    let lo = lo.min(u);
+                    (lo as f64, (lo + width).min(u) as f64)
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// With every variable integer, `fix_and_complete` accepts the
+        /// rounded point without an LP. It must return what the
+        /// completion LP returned for that point, warm from the node's
+        /// basis or cold: the same candidate and score, or none.
+        #[test]
+        fn direct_completion_matches_completion_lp(case in random_node()) {
+            let p = case.problem();
+            let BuildOutcome::Model(model) = SparseModel::build(&p) else {
+                unreachable!("every row has variable terms");
+            };
+            let int_vars: Vec<usize> = (0..p.num_vars()).collect();
+            let sense_sign = match p.sense() {
+                ObjectiveSense::Minimize => 1.0,
+                ObjectiveSense::Maximize => -1.0,
+            };
+            let bounds = case.bounds();
+            let mut stats = SolveStats::default();
+            let node = solve_relaxation(&p, &model, &bounds, None, &mut stats).unwrap();
+            let LpOutcome::Optimal(mut lp) = node else {
+                // An infeasible node is never expanded; draw another.
+                return Err(TestCaseError::Reject);
+            };
+            let basis = lp.take_basis();
+
+            let solver = MilpSolver::new();
+            let search = SharedSearch {
+                solver: &solver,
+                problem: &p,
+                model: &model,
+                int_vars: &int_vars,
+                sense_sign,
+                start: Instant::now(),
+                state: Mutex::new(SearchState::new(BinaryHeap::new(), None, 1)),
+                work: Condvar::new(),
+                incumbent_score: AtomicU64::new(f64::INFINITY.to_bits()),
+            };
+            let lp_solves = stats.lp_solves;
+            let direct = search
+                .fix_and_complete(&bounds, &lp.values, basis.as_ref(), &mut stats)
+                .unwrap();
+            prop_assert_eq!(stats.lp_solves, lp_solves, "the direct path solved an LP");
+
+            let fixed = fix_integers(&bounds, &lp.values, &int_vars);
+            for warm in [basis.as_ref(), None] {
+                let by_lp = complete_by_lp(&p, &model, &fixed, &int_vars, warm, &mut stats)
+                    .unwrap()
+                    .filter(|vals| p.is_feasible(vals, 1e-6))
+                    .map(|vals| {
+                        let score = sense_sign * p.objective_value(&vals);
+                        (vals, score)
+                    });
+                prop_assert_eq!(&direct, &by_lp, "warm basis: {}", warm.is_some());
+            }
+        }
     }
 }
