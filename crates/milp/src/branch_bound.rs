@@ -21,7 +21,9 @@ use crate::{FEAS_TOL, INT_TOL};
 pub struct SolveStats {
     /// Branch-and-bound nodes processed.
     pub nodes: u64,
-    /// Linear relaxations solved (including heuristic completions).
+    /// Linear relaxations solved: the root, one per node, and one per
+    /// rounding-heuristic completion. A completion LP runs only when the
+    /// problem has continuous variables.
     pub lp_solves: u64,
     /// Incumbents discovered by the fix-and-complete rounding heuristic.
     pub heuristic_incumbents: u64,
@@ -36,6 +38,12 @@ pub struct SolveStats {
     /// Relaxations where a supplied basis had to be dropped for a cold
     /// start.
     pub basis_reuse_misses: u64,
+    /// Searches stopped by the node budget. When the node budget and the
+    /// time limit trip together, the stop counts here, so this count is
+    /// deterministic whenever the node budget binds.
+    pub node_limit_stops: u64,
+    /// Searches stopped by the wall-clock limit with node budget to spare.
+    pub time_limit_stops: u64,
 }
 
 impl SolveStats {
@@ -65,6 +73,8 @@ impl SolveStats {
         self.refactorizations += other.refactorizations;
         self.basis_reuse_hits += other.basis_reuse_hits;
         self.basis_reuse_misses += other.basis_reuse_misses;
+        self.node_limit_stops += other.node_limit_stops;
+        self.time_limit_stops += other.time_limit_stops;
     }
 
     fn absorb_lp(&mut self, lp: &LpStats) {
@@ -87,7 +97,11 @@ impl SolveStats {
 /// paper uses SCIP: it accepts a warm-start incumbent, hunts for feasible
 /// solutions with a fix-and-complete rounding heuristic, and stops at a
 /// time, node, or relative-gap limit, reporting [`MilpStatus::Feasible`]
-/// when optimality was not proven.
+/// when optimality was not proven. The heuristic rounds the integer
+/// variables of each fractional node's LP point and fixes them; if
+/// continuous variables remain, one more LP completes them, otherwise the
+/// rounded point is the candidate as it stands. [`SolveStats`] counts why
+/// a search stopped at a limit.
 ///
 /// # Example
 ///
@@ -336,7 +350,14 @@ impl MilpSolver {
             return Err(e);
         }
         let status = match state.stop {
-            Some(StopReason::Limit) => MilpStatus::Feasible,
+            Some(StopReason::NodeLimit) => {
+                stats.node_limit_stops += 1;
+                MilpStatus::Feasible
+            }
+            Some(StopReason::TimeLimit) => {
+                stats.time_limit_stops += 1;
+                MilpStatus::Feasible
+            }
             _ => MilpStatus::Optimal,
         };
         Ok(finish(
@@ -377,12 +398,13 @@ fn finish(
     tel::count!("flexsp.milp.solves");
     tel::count!("flexsp.milp.nodes", stats.nodes);
     tel::count!("flexsp.milp.lp_solves", stats.lp_solves);
+    tel::count!("flexsp.milp.node_limit_stops", stats.node_limit_stops);
+    tel::count!("flexsp.milp.time_limit_stops", stats.time_limit_stops);
     MilpSolution {
         status,
         values,
         objective,
         best_bound,
-        nodes: stats.nodes,
         solve_time_secs: start.elapsed().as_secs_f64(),
         stats,
         root_basis,
@@ -496,8 +518,10 @@ enum StopReason {
     Drained,
     /// Global bound (open ∪ in-flight nodes) closed the relative gap.
     GapClosed,
-    /// Wall-clock deadline or node budget tripped.
-    Limit,
+    /// The node budget was spent (checked before the deadline).
+    NodeLimit,
+    /// The wall-clock deadline passed with node budget to spare.
+    TimeLimit,
 }
 
 /// Mutable search state shared by all branch-and-bound workers, guarded
@@ -652,9 +676,15 @@ impl SharedSearch<'_> {
                 st.parked -= 1;
                 continue;
             }
-            if self.start.elapsed() > self.solver.time_limit || st.claimed >= self.solver.node_limit
-            {
-                self.stop(&mut st, StopReason::Limit);
+            let limit = if st.claimed >= self.solver.node_limit {
+                Some(StopReason::NodeLimit)
+            } else if self.start.elapsed() > self.solver.time_limit {
+                Some(StopReason::TimeLimit)
+            } else {
+                None
+            };
+            if let Some(reason) = limit {
+                self.stop(&mut st, reason);
                 break;
             }
             let node = {
@@ -1135,6 +1165,32 @@ mod tests {
         // feasible (not proven optimal) incumbent, as in the serial path.
         assert_eq!(sol.status(), MilpStatus::Feasible);
         approx(sol.objective(), 0.0);
+    }
+
+    #[test]
+    fn limit_stops_are_counted_by_reason() {
+        let (p, _) = wide_knapsack();
+        let stops = |solver: MilpSolver| {
+            let s = solver.solve(&p).unwrap().stats();
+            (s.node_limit_stops, s.time_limit_stops)
+        };
+        assert_eq!(stops(MilpSolver::new()), (0, 0), "drained");
+        assert_eq!(stops(MilpSolver::new().node_limit(1)), (1, 0));
+        assert_eq!(stops(MilpSolver::new().time_limit(Duration::ZERO)), (0, 1));
+        // Both limits hold at the first claim: a node stop, so the count
+        // does not depend on how fast the host ran.
+        let both = MilpSolver::new().node_limit(0).time_limit(Duration::ZERO);
+        assert_eq!(stops(both), (1, 0));
+
+        let mut total = SolveStats::default();
+        for solver in [
+            MilpSolver::new().node_limit(1),
+            MilpSolver::new().node_limit(1).threads(2),
+            MilpSolver::new().time_limit(Duration::ZERO),
+        ] {
+            total.absorb(&solver.solve(&p).unwrap().stats());
+        }
+        assert_eq!((total.node_limit_stops, total.time_limit_stops), (2, 1));
     }
 
     #[test]

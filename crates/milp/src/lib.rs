@@ -22,10 +22,9 @@
 //! The planner recovers its min-max makespan by binary-searching a scalar
 //! `C` over a sequence of *nearly identical* feasibility MILPs: between
 //! steps only `C`-dependent coefficients, bounds, and right-hand sides
-//! move. Rebuilding the model and re-running phase 1 at every step (and at
-//! every branch-and-bound node) would dominate planning time, so this
-//! crate supports editing a [`Problem`] in place and resuming from the
-//! previous optimum:
+//! move. Rather than rebuild the problem and re-run phase 1 at every step,
+//! a caller edits the [`Problem`] in place and resumes from the previous
+//! optimum:
 //!
 //! * **Mutation API** — [`Problem::set_rhs`], [`Problem::set_bounds`],
 //!   [`Problem::set_objective_coef`], and [`Problem::set_constraint_coef`]
@@ -36,6 +35,11 @@
 //!   bounded *dual simplex* repairs primal feasibility in a handful of
 //!   pivots instead of a cold two-phase solve. Branch and bound re-solves
 //!   every child node from its parent's basis the same way.
+//! * **One model per MILP solve** — [`MilpSolver::solve`] builds the
+//!   sparse constraint matrix once; the root and every node relaxation,
+//!   on every worker, read it, since branching moves only variable
+//!   bounds. A standalone [`solve_lp`] / [`solve_lp_opts`] call builds its
+//!   own, so a [`Problem`] edited between calls is always read afresh.
 //! * **One engine** — every relaxation runs on the revised simplex over
 //!   sparse columns with an LU-factored basis and eta updates. A dense
 //!   tableau is compiled into the unit tests only, as the oracle that

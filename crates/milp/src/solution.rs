@@ -32,7 +32,6 @@ pub struct MilpSolution {
     pub(crate) values: Vec<f64>,
     pub(crate) objective: f64,
     pub(crate) best_bound: f64,
-    pub(crate) nodes: u64,
     pub(crate) solve_time_secs: f64,
     pub(crate) stats: SolveStats,
     pub(crate) root_basis: Option<Basis>,
@@ -78,11 +77,6 @@ impl MilpSolution {
     /// Relative optimality gap `|objective − bound| / max(1, |objective|)`.
     pub fn gap(&self) -> f64 {
         (self.objective - self.best_bound).abs() / self.objective.abs().max(1.0)
-    }
-
-    /// Number of branch-and-bound nodes processed.
-    pub fn nodes(&self) -> u64 {
-        self.nodes
     }
 
     /// Wall-clock solve time in seconds.

@@ -1,10 +1,16 @@
 //! Sparse column storage of the constraint matrix.
 //!
-//! The matrix is built once per solve directly from each constraint's
+//! The matrix is built directly from each constraint's
 //! [`LinExpr`](crate::LinExpr) terms — no dense per-constraint row is ever
 //! materialized — and stored in compressed-sparse-column (CSC) form over
 //! the *structural* variables. Slack and artificial columns are unit
 //! vectors and are synthesized on the fly by [`SparseModel::col`].
+//!
+//! A MILP solve builds one model and shares it read-only with the root
+//! and every branch-and-bound relaxation, because branching moves only
+//! variable bounds, which the engine takes separately. A standalone LP
+//! solve builds its own. Rows without variable terms are checked at build
+//! time and never reach the engine.
 
 use crate::problem::{Cmp, Problem};
 use crate::FEAS_TOL;
