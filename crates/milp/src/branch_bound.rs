@@ -256,19 +256,16 @@ impl MilpSolver {
 
         // The constraint matrix is the same at every node (branching only
         // moves bounds), so one model serves the root and every worker.
-        let model = match SparseModel::build(problem) {
-            BuildOutcome::Model(model) => model,
-            BuildOutcome::TriviallyInfeasible => {
-                return Ok(finish(
-                    problem,
-                    incumbent,
-                    sense_sign * f64::NEG_INFINITY,
-                    MilpStatus::Infeasible,
-                    stats,
-                    start,
-                    None,
-                ));
-            }
+        let BuildOutcome::Model(model) = SparseModel::build(problem) else {
+            return Ok(finish(
+                problem,
+                incumbent,
+                sense_sign * f64::NEG_INFINITY,
+                MilpStatus::Infeasible,
+                stats,
+                start,
+                None,
+            ));
         };
         let root_outcome = {
             let _root_span = tel::span!(tel::Category::Solver, "milp.root_lp");
@@ -808,26 +805,24 @@ impl SharedSearch<'_> {
         stats: &mut SolveStats,
     ) -> Result<Option<(Vec<f64>, f64)>, SolveError> {
         let fixed = fix_integers(bounds, lp_values, self.int_vars);
-        let vals = if self.int_vars.len() == fixed.len() {
-            fixed.iter().map(|&(v, _)| v).collect()
+        let completed = if self.int_vars.len() == self.problem.num_vars() {
+            Some(fixed.iter().map(|&(v, _)| v).collect())
         } else {
-            match complete_by_lp(
+            complete_by_lp(
                 self.problem,
                 self.model,
                 &fixed,
                 self.int_vars,
                 node_basis,
                 stats,
-            )? {
-                Some(vals) => vals,
-                None => return Ok(None),
-            }
+            )?
         };
-        if !self.problem.is_feasible(&vals, 1e-6) {
-            return Ok(None);
-        }
-        let score = self.sense_sign * self.problem.objective_value(&vals);
-        Ok(Some((vals, score)))
+        Ok(completed
+            .filter(|vals| self.problem.is_feasible(vals, 1e-6))
+            .map(|vals| {
+                let score = self.sense_sign * self.problem.objective_value(&vals);
+                (vals, score)
+            }))
     }
 }
 
@@ -853,12 +848,10 @@ fn complete_by_lp(
     basis: Option<&Basis>,
     stats: &mut SolveStats,
 ) -> Result<Option<Vec<f64>>, SolveError> {
-    Ok(
-        match solve_relaxation(problem, model, fixed, basis, stats)? {
-            LpOutcome::Optimal(s) => Some(round_integers(s.values, int_vars)),
-            _ => None,
-        },
-    )
+    match solve_relaxation(problem, model, fixed, basis, stats)? {
+        LpOutcome::Optimal(s) => Ok(Some(round_integers(s.values, int_vars))),
+        _ => Ok(None),
+    }
 }
 
 #[cfg(test)]
