@@ -228,9 +228,10 @@ impl Problem {
     //
     // The planner edits one model across the makespan binary search
     // instead of rebuilding it, so a `Basis` extracted from the previous
-    // solve can warm start the next one. (Branch and bound never edits the
-    // problem: it passes per-node bound overrides to the LP.) Mutations keep the problem *shape* (variable and constraint
-    // counts, term sparsity) fixed; only numbers move.
+    // solve can warm start the next one. (Branch and bound never edits
+    // the problem: it passes per-node bound overrides to the LP.)
+    // Mutations keep the problem *shape* (variable and constraint counts,
+    // term sparsity) fixed; only numbers move.
 
     /// Replaces the right-hand side of constraint `idx`.
     ///
