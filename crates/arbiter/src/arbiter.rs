@@ -392,11 +392,6 @@ impl Inner {
             free: state.free.clone(),
             live: state.live.clone(),
         }));
-        tel::gauge!("flexsp.arbiter.free_gpus", self.free_gauge() as i64);
-        tel::gauge!(
-            "flexsp.arbiter.queue_depth",
-            self.pending_count.load(GAUGE) as i64
-        );
     }
 
     /// Publishes every shard marked dirty.
@@ -467,7 +462,6 @@ impl Inner {
             self.termed_count.fetch_add(1, GAUGE);
         }
         self.stat_grants.inc();
-        tel::count!("flexsp.arbiter.grants");
         self.with_counters(request.job, |c| {
             c.granted += 1;
             c.gpus_granted += request.gpus as u64;
@@ -752,8 +746,6 @@ impl Inner {
         }
         self.stat_reaps.inc();
         self.stat_gpus_moved.add(n as u64);
-        tel::count!("flexsp.arbiter.reaps");
-        tel::count!("flexsp.arbiter.gpus_moved", n as u64);
         self.with_counters(view.job, |c| c.gpus_moved += n as u64);
         q.granted.retain(|_, (_, lid, _)| *lid != id);
         (view.job, n)
@@ -763,7 +755,6 @@ impl Inner {
     /// bumped at the call site, which knows the job).
     pub(crate) fn note_moved(&self, gpus: u32) {
         self.stat_gpus_moved.add(gpus as u64);
-        tel::count!("flexsp.arbiter.gpus_moved", gpus as u64);
     }
 }
 
@@ -1154,7 +1145,6 @@ impl ClusterArbiter {
         if inner.pending_count.load(GAUGE) > 0 {
             inner.with_counters(request.job, |c| c.denied += 1);
             inner.stat_denials.inc();
-            tel::count!("flexsp.arbiter.denials");
             return Err(LeaseError::Busy {
                 requested: request.gpus,
                 free: inner.free_gauge(),
@@ -1204,7 +1194,6 @@ impl ClusterArbiter {
             drop(guards);
             inner.with_counters(request.job, |c| c.denied += 1);
             inner.stat_denials.inc();
-            tel::count!("flexsp.arbiter.denials");
             return Err(LeaseError::Busy {
                 requested: request.gpus,
                 free: merged.total_free(),

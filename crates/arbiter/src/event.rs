@@ -36,6 +36,7 @@ use std::thread;
 use std::time::Duration;
 
 use flexsp_telemetry as tel;
+use flexsp_telemetry::Counter;
 
 use crate::arbiter::{ClusterArbiter, TickReport};
 use crate::clock::WallClock;
@@ -202,6 +203,9 @@ pub struct MaintenancePump {
     /// Demand issuance republishes its shard without bumping the epoch
     /// (no fingerprint moved), so the pump also watches `demand_seq`.
     seen: Option<(u64, u64)>,
+    /// Polls that found a deadline due and ran maintenance. Shared so a
+    /// [`ClusterDaemon`] can report it while its thread owns the pump.
+    wakeups: Arc<Counter>,
 }
 
 impl MaintenancePump {
@@ -212,6 +216,7 @@ impl MaintenancePump {
             arbiter,
             heap: DeadlineHeap::new(),
             seen: None,
+            wakeups: Arc::default(),
         };
         pump.refresh();
         pump
@@ -226,6 +231,11 @@ impl MaintenancePump {
     /// lease).
     pub fn scheduled(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Polls that found a deadline due and ran a maintenance pass.
+    pub fn wakeups(&self) -> u64 {
+        self.wakeups.get()
     }
 
     /// Re-derives the heap from the published shard snapshots if the
@@ -305,7 +315,7 @@ impl MaintenancePump {
             return None;
         }
         let _wakeup_span = tel::span!(tel::Category::Pump, "pump.wakeup", "now" => now);
-        tel::count!("flexsp.pump.wakeups");
+        self.wakeups.inc();
         let report = self.arbiter.maintain();
         self.refresh();
         Some(report)
@@ -323,7 +333,6 @@ struct DaemonShared {
     stop: Mutex<bool>,
     wake: Condvar,
     passes: AtomicU64,
-    maintains: AtomicU64,
 }
 
 /// A background maintenance loop: a thread running a
@@ -371,6 +380,8 @@ struct DaemonShared {
 #[derive(Debug)]
 pub struct ClusterDaemon {
     shared: Arc<DaemonShared>,
+    /// The pump's [`MaintenancePump::wakeups`] counter.
+    wakeups: Arc<Counter>,
     handle: Option<thread::JoinHandle<()>>,
 }
 
@@ -383,10 +394,11 @@ impl ClusterDaemon {
     pub fn spawn(arbiter: ClusterArbiter, clock: WallClock) -> Self {
         let shared = Arc::new(DaemonShared::default());
         let inner = Arc::clone(&shared);
+        let mut pump = MaintenancePump::new(arbiter);
+        let wakeups = Arc::clone(&pump.wakeups);
         let handle = thread::Builder::new()
             .name("flexsp-arbiter-daemon".into())
             .spawn(move || {
-                let mut pump = MaintenancePump::new(arbiter);
                 // lint: allow(lock) daemon stop flag — never held across any ranked ledger lock
                 let mut stop = inner.stop.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
@@ -394,9 +406,7 @@ impl ClusterDaemon {
                         break;
                     }
                     drop(stop);
-                    if pump.poll().is_some() {
-                        inner.maintains.fetch_add(1, Ordering::Relaxed);
-                    }
+                    pump.poll();
                     inner.passes.fetch_add(1, Ordering::Relaxed);
                     let sleep = match pump.next_deadline() {
                         Some(at) => clock.until(at).min(MAX_IDLE),
@@ -417,6 +427,7 @@ impl ClusterDaemon {
             .expect("spawn arbiter daemon");
         Self {
             shared,
+            wakeups,
             handle: Some(handle),
         }
     }
@@ -436,9 +447,10 @@ impl ClusterDaemon {
     }
 
     /// How many passes actually ran a maintenance sweep (a deadline was
-    /// due); the rest were free.
+    /// due); the rest were free. This is the pump's
+    /// [`wakeups`](MaintenancePump::wakeups) count.
     pub fn maintains(&self) -> u64 {
-        self.shared.maintains.load(Ordering::Relaxed)
+        self.wakeups.get()
     }
 
     /// Stops and joins the maintenance thread.
@@ -516,9 +528,11 @@ mod tests {
 
         clock.advance(2);
         assert!(pump.poll().is_none(), "t=2: term not lapsed, no sweep");
+        assert_eq!(pump.wakeups(), 0, "a poll with nothing due is no wakeup");
         clock.advance(1);
         let report = pump.poll().expect("t=3: expiry due");
         assert_eq!(report.expired, vec![(JobId(1), 8)]);
+        assert_eq!(pump.wakeups(), 1);
         assert_eq!(arb.free_gpus(), 16);
         assert_eq!(pump.next_deadline(), None, "reaped entry canceled");
     }
@@ -598,6 +612,7 @@ mod tests {
         }
         assert_eq!(arb.stats().reaps, 1);
         assert!(daemon.passes() > 0);
+        assert!(daemon.maintains() >= 1, "the reap ran in a pump wakeup");
         daemon.shutdown();
     }
 

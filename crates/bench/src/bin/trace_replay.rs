@@ -20,6 +20,13 @@
 //! cargo run --release -p flexsp-bench --bin trace_replay -- \
 //!     --quick --trace-out trace.json --metrics-out metrics.prom
 //! ```
+//!
+//! The metrics snapshot is the second run's `ReplayReport::metrics()`:
+//! counts of that one replay, equal to the figures printed here (its
+//! `flexsp_replay_jobs` is the summary's `jobs`, its
+//! `flexsp_arbiter_grants` the `grants=` on stderr). Its
+//! `flexsp_milp_*` counters cover the solves behind the freshly solved
+//! plans only.
 
 use flexsp_telemetry as tel;
 use flexsp_trace::{generate, replay, ReplayConfig, TraceConfig};
@@ -78,7 +85,7 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(path) = &metrics_out {
-        std::fs::write(path, tel::metrics_snapshot().to_prometheus()).unwrap_or_else(|e| {
+        std::fs::write(path, second.metrics().to_prometheus()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });

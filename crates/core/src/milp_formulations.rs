@@ -74,7 +74,6 @@ pub(crate) fn plan_aggregated(
         AggregatedModel::build(cost, buckets, avail, &shapes)
     };
     stats.model_builds += 1;
-    tel::count!("flexsp.milp.model_builds");
     // Basis of the previous step's root relaxation, carried across the
     // binary search so each re-solve starts from the last optimum.
     let mut carried: Option<Basis> = None;
@@ -517,7 +516,6 @@ pub(crate) fn plan_per_group(
         solver = solver.warm_start(ws);
     }
     stats.model_builds += 1;
-    tel::count!("flexsp.milp.model_builds");
     stats.search_steps += 1;
     drop(build_span);
     let Ok(sol) = solver.solve(&p) else {

@@ -34,10 +34,6 @@ pub struct PlanStats {
     pub search_steps: u32,
     /// Aggregated branch-and-bound / simplex counters across all solves.
     pub milp: SolveStats,
-    /// Plan-cache counters as of this plan's delivery, stamped by
-    /// [`SolverService`](crate::SolverService) (all zero for plans
-    /// solved outside a service).
-    pub cache: crate::service::CacheStats,
 }
 
 impl PlanStats {
@@ -46,7 +42,6 @@ impl PlanStats {
         self.model_builds += other.model_builds;
         self.search_steps += other.search_steps;
         self.milp.absorb(&other.milp);
-        self.cache.absorb(&other.cache);
     }
 }
 

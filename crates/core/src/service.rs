@@ -53,9 +53,7 @@ type JobResult = (u64, Result<SolvedIteration, PlanError>);
 type CacheKey = (Vec<u64>, u32, u64);
 
 /// Counters for the service's plan cache: a point-in-time view over the
-/// cache's embedded [`flexsp_telemetry::Counter`]s (the same values are
-/// mirrored into the global metrics registry under `flexsp.cache.*`
-/// when telemetry is enabled).
+/// cache's embedded [`flexsp_telemetry::Counter`]s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Batches answered by rebinding a cached plan.
@@ -137,9 +135,7 @@ struct ShardedPlanCache {
     clock: AtomicU64,
     /// Total entries across shards (the capacity bound is global).
     len: AtomicUsize,
-    /// Per-instance counters behind [`CacheStats`] (telemetry
-    /// primitives — always live; the global `flexsp.cache.*` registry
-    /// mirrors are feature-gated).
+    /// Per-instance counters behind [`CacheStats`].
     hits: Counter,
     misses: Counter,
     coalesced: Counter,
@@ -184,7 +180,6 @@ impl ShardedPlanCache {
         let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
         entry.last_access.store(stamp, AtomicOrd::Relaxed);
         self.hits.inc();
-        tel::count!("flexsp.cache.hits");
         Some(entry.value.clone())
     }
 
@@ -208,10 +203,6 @@ impl ShardedPlanCache {
                 self.len.fetch_add(1, AtomicOrd::Relaxed);
             }
         }
-        tel::gauge!(
-            "flexsp.cache.entries",
-            self.len.load(AtomicOrd::Relaxed) as i64
-        );
         while self.len.load(AtomicOrd::Relaxed) > self.capacity {
             if !self.evict_coldest() {
                 break;
@@ -239,11 +230,6 @@ impl ShardedPlanCache {
         if shard.remove(&key).is_some() {
             self.len.fetch_sub(1, AtomicOrd::Relaxed);
             self.evictions.inc();
-            tel::count!("flexsp.cache.evictions");
-            tel::gauge!(
-                "flexsp.cache.entries",
-                self.len.load(AtomicOrd::Relaxed) as i64
-            );
         }
         // Removed (or another worker got there first) — either way the
         // caller re-checks the capacity bound.
@@ -256,11 +242,9 @@ impl ShardedPlanCache {
         let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(f) = flights.get(key) {
             self.coalesced.inc();
-            tel::count!("flexsp.cache.coalesced");
             FlightRole::Waiter(Arc::clone(f))
         } else {
             self.misses.inc();
-            tel::count!("flexsp.cache.misses");
             let f = Arc::new(Flight::default());
             flights.insert(key.clone(), Arc::clone(&f));
             FlightRole::Leader(f)
@@ -327,12 +311,9 @@ impl ShardedPlanCache {
             }
             FlightRole::Waiter(flight) => {
                 // Single-flight wait: time spent blocked on the
-                // leader's solve (the coalescing win/loss histogram).
+                // leader's solve.
                 let _wait_span = tel::span!(tel::Category::Cache, "cache.flight_wait");
-                let wait_t0 = tel::Stopwatch::start();
-                let waited = Self::wait_flight(&flight);
-                tel::observe!("flexsp.cache.flight_wait_us", wait_t0.elapsed_us());
-                match waited {
+                match Self::wait_flight(&flight) {
                     Ok(plan) => match rebind(plan, batch) {
                         Some(own) => Ok(own),
                         // Defensive: identical keys imply identical length
@@ -340,7 +321,6 @@ impl ShardedPlanCache {
                         // ever did, solve rather than deliver a wrong plan.
                         None => {
                             self.misses.inc();
-                            tel::count!("flexsp.cache.misses");
                             solve()
                         }
                     },
@@ -604,15 +584,8 @@ impl SolverService {
                         // the cost model is never deep-copied per batch.
                         let current = Arc::clone(&*bound.lock().unwrap_or_else(|e| e.into_inner()));
                         let key = cache_key(&batch, current.n_gpus, current.config_fp);
-                        let mut result =
+                        let result =
                             cache.serve(&key, &batch, || current.solver.solve_iteration(&batch));
-                        if let Ok(plan) = &mut result {
-                            // Stamp the delivered plan with the cache
-                            // counters as of delivery, so downstream
-                            // consumers see hit/miss/coalesce totals
-                            // without holding a handle to the service.
-                            plan.stats.cache = cache.stats();
-                        }
                         if tx.send((idx, result)).is_err() {
                             break;
                         }
@@ -929,11 +902,9 @@ mod tests {
             service.submit(b.clone());
         }
         let mut fresh = 0;
-        let mut last = None;
         for _ in 0..8 {
             let plan = service.recv_plan().expect("every caller receives a plan");
             fresh += u32::from(!plan.from_cache);
-            last = Some(plan);
         }
         let stats = service.cache_stats();
         assert_eq!(
@@ -942,8 +913,6 @@ mod tests {
         );
         assert_eq!(stats.hits + stats.coalesced, 7);
         assert_eq!(fresh, 1, "exactly one plan was freshly solved");
-        // Delivered plans carry the cache counters at delivery time.
-        assert_eq!(last.unwrap().stats.cache.misses, 1);
         service.shutdown();
     }
 

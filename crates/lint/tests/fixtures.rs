@@ -164,7 +164,7 @@ fn telemetry_hygiene_fires_on_inline_gates() {
 }
 
 #[test]
-fn telemetry_hygiene_silent_on_stopwatch_helper() {
+fn telemetry_hygiene_silent_on_span_macro() {
     let f = scan(
         "telemetry_ok.rs",
         "crates/core/src/fixture_telemetry.rs",

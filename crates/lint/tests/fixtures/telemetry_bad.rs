@@ -1,6 +1,6 @@
 //! Seeded violation: a `cfg(feature = "telemetry")` gate leaking into an
-//! instrumented crate. Downstream crates must use cfg-gated helpers from
-//! flexsp-telemetry (e.g. `Stopwatch`) instead of gating inline.
+//! instrumented crate. Downstream crates must use the always-compiling
+//! flexsp-telemetry macros (e.g. `span!`) instead of gating inline.
 
 pub fn serve() {
     #[cfg(feature = "telemetry")] // line 6: inline telemetry gate

@@ -1,11 +1,10 @@
-//! Clean twin of `telemetry_bad.rs`: the timing probe comes from
-//! flexsp-telemetry, which owns the feature gate, so this file compiles
-//! identically with telemetry on or off.
+//! Clean twin of `telemetry_bad.rs`: the timing comes from a
+//! flexsp-telemetry span, whose feature gate lives in that crate, so
+//! this file compiles identically with telemetry on or off.
 
 pub fn serve() {
-    let t0 = tel::Stopwatch::start();
+    let _span = tel::span!(tel::Category::Cache, "fixture.serve");
     work();
-    tel::observe!("fixture.serve_us", t0.elapsed_us());
 }
 
 fn work() {}

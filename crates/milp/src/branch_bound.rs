@@ -392,11 +392,6 @@ fn finish(
         None if status == MilpStatus::Unbounded => (status, Vec::new(), f64::NAN),
         None => (MilpStatus::Infeasible, Vec::new(), f64::NAN),
     };
-    tel::count!("flexsp.milp.solves");
-    tel::count!("flexsp.milp.nodes", stats.nodes);
-    tel::count!("flexsp.milp.lp_solves", stats.lp_solves);
-    tel::count!("flexsp.milp.node_limit_stops", stats.node_limit_stops);
-    tel::count!("flexsp.milp.time_limit_stops", stats.time_limit_stops);
     MilpSolution {
         status,
         values,
@@ -613,7 +608,6 @@ impl SharedSearch<'_> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.incumbent.as_ref().is_none_or(|(_, s)| score < *s) {
             st.incumbent = Some((vals, score));
-            tel::count!("flexsp.milp.incumbents");
         }
     }
 

@@ -1,5 +1,6 @@
-//! Unified observability for FlexSP: a span tracer and a metrics
-//! registry shared by every crate in the workspace.
+//! Unified observability for FlexSP: a span tracer shared by every
+//! crate in the workspace, plus the metric primitives stats structs are
+//! built from.
 //!
 //! Two halves:
 //!
@@ -9,26 +10,24 @@
 //!   ([`drain_chrome_trace`]) loadable in Perfetto
 //!   (<https://ui.perfetto.dev>) or `chrome://tracing`. Nothing is
 //!   recorded until [`tracing_start`] installs the global sink.
-//! - **Metrics** ([`count!`], [`gauge!`], [`observe!`] feeding the
-//!   global [`registry()`]; [`Counter`] / [`Gauge`] / [`Histogram`]
-//!   primitives for embedding in functional stats structs): named
-//!   atomic counters and gauges plus log-bucketed histograms
-//!   (interpolated p50/p90/p99, snapshots mergeable across threads),
-//!   exported as JSON or Prometheus text via [`metrics_snapshot`].
+//! - **Metrics** ([`Counter`], [`Histogram`], [`MetricsSnapshot`]):
+//!   relaxed atomic counters and log-bucketed histograms (interpolated
+//!   p50/p90/p99, snapshots mergeable across threads) that stats
+//!   structs such as `CacheStats` and `ArbiterStats` embed, and a named
+//!   snapshot an exporter fills from those structs and renders as
+//!   Prometheus text. There is no global registry: each fact is kept
+//!   once, by the thing that owns it.
 //!
 //! # Feature gating
 //!
-//! The cargo feature `enabled` gates every hot-path effect. Downstream
-//! crates expose their own `telemetry` feature (on by default)
-//! forwarding to `flexsp-telemetry/enabled`; building with
-//! `--no-default-features` turns the whole stack into a true no-op —
-//! `span!` / `count!` / … compile to empty inlined bodies with **zero
+//! The cargo feature `enabled` gates the tracer. Downstream crates
+//! expose their own `telemetry` feature (on by default) forwarding to
+//! `flexsp-telemetry/enabled`; building with `--no-default-features`
+//! compiles `span!` / `instant!` to empty inlined bodies with **zero
 //! atomics**, and behavior (plans, replay logs) is bit-identical
-//! because instrumentation only ever *observes*. With the feature on
-//! but no sink installed, a span is one relaxed atomic load. The metric
-//! *primitives* stay available either way: `CacheStats` and
-//! `ArbiterStats` are thin views over embedded [`Counter`]s whose
-//! values are part of the functional API.
+//! because spans only ever *observe*. With the feature on but no sink
+//! installed, a span is one relaxed atomic load. The metric primitives
+//! are not gated: stats values are part of the functional API.
 //!
 //! ```
 //! use flexsp_telemetry as tel;
@@ -36,25 +35,23 @@
 //! tel::tracing_start();
 //! {
 //!     let _span = tel::span!(tel::Category::Solver, "milp.solve", "nodes" => 42u64);
-//!     tel::count!("flexsp.milp.solves");
 //! }
 //! let trace_json = tel::drain_chrome_trace(); // feed to Perfetto
-//! let prom = tel::metrics_snapshot().to_prometheus();
-//! # let _ = (trace_json, prom);
+//! let metrics = tel::MetricsSnapshot {
+//!     counters: vec![("flexsp.milp.solves", 7)],
+//!     ..Default::default()
+//! };
+//! assert!(metrics.to_prometheus().contains("flexsp_milp_solves 7\n"));
+//! # let _ = trace_json;
 //! ```
 
 pub mod metrics;
-pub mod registry;
 pub mod trace;
 
-pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{metrics_snapshot, registry, MetricsSnapshot, Registry, Stopwatch};
+pub use metrics::{
+    bucket_bounds, bucket_index, Counter, Histogram, HistogramSnapshot, MetricsSnapshot,
+};
 pub use trace::{
     drain_chrome_trace, drain_events, dropped_events, tracing_active, tracing_start, tracing_stop,
     Category, SpanGuard, SpanRecord, RING_CAP,
 };
-
-// Macro support re-exports (`#[macro_export]` puts the macros at the
-// crate root already; the helper fns live in `registry`).
-#[doc(hidden)]
-pub use registry::{__count, __gauge_set, __observe};

@@ -1,16 +1,16 @@
-//! Metric primitives: atomic counters, gauges, and log-bucketed
-//! histograms.
+//! Metric primitives and their export format: atomic counters,
+//! log-bucketed histograms, and [`MetricsSnapshot`], a named set of
+//! values rendered as Prometheus text.
 //!
-//! These types are **always compiled** (they do not sit behind the
-//! `enabled` feature): FlexSP's functional stats structs —
-//! [`CacheStats`](../../flexsp_core/struct.CacheStats.html),
-//! `ArbiterStats` — are thin views over embedded `Counter`s, so the
-//! primitives must exist even in a telemetry-off build. What the
-//! feature gates is the *global* registry macros (`count!`, `gauge!`,
-//! `observe!`) and the span tracer — see [`mod@crate::registry`] and
-//! [`crate::trace`].
+//! There is no global registry. Each counter lives in the stats struct
+//! of the thing that owns the fact (`CacheStats`, `ArbiterStats`,
+//! `SolveStats`, `TraceStats`), and an exporter reads those structs at
+//! export time and gives the values their metric names
+//! (`ReplayReport::metrics` in `flexsp-trace` is the one exporter).
+//! These types are always compiled: the `enabled` feature gates only
+//! the span tracer ([`crate::trace`]), never a stats value.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic event counter. All operations are `Relaxed`: counters are
 /// statistics, not synchronization — exactly the contract the arbiter's
@@ -39,35 +39,6 @@ impl Counter {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins instantaneous value (queue depth, free GPUs).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A fresh zeroed gauge.
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the value by `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -191,15 +162,6 @@ impl HistogramSnapshot {
         self.count += other.count;
     }
 
-    /// Mean of all recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Interpolated quantile (`q` in `[0, 1]`): finds the bucket holding
     /// the rank-`q` sample and interpolates linearly inside its `[lo,
     /// hi)` range, so the answer is within one bucket (≤ 25% relative)
@@ -229,6 +191,53 @@ impl HistogramSnapshot {
             .rposition(|&c| c > 0)
             .unwrap_or(HIST_BUCKETS - 1);
         bucket_bounds(last).1 as f64
+    }
+}
+
+/// A named set of counter, gauge and histogram values, renderable as
+/// Prometheus text. Exporters build one from stats structs; the names
+/// (`flexsp.cache.hits`, …) are spelled only there.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsSnapshot {
+    /// `(name, value)` per counter, in render order.
+    pub counters: Vec<(&'static str, u64)>,
+    /// `(name, value)` per gauge, in render order.
+    pub gauges: Vec<(&'static str, i64)>,
+    /// `(name, snapshot)` per histogram, in render order.
+    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
+}
+
+/// `flexsp.cache.hits` → `flexsp_cache_hits` (Prometheus metric names
+/// allow `[a-zA-Z0-9_:]` only).
+fn prom_name(name: &str) -> String {
+    name.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect()
+}
+
+impl MetricsSnapshot {
+    /// Renders the snapshot in the Prometheus text exposition format.
+    /// Histograms export as summaries (`{quantile="…"}` series plus
+    /// `_sum` / `_count`).
+    pub fn to_prometheus(&self) -> String {
+        let mut s = String::new();
+        for (name, v) in &self.counters {
+            let n = prom_name(name);
+            s.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
+        }
+        for (name, v) in &self.gauges {
+            let n = prom_name(name);
+            s.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
+        }
+        for (name, h) in &self.histograms {
+            let n = prom_name(name);
+            s.push_str(&format!("# TYPE {n} summary\n"));
+            for q in [0.5, 0.9, 0.99] {
+                s.push_str(&format!("{n}{{quantile=\"{q}\"}} {:.3}\n", h.quantile(q)));
+            }
+            s.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
+        }
+        s
     }
 }
 

@@ -26,12 +26,13 @@ use flexsp_arbiter::{
     AdmissionPolicy, ArbiterStats, ClusterArbiter, JobId, Lease, LeaseEvent, LogicalClock,
     MaintenancePump, Priority, SlotRequest, Ticket,
 };
-use flexsp_core::{FlexSpSolver, SolverConfig, SolverService};
+use flexsp_core::{CacheStats, FlexSpSolver, PlanStats, SolverConfig, SolverService};
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
 use flexsp_model::{ActivationPolicy, ModelConfig};
 use flexsp_sim::{ClusterSpec, Topology};
 use flexsp_telemetry as tel;
+use flexsp_telemetry::{Histogram, HistogramSnapshot, MetricsSnapshot};
 
 use crate::gen::{Trace, TraceOp};
 
@@ -165,6 +166,61 @@ pub struct ReplayReport {
     pub stats: TraceStats,
     /// The arbiter's own operational counters at the end of the run.
     pub arbiter: ArbiterStats,
+    /// Solver effort summed over the freshly solved plans; plans served
+    /// from a plan cache add nothing.
+    pub solver: PlanStats,
+    /// Plan-cache counters summed over every planning job's service,
+    /// read as the service shut down.
+    pub cache: CacheStats,
+    /// Deadline wakeups of the event-loop pump
+    /// ([`MaintenancePump::wakeups`]); 0 under caller-tick pumping.
+    pub pump_wakeups: u64,
+    /// Admission wait (ticks) of every admitted job.
+    pub wait_ticks: HistogramSnapshot,
+}
+
+impl ReplayReport {
+    /// This replay's counters, gauges, and wait histogram under their
+    /// exported metric names — the one place those names are spelled.
+    /// Every value is read from the report's own stats, so it describes
+    /// this replay alone however many ran in the process.
+    /// `flexsp.milp.*` counts the solves behind freshly solved plans:
+    /// `flexsp.milp.solves` is their summed
+    /// [`search_steps`](PlanStats::search_steps).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let (a, c, s) = (&self.arbiter, &self.cache, &self.stats);
+        let (p, m) = (&self.solver, &self.solver.milp);
+        MetricsSnapshot {
+            counters: vec![
+                ("flexsp.arbiter.denials", a.denials),
+                ("flexsp.arbiter.gpus_moved", a.gpus_moved),
+                ("flexsp.arbiter.grants", a.grants),
+                ("flexsp.arbiter.reaps", a.reaps),
+                ("flexsp.cache.coalesced", c.coalesced),
+                ("flexsp.cache.evictions", c.evictions),
+                ("flexsp.cache.hits", c.hits),
+                ("flexsp.cache.misses", c.misses),
+                ("flexsp.milp.heuristic_incumbents", m.heuristic_incumbents),
+                ("flexsp.milp.lp_solves", m.lp_solves),
+                ("flexsp.milp.model_builds", u64::from(p.model_builds)),
+                ("flexsp.milp.node_limit_stops", m.node_limit_stops),
+                ("flexsp.milp.nodes", m.nodes),
+                ("flexsp.milp.solves", u64::from(p.search_steps)),
+                ("flexsp.milp.time_limit_stops", m.time_limit_stops),
+                ("flexsp.pump.wakeups", self.pump_wakeups),
+                ("flexsp.replay.admitted", s.admitted as u64),
+                ("flexsp.replay.jobs", s.jobs as u64),
+                ("flexsp.replay.plans", s.plans),
+                ("flexsp.replay.reaps", s.reaps as u64),
+            ],
+            gauges: vec![
+                ("flexsp.arbiter.free_gpus", i64::from(a.free_gpus)),
+                ("flexsp.arbiter.queue_depth", a.queue_depth as i64),
+                ("flexsp.cache.entries", c.entries as i64),
+            ],
+            histograms: vec![("flexsp.replay.wait_ticks", self.wait_ticks.clone())],
+        }
+    }
 }
 
 /// FNV-1a over the log lines (stable across runs and platforms, unlike
@@ -219,9 +275,20 @@ struct Engine<'a> {
     log: Vec<String>,
     obs: BTreeMap<u64, JobObs>,
     stats: TraceStats,
+    solver: PlanStats,
+    cache: CacheStats,
 }
 
 impl Engine<'_> {
+    /// Shuts down a leaving job's planning service, keeping its cache
+    /// counters for the report.
+    fn retire(&mut self, service: Option<SolverService>) {
+        if let Some(service) = service {
+            self.cache.absorb(&service.cache_stats());
+            service.shutdown();
+        }
+    }
+
     /// Solves one iteration for `slot` through its service and asserts
     /// the invariant the chaos proptest leans on: every placed GPU is
     /// inside the lease *as last synced* — no plan ever references a
@@ -261,6 +328,9 @@ impl Engine<'_> {
                 ));
                 self.stats.plans += 1;
                 self.obs.entry(slot.job).or_default().plans += 1;
+                if !solved.from_cache {
+                    self.solver.absorb(&solved.stats);
+                }
             }
             Err(e) => {
                 self.log
@@ -273,7 +343,6 @@ impl Engine<'_> {
     /// Installs a planning service for a newly admitted, sampled job.
     fn admit(&mut self, job: u64, lease: Lease, now: u64, immediate: bool) {
         tel::instant!(tel::Category::Replay, "job.admit", "job" => job);
-        tel::count!("flexsp.replay.admitted");
         let o = self.obs.entry(job).or_default();
         if o.admitted.is_none() {
             o.admitted = Some(now);
@@ -398,9 +467,7 @@ impl Engine<'_> {
         }
         for i in lapsed.into_iter().rev() {
             let slot = self.held.remove(i);
-            if let Some(service) = slot.service {
-                service.shutdown();
-            }
+            self.retire(slot.service);
         }
 
         self.log.push(format!(
@@ -426,7 +493,6 @@ impl Engine<'_> {
                 immediate,
             } => {
                 tel::instant!(tel::Category::Replay, "job.arrive", "job" => job);
-                tel::count!("flexsp.replay.jobs");
                 self.stats.jobs += 1;
                 self.obs.entry(job).or_default().arrived = now;
                 let mut req = SlotRequest::new(JobId(job), gpus).with_priority(Priority(priority));
@@ -451,7 +517,6 @@ impl Engine<'_> {
                     }
                     Err(e) => {
                         self.log.push(format!("t={now} request {job} -> {e:?}"));
-                        self.stats.never_admitted += 1;
                         self.obs.entry(job).or_default().departed = Some(now);
                     }
                 }
@@ -489,16 +554,13 @@ impl Engine<'_> {
                     let slot = self.held.remove(i);
                     self.log
                         .push(format!("t={now} depart {job} n={}", slot.lease.gpu_count()));
-                    if let Some(service) = slot.service {
-                        service.shutdown();
-                    }
+                    self.retire(slot.service);
                     drop(slot.lease);
                     self.obs.entry(job).or_default().departed = Some(now);
                 } else if let Some(i) = self.tickets.iter().position(|(j, _)| *j == job) {
                     let (_, t) = self.tickets.remove(i);
                     self.arb.cancel(&t);
                     self.log.push(format!("t={now} depart {job} canceled"));
-                    self.stats.never_admitted += 1;
                     self.obs.entry(job).or_default().departed = Some(now);
                 } else {
                     self.log.push(format!("t={now} depart {job} gone"));
@@ -543,6 +605,8 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
         log: Vec::new(),
         obs: BTreeMap::new(),
         stats: TraceStats::default(),
+        solver: PlanStats::default(),
+        cache: CacheStats::default(),
     };
 
     let mut first_event = 0usize;
@@ -584,9 +648,7 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
             slot.job,
             slot.lease.gpu_count()
         ));
-        if let Some(service) = slot.service {
-            service.shutdown();
-        }
+        eng.retire(slot.service);
     }
     for (job, t) in std::mem::take(&mut eng.tickets) {
         eng.arb.cancel(&t);
@@ -616,11 +678,10 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
     }
     eng.stats.never_admitted = eng.stats.jobs.saturating_sub(eng.stats.admitted);
     waits.sort_unstable();
+    let wait_ticks = Histogram::new();
     for &w in &waits {
-        tel::observe!("flexsp.replay.wait_ticks", w);
+        wait_ticks.record(w);
     }
-    tel::count!("flexsp.replay.plans", eng.stats.plans);
-    tel::count!("flexsp.replay.reaps", eng.stats.reaps as u64);
     if !waits.is_empty() {
         eng.stats.wait_mean = waits.iter().sum::<u64>() as f64 / waits.len() as f64;
         eng.stats.wait_p50 = waits[waits.len() / 2];
@@ -638,6 +699,10 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
         log_hash: hash,
         stats: eng.stats,
         arbiter,
+        solver: eng.solver,
+        cache: eng.cache,
+        pump_wakeups: eng.pump.as_ref().map_or(0, MaintenancePump::wakeups),
+        wait_ticks: wait_ticks.snapshot(),
     }
 }
 
