@@ -167,10 +167,11 @@ pub struct ShrinkDemand {
     pub deadline: u64,
 }
 
-/// What one [`ClusterArbiter::tick`] / [`maintain`](ClusterArbiter::maintain)
-/// pass did, per affected job: leases reaped because their term lapsed,
-/// demands force-executed after their grace window, and fresh shrink
-/// demands issued (each entry is `(job, gpus)`).
+/// What one maintenance pass — a
+/// [`MaintenancePump::poll`](crate::MaintenancePump::poll) that found a
+/// deadline due — did, per affected job: leases reaped because their
+/// term lapsed, demands force-executed after their grace window, and
+/// fresh shrink demands issued (each entry is `(job, gpus)`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TickReport {
     /// Leases reaped because their term expired without a renew.
@@ -184,7 +185,7 @@ pub struct TickReport {
 impl TickReport {
     /// True if the pass changed nothing (no reaps, reclaims, or demands)
     /// — the guaranteed outcome on an arbiter whose leases carry no
-    /// priorities or terms.
+    /// priorities or terms, and of any pass when no deadline is due.
     pub fn is_quiet(&self) -> bool {
         self.expired.is_empty() && self.reclaimed.is_empty() && self.demanded.is_empty()
     }
@@ -294,19 +295,17 @@ pub(crate) struct Inner {
     /// Grace window, in ticks, between a shrink demand and its forced
     /// execution.
     pub(crate) grace: AtomicU64,
-    /// Gauges mirroring queue/ledger sizes for lock-free reads and the
-    /// quiet-tick fast path; exact whenever no mutation is mid-flight.
+    /// Gauges mirroring queue/ledger sizes for lock-free reads and for
+    /// skipping settles and demand scans with nothing to do; exact
+    /// whenever no mutation is mid-flight.
     pub(crate) pending_count: AtomicUsize,
     pub(crate) live_count: AtomicUsize,
-    pub(crate) termed_count: AtomicUsize,
     pub(crate) demanded_count: AtomicUsize,
-    /// Bumped whenever a shrink demand is issued, re-issued with a new
-    /// window, or withdrawn. Demand changes republish their shard but
-    /// deliberately do **not** bump the ledger epoch (nothing about the
-    /// free set or any fingerprint moved), so deadline watchers — the
-    /// event-loop `MaintenancePump` — gate their rescans on this
-    /// counter alongside the epoch.
-    pub(crate) demand_seq: AtomicU64,
+    /// Bumped by every shard publication *after* its snapshot is stored
+    /// — the `MaintenancePump`'s rescan gate. The epoch cannot serve:
+    /// mutations bump it before they publish, and demand changes
+    /// republish without bumping it at all.
+    pub(crate) publish_seq: AtomicU64,
     stat_grants: Counter,
     stat_denials: Counter,
     stat_reaps: Counter,
@@ -392,6 +391,7 @@ impl Inner {
             free: state.free.clone(),
             live: state.live.clone(),
         }));
+        self.publish_seq.fetch_add(1, Ordering::Release);
     }
 
     /// Publishes every shard marked dirty.
@@ -458,9 +458,6 @@ impl Inner {
             }),
         );
         self.live_count.fetch_add(1, GAUGE);
-        if request.term.is_some() {
-            self.termed_count.fetch_add(1, GAUGE);
-        }
         self.stat_grants.inc();
         self.with_counters(request.job, |c| {
             c.granted += 1;
@@ -675,7 +672,6 @@ impl Inner {
                             nv.demand = Some(next);
                             g.live.insert(id, Arc::new(nv));
                             dirty[s] = true;
-                            self.demand_seq.fetch_add(1, GAUGE);
                         }
                     }
                     None => {
@@ -685,7 +681,6 @@ impl Inner {
                             g.live.insert(id, Arc::new(nv));
                             self.demanded_count.fetch_sub(1, GAUGE);
                             dirty[s] = true;
-                            self.demand_seq.fetch_add(1, GAUGE);
                         }
                     }
                 }
@@ -738,9 +733,6 @@ impl Inner {
         }
         self.bump_epoch();
         self.live_count.fetch_sub(1, GAUGE);
-        if view.term.is_some() {
-            self.termed_count.fetch_sub(1, GAUGE);
-        }
         if view.demand.is_some() {
             self.demanded_count.fetch_sub(1, GAUGE);
         }
@@ -768,10 +760,11 @@ impl Inner {
 /// reaped arbiter-side — a leaked handle cannot pin slots forever) and a
 /// [`Priority`], and a higher-priority request that cannot be admitted
 /// makes the arbiter demand a shrink from the lowest-priority holders,
-/// force-reclaiming after a grace window. Time is a caller-pumped
-/// [`Clock`]: nothing expires until [`ClusterArbiter::tick`] (or
-/// [`maintain`](ClusterArbiter::maintain) under an external clock) runs,
-/// so tests and simulations stay deterministic.
+/// force-reclaiming after a grace window. The arbiter only reads its
+/// [`Clock`]; terms and grace windows are enforced by a
+/// [`MaintenancePump`] polled at their deadlines — by a
+/// [`ClusterDaemon`](crate::ClusterDaemon) on wall time, or by a test or
+/// simulation on a [`LogicalClock`], which stays deterministic.
 ///
 /// **Scale:** the ledger is sharded by node range
 /// ([`with_shards`](ClusterArbiter::with_shards)); a grant that fits one
@@ -805,70 +798,70 @@ impl Inner {
 ///
 /// ```
 /// use flexsp_arbiter::{
-///     AdmissionPolicy, ClusterArbiter, JobId, Priority, SlotRequest,
+///     AdmissionPolicy, ClusterArbiter, JobId, LogicalClock, MaintenancePump, SlotRequest,
 /// };
 /// use flexsp_sim::Topology;
+/// use std::sync::Arc;
 ///
-/// let arbiter = ClusterArbiter::new(&Topology::new(2, 8), AdmissionPolicy::Fifo);
+/// let clock = LogicalClock::new();
+/// let arbiter = ClusterArbiter::with_clock(
+///     &Topology::new(2, 8),
+///     AdmissionPolicy::Fifo,
+///     Arc::new(clock.clone()),
+/// );
+/// let mut pump = MaintenancePump::new(arbiter.clone());
 /// // A lease with a 2-tick term, then "crash" the tenant (leak it).
 /// let lease = arbiter
 ///     .try_lease(SlotRequest::new(JobId(1), 16).with_term(2))
 ///     .unwrap();
 /// std::mem::forget(lease);
-/// arbiter.tick();
-/// let report = arbiter.tick(); // now = 2: the term lapsed
+/// clock.advance(1);
+/// assert!(pump.poll().is_none(), "now = 1: nothing due");
+/// clock.advance(1);
+/// let report = pump.poll().unwrap(); // now = 2: the term lapsed
 /// assert_eq!(report.expired, vec![(JobId(1), 16)]);
 /// assert_eq!(arbiter.free_gpus(), 16, "reaped arbiter-side");
 /// ```
+///
+/// [`MaintenancePump`]: crate::MaintenancePump
 #[derive(Debug, Clone)]
 pub struct ClusterArbiter {
-    clock: ClockSource,
+    clock: Arc<dyn Clock>,
     pub(crate) inner: Arc<Inner>,
 }
 
-/// Where the arbiter reads logical time from.
-#[derive(Debug, Clone)]
-enum ClockSource {
-    /// The arbiter's own clock, advanced by [`ClusterArbiter::tick`].
-    Owned(LogicalClock),
-    /// A caller-provided clock the caller pumps itself.
-    External(Arc<dyn Clock>),
-}
-
-impl ClockSource {
-    fn now(&self) -> u64 {
-        match self {
-            ClockSource::Owned(c) => c.now(),
-            ClockSource::External(c) => c.now(),
-        }
-    }
-}
-
 /// Default grace window (in ticks) between a shrink demand and its
-/// forced execution: one tick, per the replan-per-iteration premise —
-/// a tenant that pumps the clock once per training iteration gets one
-/// iteration to shrink gracefully.
+/// forced execution: one tick, per FlexSP's fresh-plan-every-step
+/// premise — a tenant whose clock advances once per training step gets
+/// one step to shrink gracefully.
 pub const DEFAULT_GRACE_TICKS: u64 = 1;
 
 impl ClusterArbiter {
     /// Creates an arbiter over `topo` with the given admission policy,
-    /// an internal [`LogicalClock`] (advanced by
-    /// [`tick`](ClusterArbiter::tick)), the default grace window, and a
-    /// **single shard** — behaviorally identical to the pre-sharding
-    /// arbiter; opt into sharding with
+    /// the default grace window, and a **single shard** — behaviorally
+    /// identical to the pre-sharding arbiter; opt into sharding with
     /// [`with_shards`](ClusterArbiter::with_shards).
+    ///
+    /// Its clock is a [`LogicalClock`] that nothing advances, so terms on
+    /// a `new` arbiter never lapse. Callers that need time build the
+    /// arbiter [`with_clock`](ClusterArbiter::with_clock) and run a
+    /// [`MaintenancePump`](crate::MaintenancePump) or
+    /// [`ClusterDaemon`](crate::ClusterDaemon) over it.
     pub fn new(topo: &Topology, policy: AdmissionPolicy) -> Self {
-        Self::build(topo, policy, ClockSource::Owned(LogicalClock::new()), 1)
+        Self::with_clock(topo, policy, Arc::new(LogicalClock::new()))
     }
 
-    /// An arbiter reading logical time from a caller-pumped `clock`
-    /// instead of its own. [`tick`](ClusterArbiter::tick) then only runs
-    /// maintenance — advancing time is the caller's job.
+    /// An arbiter reading logical time from `clock`. The arbiter never
+    /// advances it: the caller does (a [`LogicalClock`]), or wall time
+    /// does (a [`WallClock`](crate::WallClock)). Terms and grace windows
+    /// are enforced by a [`MaintenancePump`](crate::MaintenancePump)
+    /// polled against the same clock, or by a
+    /// [`ClusterDaemon`](crate::ClusterDaemon) running one.
     pub fn with_clock(topo: &Topology, policy: AdmissionPolicy, clock: Arc<dyn Clock>) -> Self {
-        Self::build(topo, policy, ClockSource::External(clock), 1)
+        Self::build(topo, policy, clock, 1)
     }
 
-    fn build(topo: &Topology, policy: AdmissionPolicy, clock: ClockSource, shards: u32) -> Self {
+    fn build(topo: &Topology, policy: AdmissionPolicy, clock: Arc<dyn Clock>, shards: u32) -> Self {
         let ranges = partition_nodes(topo.num_nodes(), shards);
         let mut node_shard = vec![0usize; topo.num_nodes() as usize];
         for (i, r) in ranges.iter().enumerate() {
@@ -898,9 +891,8 @@ impl ClusterArbiter {
                 grace: AtomicU64::new(DEFAULT_GRACE_TICKS),
                 pending_count: AtomicUsize::new(0),
                 live_count: AtomicUsize::new(0),
-                termed_count: AtomicUsize::new(0),
                 demanded_count: AtomicUsize::new(0),
-                demand_seq: AtomicU64::new(0),
+                publish_seq: AtomicU64::new(0),
                 stat_grants: Counter::new(),
                 stat_denials: Counter::new(),
                 stat_reaps: Counter::new(),
@@ -932,7 +924,7 @@ impl ClusterArbiter {
         );
         let policy = self.inner.lock_queue().policy;
         let grace = self.inner.grace.load(Ordering::Relaxed);
-        let out = Self::build(&self.inner.topo, policy, self.clock.clone(), shards);
+        let out = Self::build(&self.inner.topo, policy, Arc::clone(&self.clock), shards);
         out.inner.grace.store(grace, Ordering::Relaxed);
         out
     }
@@ -966,25 +958,6 @@ impl ClusterArbiter {
         self.clock.now()
     }
 
-    pub(crate) fn clock_now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    /// Advances the arbiter's internal logical clock one tick, then runs
-    /// [`maintain`](ClusterArbiter::maintain). Under an external clock
-    /// ([`with_clock`](ClusterArbiter::with_clock)) the clock is the
-    /// caller's to pump, so `tick` only maintains.
-    ///
-    /// An arbiter whose leases carry no priorities and no terms reports
-    /// a [quiet](TickReport::is_quiet) tick and mutates nothing — ticks
-    /// are free for tenants that never opted into either feature.
-    pub fn tick(&self) -> TickReport {
-        if let ClockSource::Owned(c) = &self.clock {
-            c.advance(1);
-        }
-        self.maintain()
-    }
-
     /// Runs one maintenance pass at the clock's current time: reaps
     /// leases whose term lapsed, hands the reaped capacity to the queue
     /// (withdrawing demands the reap made unnecessary), force-executes
@@ -995,19 +968,15 @@ impl ClusterArbiter {
     /// under-sized lease), then pumps and (re-)issues demands for what
     /// still cannot be admitted.
     ///
-    /// With no termed leases and no standing demands the whole pass is
-    /// an O(1) gauge check — maintenance never scans a quiet ledger.
-    pub fn maintain(&self) -> TickReport {
+    /// [`MaintenancePump::poll`](crate::MaintenancePump::poll) is the only
+    /// caller, and only when a term or grace deadline is due. A pass when
+    /// no deadline is due is quiet and changes nothing, because every
+    /// capacity or demand change settles at the operation that made it;
+    /// the pump's property test pins that.
+    pub(crate) fn maintain(&self) -> TickReport {
         let inner = &*self.inner;
-        // Quiet fast path. Sound because every capacity or demand change
-        // flows through an operation that settles: a pending request
-        // that could not be admitted when capacity last changed still
-        // cannot be, and no demand or term exists to execute.
-        if inner.termed_count.load(GAUGE) == 0 && inner.demanded_count.load(GAUGE) == 0 {
-            return TickReport::default();
-        }
         let _maintain_span = tel::span!(tel::Category::Arbiter, "arbiter.maintain");
-        let now = self.clock_now();
+        let now = self.now();
         let mut q = inner.lock_queue();
         let mut guards = inner.lock_shards();
         let mut dirty = vec![false; guards.len()];
@@ -1137,7 +1106,7 @@ impl ClusterArbiter {
         self.check(&request)?;
         let _grant_span =
             tel::span!(tel::Category::Arbiter, "arbiter.grant", "gpus" => request.gpus as u64);
-        let now = self.clock_now();
+        let now = self.now();
         let inner = &*self.inner;
         inner.with_counters(request.job, |c| c.requested += 1);
         // Queued requests keep priority: an immediate ask may not jump
@@ -1221,7 +1190,7 @@ impl ClusterArbiter {
         self.check(&request)?;
         let _span =
             tel::span!(tel::Category::Arbiter, "arbiter.request", "gpus" => request.gpus as u64);
-        let now = self.clock_now();
+        let now = self.now();
         let inner = &*self.inner;
         inner.with_counters(request.job, |c| c.requested += 1);
         let mut q = inner.lock_queue();
@@ -1248,7 +1217,7 @@ impl ClusterArbiter {
     /// its slots went back to the pool unclaimed).
     pub fn claim(&self, ticket: &Ticket) -> Option<Lease> {
         let _span = tel::span!(tel::Category::Arbiter, "arbiter.claim", "ticket" => ticket.id);
-        let now = self.clock_now();
+        let now = self.now();
         let inner = &*self.inner;
         let mut q = inner.lock_queue();
         let mut guards = inner.lock_shards();
@@ -1281,7 +1250,7 @@ impl ClusterArbiter {
     /// Abandons a queued request. If it was already granted, the slots
     /// return to the pool.
     pub fn cancel(&self, ticket: &Ticket) {
-        let now = self.clock_now();
+        let now = self.now();
         let inner = &*self.inner;
         let mut q = inner.lock_queue();
         q.pending.retain(|p| p.ticket != ticket.id);
@@ -1296,9 +1265,6 @@ impl ClusterArbiter {
                 merged.release(&view.gpus);
                 inner.bump_epoch();
                 inner.live_count.fetch_sub(1, GAUGE);
-                if view.term.is_some() {
-                    inner.termed_count.fetch_sub(1, GAUGE);
-                }
                 if view.demand.is_some() {
                     inner.demanded_count.fetch_sub(1, GAUGE);
                 }
@@ -1315,7 +1281,7 @@ impl ClusterArbiter {
     /// Settles the queue against the current ledger (pump + enforce).
     /// Used by paths that returned capacity outside the full-lock path.
     pub(crate) fn settle_now(&self) {
-        let now = self.clock_now();
+        let now = self.now();
         let inner = &*self.inner;
         let mut q = inner.lock_queue();
         let mut guards = inner.lock_shards();
@@ -1469,12 +1435,10 @@ impl ClusterArbiter {
             }
         }
         let mut live_total = 0usize;
-        let mut termed = 0usize;
         let mut demanded = 0usize;
         for g in guards.iter() {
             for (id, v) in g.live.iter() {
                 live_total += 1;
-                termed += usize::from(v.term.is_some());
                 demanded += usize::from(v.demand.is_some());
                 for gpu in &v.gpus {
                     if let Some(prev) = seen.insert(*gpu, "leased") {
@@ -1504,7 +1468,6 @@ impl ClusterArbiter {
         for (label, gauge, actual) in [
             ("live", inner.live_count.load(GAUGE), live_total),
             ("pending", inner.pending_count.load(GAUGE), q.pending.len()),
-            ("termed", inner.termed_count.load(GAUGE), termed),
             ("demanded", inner.demanded_count.load(GAUGE), demanded),
         ] {
             if gauge != actual {
@@ -1537,10 +1500,25 @@ impl ClusterArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::MaintenancePump;
     use flexsp_sim::{NodeSpec, SkuId};
 
     fn topo4x8() -> Topology {
         Topology::new(4, 8)
+    }
+
+    /// A 4×8 arbiter on a logical clock the test advances.
+    fn clocked(policy: AdmissionPolicy) -> (ClusterArbiter, LogicalClock) {
+        let clock = LogicalClock::new();
+        let arb = ClusterArbiter::with_clock(&topo4x8(), policy, Arc::new(clock.clone()));
+        (arb, clock)
+    }
+
+    /// One tick of time: advance the clock, then poll the pump, which
+    /// maintains only if a deadline is due.
+    fn step(clock: &LogicalClock, pump: &mut MaintenancePump) -> TickReport {
+        clock.advance(1);
+        pump.poll().unwrap_or_default()
     }
 
     fn req(job: u64, gpus: u32) -> SlotRequest {
@@ -1756,7 +1734,8 @@ mod tests {
         // The conservation law (granted − released − moved == held)
         // survives every mutation path: grant, grow, voluntary shrink,
         // forced partial reclaim, term reaping, and drop.
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let check = |label: &str| {
             arb.audit().unwrap_or_else(|e| panic!("{label}: {e}"));
             for (job, c) in arb.fairness_all() {
@@ -1777,7 +1756,7 @@ mod tests {
         let leaked = arb.try_lease(req(2, 8).with_term(1)).unwrap();
         std::mem::forget(leaked);
         check("term grant");
-        arb.tick();
+        step(&clock, &mut pump);
         assert_eq!(arb.fairness(JobId(2)).gpus_moved, 8, "reap counts moved");
         check("reap");
         // A high-priority request forces a partial reclaim from job 1.
@@ -1785,7 +1764,7 @@ mod tests {
             .request(req(3, 28).with_priority(Priority::HIGH))
             .unwrap();
         check("demand issued");
-        arb.tick(); // grace lapses; 8 of job 1's 12 GPUs move
+        step(&clock, &mut pump); // grace lapses; 8 of job 1's 12 GPUs move
         let hp = arb.claim(&t).expect("preemption admitted the request");
         assert_eq!(hp.gpu_count(), 28);
         assert_eq!(arb.fairness(JobId(1)).gpus_moved, 8);
@@ -1799,7 +1778,8 @@ mod tests {
 
     #[test]
     fn high_priority_request_preempts_the_lowest_priority_donor() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let low = arb.try_lease(req(1, 16)).unwrap();
         let mid = arb
             .try_lease(req(2, 16).with_priority(Priority(10)))
@@ -1816,7 +1796,7 @@ mod tests {
             "lowest-priority lease carries the demand"
         );
         assert_eq!(mid.pending_demand(), None, "higher donor untouched");
-        let report = arb.tick();
+        let report = step(&clock, &mut pump);
         assert_eq!(report.reclaimed, vec![(JobId(1), 8)]);
         let hp = arb
             .claim(&t)
@@ -1834,7 +1814,8 @@ mod tests {
 
     #[test]
     fn graceful_shrink_clears_the_demand_without_force() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let mut low = arb.try_lease(req(1, 32)).unwrap();
         let t = arb
             .request(req(2, 16).with_priority(Priority::HIGH))
@@ -1848,14 +1829,15 @@ mod tests {
         // No force was ever applied: everything was voluntary.
         assert_eq!(arb.fairness(JobId(1)).gpus_moved, 0);
         assert_eq!(arb.fairness(JobId(1)).gpus_released, 16);
-        let report = arb.tick();
+        let report = step(&clock, &mut pump);
         assert!(report.is_quiet(), "{report:?}");
         assert!(arb.audit().is_ok());
     }
 
     #[test]
     fn equal_priority_never_preempts_and_uncovered_shortfalls_issue_no_demands() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let a = arb.try_lease(req(1, 16)).unwrap();
         let _b = arb
             .try_lease(req(2, 16).with_priority(Priority::HIGH))
@@ -1863,7 +1845,7 @@ mod tests {
         // Equal priority: no preemption among peers.
         let _t1 = arb.request(req(3, 8)).unwrap();
         assert_eq!(a.pending_demand(), None);
-        assert!(arb.tick().is_quiet());
+        assert!(step(&clock, &mut pump).is_quiet());
         // A HIGH request for 24 can only reclaim job 1's 16 (job 2 is a
         // peer): the shortfall is uncoverable, so no demand is issued —
         // doomed demands never thrash donors.
@@ -1871,7 +1853,7 @@ mod tests {
             .request(req(4, 24).with_priority(Priority::HIGH))
             .unwrap();
         assert_eq!(a.pending_demand(), None, "uncoverable shortfall");
-        assert!(arb.tick().is_quiet());
+        assert!(step(&clock, &mut pump).is_quiet());
         assert!(arb.audit().is_ok());
     }
 
@@ -1881,7 +1863,8 @@ mod tests {
         // reaped capacity alone admits the high-priority request: the
         // demand must be withdrawn before force-execution, not charged
         // to the donor while the reclaimed GPUs idle in the pool.
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let termed = arb.try_lease(req(1, 24).with_term(1)).unwrap();
         std::mem::forget(termed);
         let c = arb.try_lease(req(2, 8)).unwrap();
@@ -1889,7 +1872,7 @@ mod tests {
             .request(req(3, 16).with_priority(Priority::HIGH))
             .unwrap();
         assert!(c.pending_demand().is_some(), "c is the youngest donor");
-        let report = arb.tick();
+        let report = step(&clock, &mut pump);
         assert_eq!(report.expired, vec![(JobId(1), 24)]);
         assert!(
             report.reclaimed.is_empty(),
@@ -1908,7 +1891,8 @@ mod tests {
         // A granted-but-unclaimed request chosen as a preemption donor
         // is revoked entirely: claim() returns None, never a lease
         // smaller than the request asked for.
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let mut hold = arb.try_lease(req(1, 20)).unwrap();
         let t_low = arb.request(req(2, 12)).unwrap();
         assert_eq!(arb.free_gpus(), 0, "granted (unclaimed) holds 12");
@@ -1917,7 +1901,7 @@ mod tests {
         let t_high = arb
             .request(req(3, 8).with_priority(Priority::HIGH))
             .unwrap();
-        let report = arb.tick();
+        let report = step(&clock, &mut pump);
         assert_eq!(report.reclaimed, vec![(JobId(2), 12)], "taken whole");
         assert!(
             arb.claim(&t_low).is_none(),
@@ -1933,7 +1917,9 @@ mod tests {
 
     #[test]
     fn a_larger_demand_restarts_the_grace_window() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo).with_grace(2);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let arb = arb.with_grace(2);
+        let mut pump = MaintenancePump::new(arb.clone());
         let a = arb.try_lease(req(1, 32)).unwrap();
         let _t1 = arb
             .request(req(2, 8).with_priority(Priority::HIGH))
@@ -1945,7 +1931,7 @@ mod tests {
                 deadline: 2
             })
         );
-        arb.tick(); // now = 1: re-enforcement of the same ask keeps the deadline
+        step(&clock, &mut pump); // now = 1: the standing demand keeps its deadline
         assert_eq!(a.pending_demand().unwrap().deadline, 2);
         // A bigger request arrives: the enlarged demand gets fresh notice.
         let _t2 = arb
@@ -1959,10 +1945,11 @@ mod tests {
 
     #[test]
     fn expired_term_reaps_even_unclaimed_grants() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let t = arb.request(req(1, 32).with_term(1)).unwrap();
         assert_eq!(arb.free_gpus(), 0, "granted (unclaimed) holds slots");
-        let report = arb.tick();
+        let report = step(&clock, &mut pump);
         assert_eq!(report.expired, vec![(JobId(1), 32)]);
         assert_eq!(arb.free_gpus(), 32);
         assert!(arb.claim(&t).is_none(), "the grant lapsed before claim");
@@ -1971,15 +1958,16 @@ mod tests {
 
     #[test]
     fn renew_extends_the_term() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let mut lease = arb.try_lease(req(1, 8).with_term(2)).unwrap();
         assert_eq!(lease.expires_at(), Some(2));
-        arb.tick(); // now = 1
+        step(&clock, &mut pump); // now = 1
         lease.renew().unwrap();
         assert_eq!(lease.expires_at(), Some(3), "renew restarts the term");
-        arb.tick(); // now = 2: would have lapsed without the renew
+        step(&clock, &mut pump); // now = 2: would have lapsed without the renew
         assert!(lease.is_live());
-        arb.tick(); // now = 3: lapses
+        step(&clock, &mut pump); // now = 3: lapses
         assert!(!lease.is_live());
         assert_eq!(lease.sync(), crate::lease::LeaseEvent::Lapsed);
         assert!(matches!(lease.renew(), Err(LeaseError::Lapsed)));
@@ -1993,18 +1981,20 @@ mod tests {
 
     #[test]
     fn unconfigured_arbiter_ticks_are_quiet_and_free() {
-        // Regression: with no priorities and no terms, tick/maintain
-        // must not mutate anything — epochs (and so fingerprints and
-        // cached plans) survive arbitrary ticking, exactly the pre-term
-        // arbiter behavior.
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::BestFitSkuClass);
+        // Regression: with no priorities and no terms, time passing must
+        // not mutate anything — epochs (and so fingerprints and cached
+        // plans) survive arbitrary ticking, exactly the pre-term arbiter
+        // behavior.
+        let (arb, clock) = clocked(AdmissionPolicy::BestFitSkuClass);
+        let mut pump = MaintenancePump::new(arb.clone());
         let lease = arb.try_lease(req(1, 12)).unwrap();
         let _t = arb.request(req(2, 32)).unwrap();
         let epoch = arb.epoch();
         let fp = lease.fingerprint();
         for _ in 0..5 {
-            assert!(arb.tick().is_quiet());
+            assert!(step(&clock, &mut pump).is_quiet());
         }
+        assert_eq!(pump.wakeups(), 0, "no deadline, no maintenance pass");
         assert_eq!(arb.epoch(), epoch, "quiet ticks never bump the epoch");
         assert_eq!(lease.fingerprint(), fp);
         assert!(arb.audit().is_ok());
@@ -2012,19 +2002,25 @@ mod tests {
 
     #[test]
     fn external_clock_drives_expiry() {
-        let clock = LogicalClock::new();
-        let arb =
-            ClusterArbiter::with_clock(&topo4x8(), AdmissionPolicy::Fifo, Arc::new(clock.clone()));
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let lease = arb.try_lease(req(1, 8).with_term(5)).unwrap();
         std::mem::forget(lease);
-        // The arbiter's tick does NOT advance an external clock.
-        assert!(arb.tick().is_quiet());
+        // Polling never advances the clock: only its owner does.
+        assert!(pump.poll().is_none());
         assert_eq!(arb.now(), 0);
         clock.advance(5);
-        let report = arb.maintain();
+        let report = pump.poll().expect("the term is due at now = 5");
         assert_eq!(report.expired, vec![(JobId(1), 8)]);
         assert_eq!(arb.free_gpus(), 32);
         assert!(arb.audit().is_ok());
+        // A `new` arbiter reads a clock nothing advances: its terms
+        // never lapse, however often a pump polls it.
+        let still = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(still.clone());
+        std::mem::forget(still.try_lease(req(2, 8).with_term(1)).unwrap());
+        assert!(pump.poll().is_none());
+        assert_eq!(still.free_gpus(), 24);
     }
 
     #[test]
@@ -2146,7 +2142,9 @@ mod tests {
 
     #[test]
     fn sharded_grow_shrink_renew_and_preemption_stay_consistent() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo).with_shards(4);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let arb = arb.with_shards(4);
+        let mut pump = MaintenancePump::new(arb.clone());
         let mut a = arb.try_lease(req(1, 6)).unwrap();
         a.grow(10, None).unwrap(); // must span shards
         assert_eq!(a.gpu_count(), 16);
@@ -2161,7 +2159,7 @@ mod tests {
             .request(req(3, 8).with_priority(Priority::HIGH))
             .unwrap();
         assert!(b.pending_demand().is_some(), "b is the youngest donor");
-        arb.tick();
+        step(&clock, &mut pump);
         let hp = arb.claim(&t).expect("preemption crosses shards");
         assert_eq!(hp.gpu_count(), 8);
         assert_eq!(b.sync(), crate::lease::LeaseEvent::Resized { lost: 8 });
@@ -2183,7 +2181,8 @@ mod tests {
 
     #[test]
     fn stats_track_grants_denials_reaps_and_queue_depth() {
-        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let (arb, clock) = clocked(AdmissionPolicy::Fifo);
+        let mut pump = MaintenancePump::new(arb.clone());
         let _a = arb.try_lease(req(1, 24)).unwrap();
         assert!(arb.try_lease(req(2, 16)).is_err());
         let _t = arb.request(req(3, 16)).unwrap();
@@ -2192,7 +2191,7 @@ mod tests {
         arb.cancel(&_t);
         let leaked = arb.try_lease(req(4, 8).with_term(1)).unwrap();
         std::mem::forget(leaked);
-        arb.tick();
+        step(&clock, &mut pump);
         let s = arb.stats();
         assert_eq!(s.grants, 2);
         assert_eq!(s.denials, 2);

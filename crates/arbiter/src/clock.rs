@@ -1,6 +1,7 @@
-//! Logical time for lease terms: a caller-pumped [`Clock`] the arbiter
-//! reads expiry deadlines against, so tests and simulations stay fully
-//! deterministic (nothing in the arbiter ever consults wall time).
+//! Logical time for lease terms: a [`Clock`] the arbiter reads expiry
+//! deadlines against but never advances, so tests and simulations on a
+//! [`LogicalClock`] stay fully deterministic (nothing in the arbiter
+//! ever consults wall time).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,18 +10,17 @@ use std::time::{Duration, Instant};
 
 /// A monotonic logical clock the arbiter reads lease terms against.
 ///
-/// Implementations are **caller-pumped**: the arbiter only ever reads
-/// `now()` — it never advances time itself — so a test (or a training
-/// loop that ticks once per iteration) controls exactly when leases
-/// expire and when revocation grace windows lapse. A production
-/// deployment can back this with wall-clock seconds; the arbiter does
-/// not care what a tick *means*, only that `now()` never decreases.
+/// The arbiter only ever reads `now()` — it never advances time itself —
+/// so a test (or a training loop that ticks once per step) controls
+/// exactly when leases expire and when revocation grace windows lapse.
+/// A production deployment backs this with a [`WallClock`]; the arbiter
+/// does not care what a tick *means*, only that `now()` never decreases.
 pub trait Clock: fmt::Debug + Send + Sync {
     /// The current logical time, in ticks. Must be monotonic.
     fn now(&self) -> u64;
 }
 
-/// The default caller-pumped logical clock: a shared atomic counter.
+/// The default logical clock: a shared atomic counter its owner advances.
 ///
 /// Clones share the same counter, so a handle kept by the driving loop
 /// advances the clock an arbiter (or several) reads.
@@ -62,8 +62,8 @@ impl Clock for LogicalClock {
 /// [`with_clock`](crate::ClusterArbiter::with_clock) over a `WallClock`
 /// measures terms and grace windows in real time, and a
 /// [`ClusterDaemon`](crate::ClusterDaemon) enforces them with no caller
-/// pumping `tick()`. Clones share the origin (an `Instant` is `Copy`),
-/// so every handle reads the same timeline.
+/// driving time at all. Clones share the origin (an `Instant` is
+/// `Copy`), so every handle reads the same timeline.
 ///
 /// `Instant` is monotonic, so `now()` never decreases — the one
 /// contract [`Clock`] demands.

@@ -1,7 +1,6 @@
-//! Event-driven maintenance: a keyed deadline heap (the timer-queue
-//! idiom), an epoch-gated [`MaintenancePump`], and a background
-//! [`ClusterDaemon`] thread — so a deployment no longer depends on every
-//! caller pumping [`tick`](crate::ClusterArbiter::tick).
+//! Event-driven maintenance, the one path that runs it: a keyed deadline
+//! heap (the timer-queue idiom), an epoch-gated [`MaintenancePump`], and
+//! a background [`ClusterDaemon`] thread.
 //!
 //! The design splits cleanly in two:
 //!
@@ -10,15 +9,15 @@
 //!   old entry (the stale heap node is skipped lazily on pop), which is
 //!   exactly what a lease renewal needs: the old expiry must never fire.
 //! * [`MaintenancePump`] owns an arbiter plus a heap keyed by lease id.
-//!   It rescans the published shard snapshots — lock-free — whenever the
-//!   ledger epoch moved, schedules each termed or demanded lease's
-//!   nearest deadline, and runs [`maintain`](crate::ClusterArbiter::maintain)
-//!   only when a deadline is actually due. Because every capacity change
-//!   in the arbiter settles at its source operation, a maintenance pass
-//!   at a time with no due deadline is observably a no-op; running
-//!   maintenance *only* at heap deadlines is therefore equivalent to
-//!   running it on every tick (`event_loop_equivalence.rs` pins this
-//!   bit-for-bit).
+//!   It rescans the published shard snapshots — lock-free — whenever a
+//!   shard published since its last scan, schedules each termed or
+//!   demanded lease's nearest deadline, and runs the arbiter's
+//!   maintenance pass only when a deadline is actually due; nothing else
+//!   runs that pass. Because every capacity change in the arbiter
+//!   settles at its source operation, a pass at a time with no due
+//!   deadline would be observably a no-op, so skipping it loses nothing.
+//!   This module's `maintain_after_poll_is_quiet_and_changes_nothing`
+//!   property pins that under random churn.
 //!
 //! [`ClusterDaemon`] wraps the pump in a thread sleeping on a
 //! `Condvar` until the next deadline (converted to wall time by
@@ -190,19 +189,20 @@ impl<K: Eq + Hash + Clone> DeadlineHeap<K> {
 ///
 /// [`poll`](MaintenancePump::poll) is the single step both execution
 /// styles share: the [`ClusterDaemon`] calls it from a thread on a
-/// [`WallClock`](crate::WallClock); the `flexsp-trace` simulator calls
-/// it synchronously on a [`LogicalClock`](crate::LogicalClock). It runs
-/// [`maintain`](ClusterArbiter::maintain) only when a scheduled deadline
-/// is due, which is observably equivalent to maintaining every tick
-/// because every capacity change settles at its source operation.
+/// [`WallClock`](crate::WallClock); the `flexsp-trace` simulator and
+/// tests call it synchronously on a [`LogicalClock`](crate::LogicalClock).
+/// It is the only caller of the arbiter's maintenance pass, and calls it
+/// only when a scheduled deadline is due; because every capacity change
+/// settles at its source operation, a pass when none is due would
+/// change nothing.
 #[derive(Debug)]
 pub struct MaintenancePump {
     arbiter: ClusterArbiter,
     heap: DeadlineHeap<u64>,
-    /// `(epoch, demand_seq)` at the last rescan — the rescan gate.
-    /// Demand issuance republishes its shard without bumping the epoch
-    /// (no fingerprint moved), so the pump also watches `demand_seq`.
-    seen: Option<(u64, u64)>,
+    /// The arbiter's publication count read just before the last rescan
+    /// — the rescan gate. Each publication bumps it after storing its
+    /// snapshot, so one the scan missed always reopens the gate.
+    seen: Option<u64>,
     /// Polls that found a deadline due and ran maintenance. Shared so a
     /// [`ClusterDaemon`] can report it while its thread owns the pump.
     wakeups: Arc<Counter>,
@@ -238,10 +238,9 @@ impl MaintenancePump {
         self.wakeups.get()
     }
 
-    /// Re-derives the heap from the published shard snapshots if the
-    /// ledger epoch or the demand sequence moved since the last scan.
-    /// Lock-free: snapshot loads are pointer copies; nothing here
-    /// touches a shard lock.
+    /// Re-derives the heap from the published shard snapshots if any
+    /// shard published since the last scan. Lock-free: snapshot loads
+    /// are pointer copies; nothing here touches a shard lock.
     ///
     /// Each lease contributes its *nearest* deadline — `min(expires_at,
     /// demand.deadline)` — keyed by lease id, so a renewal (new
@@ -249,15 +248,11 @@ impl MaintenancePump {
     /// and a reaped or dropped lease's entry is canceled.
     // lint: lock-free
     fn refresh(&mut self) {
-        let inner = &self.arbiter.inner;
-        let stamp = (
-            self.arbiter.epoch(),
-            inner.demand_seq.load(Ordering::Relaxed),
-        );
+        let stamp = self.arbiter.inner.publish_seq.load(Ordering::Acquire);
         if self.seen == Some(stamp) {
             return;
         }
-        let _rescan_span = tel::span!(tel::Category::Pump, "pump.rescan", "epoch" => stamp.0);
+        let _rescan_span = tel::span!(tel::Category::Pump, "pump.rescan", "publishes" => stamp);
         self.seen = Some(stamp);
         let mut desired: Vec<(u64, u64)> = Vec::new();
         for shard in self.arbiter.inner.shards.iter() {
@@ -338,7 +333,7 @@ struct DaemonShared {
 /// A background maintenance loop: a thread running a
 /// [`MaintenancePump`] against a [`WallClock`](crate::WallClock), so
 /// lease expiry, grace windows, and renewals are enforced on wall time
-/// with **no caller pumping `tick()` at all**.
+/// with **no caller driving time at all**.
 ///
 /// The thread sleeps until the next scheduled deadline (capped at a
 /// short idle poll so newly granted termed leases are noticed), runs
@@ -363,7 +358,7 @@ struct DaemonShared {
 /// );
 /// let daemon = ClusterDaemon::spawn(arbiter.clone(), clock);
 ///
-/// // "Crash" a tenant holding a 3-tick term: nobody ticks, yet the
+/// // "Crash" a tenant holding a 3-tick term: nobody polls, yet the
 /// // daemon reaps the lease once its term lapses on the wall clock.
 /// let lease = arbiter
 ///     .try_lease(SlotRequest::new(JobId(7), 8).with_term(3))
@@ -406,8 +401,10 @@ impl ClusterDaemon {
                         break;
                     }
                     drop(stop);
-                    pump.poll();
+                    // Counted before the poll, so a caller that observes
+                    // this pass's maintenance also observes the pass.
                     inner.passes.fetch_add(1, Ordering::Relaxed);
+                    pump.poll();
                     let sleep = match pump.next_deadline() {
                         Some(at) => clock.until(at).min(MAX_IDLE),
                         None => MAX_IDLE,
@@ -441,7 +438,7 @@ impl ClusterDaemon {
         self.shared.wake.notify_all();
     }
 
-    /// Pump iterations the daemon has run (each wakeup is one pass).
+    /// Pump iterations the daemon has started (each wakeup is one pass).
     pub fn passes(&self) -> u64 {
         self.shared.passes.load(Ordering::Relaxed)
     }
@@ -478,9 +475,11 @@ impl Drop for ClusterDaemon {
 mod tests {
     use super::*;
     use crate::clock::LogicalClock;
+    use crate::lease::Lease;
     use crate::policy::{JobId, Priority, SlotRequest};
     use crate::AdmissionPolicy;
     use flexsp_sim::Topology;
+    use proptest::prelude::*;
 
     #[test]
     fn pop_until_is_nondecreasing_and_never_early() {
@@ -589,6 +588,28 @@ mod tests {
     }
 
     #[test]
+    fn pump_sees_a_lease_published_after_it_read_the_gate() {
+        // The interleaving a daemon thread can hit: a grant is registered
+        // (epoch bumped) under its shard lock but not yet published when
+        // the pump rescans. The publication must reopen the rescan gate.
+        let clock = LogicalClock::new();
+        let arb = ClusterArbiter::with_clock(
+            &Topology::new(1, 8),
+            AdmissionPolicy::Fifo,
+            Arc::new(clock.clone()),
+        );
+        let mut pump = MaintenancePump::new(arb.clone());
+        let inner = &arb.inner;
+        let mut state = inner.lock_shard(0);
+        let request = SlotRequest::new(JobId(1), 4).with_term(3);
+        assert!(inner.grant_single(0, &mut state, &request, 0).is_some());
+        assert_eq!(pump.next_deadline(), None, "the grant is not published yet");
+        inner.publish(0, &state);
+        drop(state);
+        assert_eq!(pump.next_deadline(), Some(3), "the publication was missed");
+    }
+
+    #[test]
     fn daemon_reaps_on_wall_time_without_any_tick() {
         let clock = WallClock::new(Duration::from_millis(2));
         let arb = ClusterArbiter::with_clock(
@@ -617,6 +638,52 @@ mod tests {
     }
 
     #[test]
+    fn daemon_enforces_the_grace_window_on_wall_time() {
+        let clock = WallClock::new(Duration::from_millis(2));
+        let arb = ClusterArbiter::with_clock(
+            &Topology::new(2, 8),
+            AdmissionPolicy::Fifo,
+            Arc::new(clock.clone()),
+        )
+        .with_grace(2);
+        let daemon = ClusterDaemon::spawn(arb.clone(), clock);
+        // A low-priority tenant holds the whole cluster and never shrinks.
+        let low = arb
+            .try_lease(SlotRequest::new(JobId(1), 16).with_priority(Priority::LOW))
+            .unwrap();
+        // Nothing is free, so the queued request demands its whole
+        // 8-GPU ask back from the low tenant. (Reading the demand back
+        // here would race the daemon, which may already have executed it.)
+        let ticket = arb
+            .request(SlotRequest::new(JobId(2), 8).with_priority(Priority::CRITICAL))
+            .unwrap();
+        daemon.wake();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let lease = loop {
+            if let Some(lease) = arb.claim(&ticket) {
+                break lease;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "daemon never force-executed the demand"
+            );
+            thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(lease.gpu_count(), 8);
+        assert_eq!(
+            arb.fairness(JobId(1)).gpus_moved,
+            8,
+            "exactly the demand moved"
+        );
+        assert!(
+            daemon.maintains() >= 1,
+            "the forced shrink ran in a pump wakeup"
+        );
+        daemon.shutdown();
+        drop(low);
+    }
+
+    #[test]
     fn daemon_shutdown_joins_cleanly_and_drop_is_idempotent() {
         let clock = WallClock::new(Duration::from_millis(1));
         let arb = ClusterArbiter::with_clock(
@@ -627,5 +694,118 @@ mod tests {
         let daemon = ClusterDaemon::spawn(arb, clock);
         thread::sleep(Duration::from_millis(5));
         daemon.shutdown();
+    }
+
+    /// Everything a maintenance pass may change, read lock-free: epoch,
+    /// ledger fingerprint, stats, every job's fairness counters, and each
+    /// live lease's slots, demand and expiry.
+    fn observe(arb: &ClusterArbiter) -> String {
+        let mut leases: Vec<_> = arb
+            .inner
+            .shards
+            .iter()
+            .flat_map(|s| {
+                let snap = s.snap.load();
+                snap.live
+                    .iter()
+                    .map(|(id, v)| (*id, v.gpus.clone(), v.demand, v.expires_at))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        leases.sort_unstable_by_key(|l| l.0);
+        format!(
+            "epoch={} fp={:x} {:?} {:?} {:?}",
+            arb.epoch(),
+            arb.fingerprint(),
+            arb.stats(),
+            arb.fairness_all(),
+            leases
+        )
+    }
+
+    /// A churn step `(kind, gpus, who, term, idx)`: immediate lease,
+    /// queued request (kinds 1 and 2), drop, shrink, grow, renew, claim
+    /// every ticket, or (kinds 8 and 9) advance the clock `1 + idx % 3`
+    /// ticks. `who` picks the job and its priority; `term > 3` bounds the
+    /// lease to `term − 3` ticks. These weights make the pump both reap
+    /// and force-execute demands in most cases.
+    fn churn() -> impl Strategy<Value = Vec<(u8, u32, u8, u8, usize)>> {
+        prop::collection::vec((0u8..=9, 1u32..=8, 0u8..=2, 0u8..=6, 0usize..8), 1..48)
+    }
+
+    proptest! {
+        /// The pump never misses a due deadline: a maintenance pass run
+        /// right after every poll, at the same tick, finds nothing to do
+        /// and changes nothing — so maintaining only when the pump says a
+        /// deadline is due is the same as maintaining on every tick.
+        #[test]
+        fn maintain_after_poll_is_quiet_and_changes_nothing(
+            ops in churn(),
+            shards in 1u32..=3,
+            grace in 1u64..=3,
+        ) {
+            for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::BestFitSkuClass] {
+                let clock = LogicalClock::new();
+                let arb = ClusterArbiter::with_clock(
+                    &Topology::new(4, 4),
+                    policy,
+                    Arc::new(clock.clone()),
+                )
+                .with_shards(shards)
+                .with_grace(grace);
+                let mut pump = MaintenancePump::new(arb.clone());
+                let mut held: Vec<Lease> = Vec::new();
+                let mut tickets = Vec::new();
+                for (step, &(kind, gpus, who, term, idx)) in ops.iter().enumerate() {
+                    let mut req = SlotRequest::new(JobId(u64::from(who)), gpus)
+                        .with_priority(Priority(who * 100));
+                    if term > 3 {
+                        req = req.with_term(u64::from(term - 3));
+                    }
+                    let pick = (!held.is_empty()).then(|| idx % held.len());
+                    match (kind, pick) {
+                        (0, _) => held.extend(arb.try_lease(req).ok()),
+                        (1 | 2, _) => tickets.extend(arb.request(req).ok()),
+                        (3, Some(i)) => drop(held.remove(i)),
+                        (4, Some(i)) => {
+                            let _ = held[i].shrink(gpus);
+                        }
+                        (5, Some(i)) => {
+                            let _ = held[i].grow(gpus, None);
+                        }
+                        (6, Some(i)) => {
+                            let _ = held[i].renew();
+                        }
+                        (7, _) => tickets.retain(|t| match arb.claim(t) {
+                            Some(lease) => {
+                                held.push(lease);
+                                false
+                            }
+                            None => true,
+                        }),
+                        (8 | 9, _) => {
+                            clock.advance(1 + idx as u64 % 3);
+                        }
+                        _ => {}
+                    }
+                    held.retain_mut(|l| {
+                        l.sync();
+                        l.gpu_count() > 0
+                    });
+                    pump.poll();
+                    let before = observe(&arb);
+                    let report = arb.maintain();
+                    prop_assert!(
+                        report.is_quiet(),
+                        "{policy} / {shards} shards / grace {grace}: step {step} at t={} \
+                         left work for maintain: {report:?}",
+                        arb.now()
+                    );
+                    prop_assert_eq!(before, observe(&arb));
+                }
+                drop(held);
+                prop_assert!(arb.audit().is_ok(), "{:?}", arb.audit());
+            }
+        }
     }
 }

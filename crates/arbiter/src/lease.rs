@@ -52,7 +52,7 @@ pub enum LeaseEvent {
 ///   admitted, and force-reclaims at the demand's deadline; a lease
 ///   granted with a term ([`SlotRequest::with_term`]) lapses outright
 ///   unless renewed. The handle is a **mirror** of the arbiter's record:
-///   after any tick that could have forced a mutation, call
+///   after any maintenance pass that could have forced a mutation, call
 ///   [`Lease::sync`] — a [`LeaseEvent::Resized`] or
 ///   [`LeaseEvent::Lapsed`] means previously bound solvers hold slots
 ///   the job no longer owns and must be dropped and re-bound before any
@@ -235,7 +235,7 @@ impl Lease {
     /// [`LeaseError::Lapsed`] if the lease no longer exists arbiter-side
     /// (the handle's mirror is emptied, as a [`Lease::sync`] would).
     pub fn renew(&mut self) -> Result<(), LeaseError> {
-        let now = self.arbiter.clock_now();
+        let now = self.arbiter.now();
         let inner = Arc::clone(&self.arbiter.inner);
         let mut state = inner.lock_shard(self.home);
         let Some(view) = state.live.get(&self.id).cloned() else {
@@ -344,7 +344,7 @@ impl Lease {
     /// mirror (exactly what a [`Lease::sync`] would report), since the
     /// arbiter already holds its slots.
     pub fn shrink(&mut self, release: u32) -> Result<(), LeaseError> {
-        let now = self.arbiter.clock_now();
+        let now = self.arbiter.now();
         let topo = self.arbiter.topology().clone();
         let inner = Arc::clone(&self.arbiter.inner);
         // The freed slots may belong to any shard and the queue must be
@@ -441,9 +441,6 @@ impl Drop for Lease {
             state.free.release(&view.gpus);
             inner.bump_epoch();
             inner.live_count.fetch_sub(1, GAUGE);
-            if view.term.is_some() {
-                inner.termed_count.fetch_sub(1, GAUGE);
-            }
             if view.demand.is_some() {
                 inner.demanded_count.fetch_sub(1, GAUGE);
             }
@@ -461,7 +458,7 @@ impl Drop for Lease {
         } else {
             // Spanning lease: its slots return to several shards and the
             // queue pumps against the merged pool.
-            let now = self.arbiter.clock_now();
+            let now = self.arbiter.now();
             let mut q = inner.lock_queue();
             let mut guards = inner.lock_shards();
             let mut dirty = vec![false; guards.len()];
@@ -472,9 +469,6 @@ impl Drop for Lease {
             inner.release_into(&mut guards, &mut dirty, &view.gpus);
             inner.bump_epoch();
             inner.live_count.fetch_sub(1, GAUGE);
-            if view.term.is_some() {
-                inner.termed_count.fetch_sub(1, GAUGE);
-            }
             if view.demand.is_some() {
                 inner.demanded_count.fetch_sub(1, GAUGE);
             }

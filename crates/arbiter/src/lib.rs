@@ -23,11 +23,11 @@
 //!   [best-fit by SKU class], both serving higher [`Priority`] classes
 //!   first, with per-job [`JobCounters`] making starvation observable.
 //! * **Liveness** — leases are revocable and time-bounded. A request may
-//!   carry a *term* ([`SlotRequest::with_term`], measured on a
-//!   caller-pumped logical [`Clock`]): the lease lapses unless renewed,
-//!   and [`ClusterArbiter::tick`] reaps it arbiter-side — a crashed or
-//!   leaked tenant cannot pin its slots forever. A higher-priority
-//!   request that cannot be admitted makes the arbiter issue a
+//!   carry a *term* ([`SlotRequest::with_term`], measured on the
+//!   arbiter's [`Clock`]): the lease lapses unless renewed, and the next
+//!   maintenance pass reaps it arbiter-side — a crashed or leaked tenant
+//!   cannot pin its slots forever. A higher-priority request that
+//!   cannot be admitted makes the arbiter issue a
 //!   [`ShrinkDemand`] against the lowest-priority holders; tenants
 //!   comply gracefully within the grace window
 //!   ([`Lease::pending_demand`] + [`Lease::shrink`]) or the arbiter
@@ -35,13 +35,15 @@
 //!   `gpus_moved`). Tenants observe forced mutations via
 //!   [`Lease::sync`] and replan by re-binding — the availability
 //!   fingerprint guarantees no stale plan ever replays.
-//! * **Event-driven maintenance** — deployments that do not want to
-//!   pump `tick()` run a [`ClusterDaemon`]: a background loop over a
-//!   [`MaintenancePump`] (a [`DeadlineHeap`] of each lease's next term
-//!   or grace deadline, rebuilt lock-free from published snapshots when
-//!   the epoch moves) on a [`WallClock`], sweeping the ledger only when
-//!   a deadline is actually due. The same pump on a [`LogicalClock`]
-//!   powers the `flexsp-trace` discrete-event simulator.
+//! * **Event-driven maintenance** — one path runs maintenance: a
+//!   [`MaintenancePump`] keeps a [`DeadlineHeap`] of each lease's next
+//!   term or grace deadline (rebuilt lock-free from the published
+//!   snapshots whenever a shard publishes) and sweeps the ledger
+//!   only when a deadline is actually due. Deployments run it in a
+//!   [`ClusterDaemon`] on a [`WallClock`]; the `flexsp-trace`
+//!   discrete-event simulator and tests poll it on a [`LogicalClock`].
+//!   An arbiter built with [`ClusterArbiter::new`] reads a clock nothing
+//!   advances, so its terms never lapse.
 //!
 //! [FIFO]: AdmissionPolicy::Fifo
 //! [best-fit by SKU class]: AdmissionPolicy::BestFitSkuClass

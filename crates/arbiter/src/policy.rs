@@ -145,9 +145,9 @@ pub struct SlotRequest {
     /// Priority class (default [`Priority::LOW`]).
     pub priority: Priority,
     /// Lease term in logical-clock ticks: the lease lapses `term` ticks
-    /// after grant unless renewed, and the arbiter reaps its slots on
-    /// the next [`tick`](crate::ClusterArbiter::tick). `None` = the
-    /// lease lives until dropped (the pre-term behavior).
+    /// after grant unless renewed, and the next maintenance pass of a
+    /// [`MaintenancePump`](crate::MaintenancePump) reaps its slots.
+    /// `None` = the lease lives until dropped (the pre-term behavior).
     pub term: Option<u64>,
 }
 

@@ -3,9 +3,11 @@
 //! plan solved under a lease never places a group outside it.
 
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use flexsp_arbiter::{AdmissionPolicy, ClusterArbiter, JobId, Lease, SlotRequest};
+use flexsp_arbiter::{
+    AdmissionPolicy, ClusterArbiter, JobId, Lease, LogicalClock, MaintenancePump, SlotRequest,
+};
 use flexsp_core::{FlexSpSolver, SolverConfig};
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
@@ -96,10 +98,23 @@ proptest! {
     }
 }
 
+/// A `shards`-shard arbiter on a logical clock plus a pump built after
+/// the reshard: `clock.advance(1); pump.poll()` is one tick.
+fn clocked(
+    topo: &Topology,
+    policy: AdmissionPolicy,
+    shards: u32,
+) -> (ClusterArbiter, LogicalClock, MaintenancePump) {
+    let clock = LogicalClock::new();
+    let arb = ClusterArbiter::with_clock(topo, policy, Arc::new(clock.clone())).with_shards(shards);
+    let pump = MaintenancePump::new(arb.clone());
+    (arb, clock, pump)
+}
+
 /// A full-churn schedule: `(kind, gpus, who, term, idx)` where `kind`
 /// selects among immediate lease / queued request / drop / shrink /
-/// grow / tick, `who` picks the job (and with it a priority class), and
-/// `term` optionally time-bounds the lease.
+/// grow / one tick of time, `who` picks the job (and with it a priority
+/// class), and `term` optionally time-bounds the lease.
 fn churn_ops() -> impl Strategy<Value = Vec<(u8, u32, u8, u8, usize)>> {
     prop::collection::vec((0u8..=6, 1u32..=10, 0u8..=2, 0u8..=3, 0usize..8), 1..40)
 }
@@ -113,7 +128,7 @@ proptest! {
     ) {
         use flexsp_arbiter::{Priority, Ticket};
         for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::BestFitSkuClass] {
-            let arb = ClusterArbiter::new(&topo, policy);
+            let (arb, clock, mut pump) = clocked(&topo, policy, 1);
             let mut held: Vec<Lease> = Vec::new();
             let mut tickets: Vec<Ticket> = Vec::new();
             for &(kind, gpus, who, term, idx) in &ops {
@@ -151,7 +166,8 @@ proptest! {
                         }
                     }
                     _ => {
-                        arb.tick();
+                        clock.advance(1);
+                        pump.poll();
                     }
                 }
                 // Claim whatever was granted so queues drain over time,
@@ -194,7 +210,8 @@ proptest! {
             }
             held.clear();
             for _ in 0..8 {
-                arb.tick();
+                clock.advance(1);
+                pump.poll();
             }
             prop_assert_eq!(
                 arb.free_gpus(),
@@ -215,7 +232,7 @@ proptest! {
         // request for any satisfiable size must be admitted within the
         // grace window — their capacity is reclaimable by definition.
         for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::BestFitSkuClass] {
-            let arb = ClusterArbiter::new(&topo, policy);
+            let (arb, clock, mut pump) = clocked(&topo, policy, 1);
             let mut held: Vec<Lease> = Vec::new();
             for (i, &g) in fills.iter().enumerate() {
                 if let Ok(l) = arb.try_lease(SlotRequest::new(JobId(i as u64), g)) {
@@ -231,7 +248,8 @@ proptest! {
                 if lease.is_some() {
                     break;
                 }
-                arb.tick();
+                clock.advance(1);
+                pump.poll();
                 lease = arb.claim(&ticket);
             }
             let lease = lease.unwrap_or_else(|| {
@@ -318,7 +336,7 @@ proptest! {
     ) {
         use flexsp_arbiter::{Priority, Ticket};
         for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::BestFitSkuClass] {
-            let arb = ClusterArbiter::new(&topo, policy).with_shards(shards);
+            let (arb, clock, mut pump) = clocked(&topo, policy, shards);
             let mut held: Vec<Lease> = Vec::new();
             let mut tickets: Vec<Ticket> = Vec::new();
             for &(kind, gpus, who, term, idx) in &ops {
@@ -356,7 +374,8 @@ proptest! {
                         }
                     }
                     _ => {
-                        arb.tick();
+                        clock.advance(1);
+                        pump.poll();
                     }
                 }
                 tickets.retain(|t| match arb.claim(t) {
@@ -390,7 +409,8 @@ proptest! {
             }
             held.clear();
             for _ in 0..8 {
-                arb.tick();
+                clock.advance(1);
+                pump.poll();
             }
             prop_assert_eq!(
                 arb.free_gpus(),
@@ -413,7 +433,7 @@ proptest! {
     ) {
         use flexsp_arbiter::{Priority, DEFAULT_GRACE_TICKS};
         for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::BestFitSkuClass] {
-            let arb = ClusterArbiter::new(&topo, policy).with_shards(shards);
+            let (arb, clock, mut pump) = clocked(&topo, policy, shards);
             let mut held: Vec<Lease> = Vec::new();
             for (i, &g) in fills.iter().enumerate() {
                 if let Ok(l) = arb.try_lease(SlotRequest::new(JobId(i as u64), g)) {
@@ -429,7 +449,8 @@ proptest! {
                 if lease.is_some() {
                     break;
                 }
-                arb.tick();
+                clock.advance(1);
+                pump.poll();
                 lease = arb.claim(&ticket);
             }
             let lease = lease.unwrap_or_else(|| {

@@ -5,8 +5,11 @@
 //! semantic — grant sizes, admissions, reports, fairness counters, and
 //! final free capacity — even where the physical GPU ids may differ.
 
+use std::sync::Arc;
+
 use flexsp_arbiter::{
-    AdmissionPolicy, ClusterArbiter, JobId, Lease, Priority, SlotRequest, Ticket,
+    AdmissionPolicy, ClusterArbiter, JobId, Lease, LogicalClock, MaintenancePump, Priority,
+    SlotRequest, Ticket,
 };
 use flexsp_sim::{NodeSlots, Topology};
 
@@ -95,9 +98,16 @@ fn trace() -> Vec<Op> {
     ]
 }
 
-/// Replays `ops` against `arb`, returning the per-step observation log a
-/// peer arbiter must match exactly.
-fn replay(arb: &ClusterArbiter, ops: &[Op]) -> Vec<String> {
+/// Replays `ops` against a fresh `shards`-shard arbiter on a logical
+/// clock (a `Tick` advances the clock and polls the arbiter's pump),
+/// returning the per-step observation log a peer arbiter must match
+/// exactly.
+fn replay(policy: AdmissionPolicy, shards: u32, ops: &[Op]) -> Vec<String> {
+    let clock = LogicalClock::new();
+    let arb =
+        ClusterArbiter::with_clock(&topo8x8(), policy, Arc::new(clock.clone())).with_shards(shards);
+    assert_eq!(arb.num_shards(), shards as usize);
+    let mut pump = MaintenancePump::new(arb.clone());
     let mut log = Vec::new();
     let mut held: Vec<Lease> = Vec::new();
     let mut tickets: Vec<Ticket> = Vec::new();
@@ -156,7 +166,8 @@ fn replay(arb: &ClusterArbiter, ops: &[Op]) -> Vec<String> {
                 }
             }
             Op::Tick => {
-                let report = arb.tick();
+                clock.advance(1);
+                let report = pump.poll().unwrap_or_default();
                 log.push(format!("{step}: tick {report:?}"));
             }
         }
@@ -187,7 +198,8 @@ fn replay(arb: &ClusterArbiter, ops: &[Op]) -> Vec<String> {
     }
     held.clear();
     for _ in 0..4 {
-        arb.tick();
+        clock.advance(1);
+        pump.poll();
     }
     log.push(format!("end free={}", arb.free_gpus()));
     log.push(format!("fairness={:?}", arb.fairness_all()));
@@ -219,12 +231,9 @@ fn one_shard_placements_match_the_unsharded_ledger() {
 #[test]
 fn sharded_trace_is_semantically_identical_to_one_shard() {
     let ops = trace();
-    let topo = topo8x8();
-    let base = replay(&ClusterArbiter::new(&topo, AdmissionPolicy::Fifo), &ops);
+    let base = replay(AdmissionPolicy::Fifo, 1, &ops);
     for shards in [2u32, 4, 8] {
-        let arb = ClusterArbiter::new(&topo, AdmissionPolicy::Fifo).with_shards(shards);
-        assert_eq!(arb.num_shards(), shards as usize);
-        let sharded = replay(&arb, &ops);
+        let sharded = replay(AdmissionPolicy::Fifo, shards, &ops);
         assert_eq!(
             base, sharded,
             "the {shards}-shard trace diverged from the 1-shard trace"
@@ -236,12 +245,7 @@ fn sharded_trace_is_semantically_identical_to_one_shard() {
 #[test]
 fn sharded_best_fit_trace_matches_one_shard() {
     let ops = trace();
-    let topo = topo8x8();
-    let base = replay(
-        &ClusterArbiter::new(&topo, AdmissionPolicy::BestFitSkuClass),
-        &ops,
-    );
-    let arb = ClusterArbiter::new(&topo, AdmissionPolicy::BestFitSkuClass).with_shards(4);
-    let sharded = replay(&arb, &ops);
+    let base = replay(AdmissionPolicy::BestFitSkuClass, 1, &ops);
+    let sharded = replay(AdmissionPolicy::BestFitSkuClass, 4, &ops);
     assert_eq!(base, sharded, "best-fit diverged under sharding");
 }

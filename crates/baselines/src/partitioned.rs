@@ -184,20 +184,30 @@ mod tests {
         // the same topology through grants, priority preemption, and
         // term reaping, and the partition's views and fingerprints are
         // bit-identical throughout.
-        use flexsp_arbiter::{AdmissionPolicy, ClusterArbiter, JobId, Priority, SlotRequest};
+        use flexsp_arbiter::{
+            AdmissionPolicy, ClusterArbiter, JobId, LogicalClock, MaintenancePump, Priority,
+            SlotRequest,
+        };
         let topo = Topology::new(4, 8);
         let split = StaticPartition::even(&topo, 2).unwrap();
         let before: Vec<(Vec<GpuId>, u64)> = (0..split.jobs())
             .map(|j| (split.view(j).free_gpus(), split.fingerprint(j)))
             .collect();
-        let arb = ClusterArbiter::new(&topo, AdmissionPolicy::Fifo);
+        let clock = LogicalClock::new();
+        let arb = ClusterArbiter::with_clock(
+            &topo,
+            AdmissionPolicy::Fifo,
+            std::sync::Arc::new(clock.clone()),
+        );
+        let mut pump = MaintenancePump::new(arb.clone());
         let low = arb
             .try_lease(SlotRequest::new(JobId(1), 24).with_term(1))
             .unwrap();
         let _t = arb
             .request(SlotRequest::new(JobId(2), 16).with_priority(Priority::HIGH))
             .unwrap();
-        arb.tick(); // forces a reclaim and reaps the termed lease
+        clock.advance(1);
+        pump.poll(); // forces a reclaim and reaps the termed lease
         drop(low);
         for (j, (gpus, fp)) in before.iter().enumerate() {
             assert_eq!(&split.view(j).free_gpus(), gpus);

@@ -1,6 +1,6 @@
 //! Replays a generated job trace through the real arbiter + solver
-//! stack (event-loop pumping on a `LogicalClock`) and proves the run
-//! deterministic: the same seed is replayed **twice** and the two
+//! stack (a `MaintenancePump` polled on a `LogicalClock`) and proves the
+//! run deterministic: the same seed is replayed **twice** and the two
 //! observation-log hashes must match bit-for-bit, or the process exits
 //! nonzero. Prints a flat JSON summary of the observations.
 //!

@@ -45,8 +45,6 @@ pub struct SolverConfig {
     pub bucketing: BucketingMode,
     /// Parallelism-planner settings.
     pub planner: PlannerConfig,
-    /// Explore micro-batch counts on parallel threads.
-    pub parallel: bool,
 }
 
 impl Default for SolverConfig {
@@ -57,7 +55,6 @@ impl Default for SolverConfig {
             sort_by_length: true,
             bucketing: BucketingMode::Dp,
             planner: PlannerConfig::default(),
-            parallel: true,
         }
     }
 }
@@ -229,7 +226,6 @@ impl FlexSpSolver {
             }
         }
         counts.sort_unstable();
-        let parallel = self.config.parallel;
         let slots = &slots;
         let solve_one = |m: usize| -> Result<(IterationPlan, f64), PlanError> {
             let micro_batches = blast(batch, m, self.config.sort_by_length);
@@ -239,7 +235,7 @@ impl FlexSpSolver {
                 let buckets = self.bucket(mb);
                 plan_micro_batch_within(&self.cost, &buckets, slots, &self.config.planner)
             };
-            let results: Vec<Result<_, PlanError>> = if parallel && micro_batches.len() > 1 {
+            let results: Vec<Result<_, PlanError>> = if micro_batches.len() > 1 {
                 crossbeam::thread::scope(|scope| {
                     let handles: Vec<_> = micro_batches
                         .iter()
@@ -267,7 +263,7 @@ impl FlexSpSolver {
         };
 
         type TrialResult = (usize, Result<(IterationPlan, f64), PlanError>);
-        let results: Vec<TrialResult> = if self.config.parallel && counts.len() > 1 {
+        let results: Vec<TrialResult> = if counts.len() > 1 {
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = counts
                     .iter()
@@ -385,22 +381,6 @@ mod tests {
         // Every trial's count was at least M_min.
         let m_min = crate::blaster::min_micro_batches(&batch, cap).unwrap();
         assert!(out.trials.iter().all(|(m, _)| *m >= m_min));
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let mut cfg = SolverConfig::fast();
-        cfg.parallel = true;
-        let sp = solver(cfg.clone());
-        cfg.parallel = false;
-        let ss = solver(cfg);
-        let batch = seqs(&[65536, 32768, 8192, 8192, 8192, 4096, 4096, 2048, 2048, 1024]);
-        let a = sp.solve_iteration(&batch).unwrap();
-        let b = ss.solve_iteration(&batch).unwrap();
-        assert_eq!(a.plan.num_seqs(), b.plan.num_seqs());
-        // Both explored the same trial counts.
-        let ms = |t: &[(usize, Option<f64>)]| t.iter().map(|(m, _)| *m).collect::<Vec<_>>();
-        assert_eq!(ms(&a.trials), ms(&b.trials));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! against: every replay yields a flat observation log whose FNV-1a
 //! hash is the determinism token (same seed ⇒ identical log, always),
 //! plus per-job wait/admission/preemption/makespan statistics. The
-//! replay engine can pump time two ways — [`Pumping::CallerTick`]
-//! (the PR 5 `tick()`-per-tick contract) and [`Pumping::EventLoop`]
-//! (the deadline-heap [`MaintenancePump`](flexsp_arbiter::MaintenancePump)
-//! schedule) — and the two are regression-tested bit-identical.
+//! replay engine jumps time between trace events and the deadlines of a
+//! [`MaintenancePump`](flexsp_arbiter::MaintenancePump), the same pump a
+//! deployed [`ClusterDaemon`](flexsp_arbiter::ClusterDaemon) runs on wall
+//! time.
 //!
 //! # Example
 //!
@@ -33,4 +33,4 @@ mod gen;
 mod replay;
 
 pub use gen::{generate, Trace, TraceConfig, TraceEvent, TraceOp};
-pub use replay::{log_hash, replay, JobObs, Pumping, ReplayConfig, ReplayReport, TraceStats};
+pub use replay::{log_hash, replay, JobObs, ReplayConfig, ReplayReport, TraceStats};

@@ -3,20 +3,14 @@
 //! stack) on a [`LogicalClock`], producing a deterministic observation
 //! log and per-job wait/admission/preemption/makespan statistics.
 //!
-//! Two pumping modes share one visit body:
-//!
-//! * [`Pumping::CallerTick`] advances the clock one tick at a time and
-//!   calls [`tick`](ClusterArbiter::tick) at every tick — the PR 5
-//!   caller-pumped contract.
-//! * [`Pumping::EventLoop`] jumps the clock straight to the next trace
-//!   event or [`MaintenancePump`] deadline and polls the pump there —
-//!   the event-driven daemon's schedule, run synchronously.
-//!
-//! Both modes log only *active* visits (a non-quiet maintenance report
-//! or at least one trace event), and `event_loop_equivalence.rs` pins
-//! that their logs are bit-identical: maintenance at a time with no due
-//! deadline is observably a no-op, so skipping it — the entire point of
-//! the deadline heap — changes nothing a tenant can see.
+//! The replay jumps the clock straight to the next trace event or
+//! [`MaintenancePump`] deadline and polls the pump there — the
+//! event-driven daemon's schedule, run synchronously. It logs only
+//! *active* visits (a non-quiet maintenance report or at least one trace
+//! event). Skipping the ticks in between changes nothing a tenant can
+//! see: the pump maintains whenever a deadline is due, and a maintenance
+//! pass when none is due is a no-op (the arbiter crate's pump property
+//! test pins this).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,17 +40,6 @@ fn replay_solver_config() -> SolverConfig {
     config
 }
 
-/// How logical time is driven through the arbiter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pumping {
-    /// Advance one tick at a time, calling `tick()` every tick — the
-    /// caller-pumped baseline.
-    CallerTick,
-    /// Jump between trace events and deadline-heap wakeups via a
-    /// [`MaintenancePump`] — the event-driven path.
-    EventLoop,
-}
-
 /// Replay parameters (the trace itself carries the workload).
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
@@ -64,8 +47,6 @@ pub struct ReplayConfig {
     pub shards: u32,
     /// Admission policy.
     pub policy: AdmissionPolicy,
-    /// How time is pumped.
-    pub pumping: Pumping,
     /// Shrink-demand grace window (ticks; clamped to ≥ 1 so deadlines
     /// are never due in the tick that issues them).
     pub grace: u64,
@@ -77,12 +58,11 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// Event-loop replay, no planning, no auditing.
+    /// One shard, FIFO, a 1-tick grace window, no planning, no auditing.
     pub fn new() -> Self {
         Self {
             shards: 1,
             policy: AdmissionPolicy::Fifo,
-            pumping: Pumping::EventLoop,
             grace: 1,
             plan_every: 0,
             audit: false,
@@ -172,8 +152,8 @@ pub struct ReplayReport {
     /// Plan-cache counters summed over every planning job's service,
     /// read as the service shut down.
     pub cache: CacheStats,
-    /// Deadline wakeups of the event-loop pump
-    /// ([`MaintenancePump::wakeups`]); 0 under caller-tick pumping.
+    /// Deadline wakeups of the replay's pump
+    /// ([`MaintenancePump::wakeups`]).
     pub pump_wakeups: u64,
     /// Admission wait (ticks) of every admitted job.
     pub wait_ticks: HistogramSnapshot,
@@ -268,7 +248,7 @@ struct Engine<'a> {
     cfg: &'a ReplayConfig,
     clock: LogicalClock,
     arb: ClusterArbiter,
-    pump: Option<MaintenancePump>,
+    pump: MaintenancePump,
     cost: Option<CostModel>,
     held: Vec<Slot>,
     tickets: Vec<(u64, Ticket)>,
@@ -373,19 +353,11 @@ impl Engine<'_> {
         }
     }
 
-    /// One visit at time `now`: pump maintenance, apply this tick's
-    /// trace events, run claims and syncs, and log — but only when the
-    /// visit was *active* (something observable happened).
+    /// One visit at time `now`: poll the pump, apply this tick's trace
+    /// events, run claims and syncs, and log — but only when the visit
+    /// was *active* (something observable happened).
     fn visit(&mut self, now: u64, first_event: &mut usize) {
-        let report = match self.cfg.pumping {
-            Pumping::CallerTick => self.arb.tick(),
-            Pumping::EventLoop => self
-                .pump
-                .as_mut()
-                .expect("event loop has a pump")
-                .poll()
-                .unwrap_or_default(),
-        };
+        let report = self.pump.poll().unwrap_or_default();
         let mut evs = Vec::new();
         while *first_event < self.trace.events.len() && self.trace.events[*first_event].at <= now {
             evs.push(self.trace.events[*first_event]);
@@ -580,10 +552,7 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
     let arb = ClusterArbiter::with_clock(&topo, cfg.policy, Arc::new(clock.clone()))
         .with_shards(cfg.shards)
         .with_grace(cfg.grace.max(1));
-    let pump = match cfg.pumping {
-        Pumping::EventLoop => Some(MaintenancePump::new(arb.clone())),
-        Pumping::CallerTick => None,
-    };
+    let pump = MaintenancePump::new(arb.clone());
     let cost = (cfg.plan_every > 0).then(|| {
         assert_eq!(
             trace.node_width, 8,
@@ -613,28 +582,19 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
     let mut now = 0u64;
     eng.visit(0, &mut first_event);
     loop {
-        let next = match cfg.pumping {
-            Pumping::CallerTick => (now < trace.horizon).then_some(now + 1),
-            Pumping::EventLoop => {
-                let next_trace = trace
-                    .events
-                    .get(first_event)
-                    .map(|e| e.at.max(now + 1))
-                    .filter(|&t| t <= trace.horizon);
-                let next_deadline = eng
-                    .pump
-                    .as_mut()
-                    .expect("event loop has a pump")
-                    .next_deadline()
-                    .map(|d| d.max(now + 1))
-                    .filter(|&d| d <= trace.horizon);
-                match (next_trace, next_deadline) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            }
+        let next_trace = trace
+            .events
+            .get(first_event)
+            .map(|e| e.at.max(now + 1))
+            .filter(|&t| t <= trace.horizon);
+        let next_deadline = eng
+            .pump
+            .next_deadline()
+            .map(|d| d.max(now + 1))
+            .filter(|&d| d <= trace.horizon);
+        let Some(t) = next_trace.into_iter().chain(next_deadline).min() else {
+            break;
         };
-        let Some(t) = next else { break };
         eng.clock.advance(t - now);
         now = t;
         eng.visit(t, &mut first_event);
@@ -701,7 +661,7 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
         arbiter,
         solver: eng.solver,
         cache: eng.cache,
-        pump_wakeups: eng.pump.as_ref().map_or(0, MaintenancePump::wakeups),
+        pump_wakeups: eng.pump.wakeups(),
         wait_ticks: wait_ticks.snapshot(),
     }
 }

@@ -11,7 +11,7 @@
 //! The test then cross-checks determinism and ledger restitution.
 
 use flexsp_arbiter::AdmissionPolicy;
-use flexsp_trace::{generate, replay, Pumping, ReplayConfig, TraceConfig};
+use flexsp_trace::{generate, replay, ReplayConfig, TraceConfig};
 
 use proptest::prelude::*;
 
@@ -49,11 +49,6 @@ proptest! {
             AdmissionPolicy::Fifo
         } else {
             AdmissionPolicy::BestFitSkuClass
-        };
-        cfg.pumping = if seed % 3 == 0 {
-            Pumping::CallerTick
-        } else {
-            Pumping::EventLoop
         };
         cfg.plan_every = 2; // every other job runs the real solver stack
         cfg.audit = true;   // conservation law at every event boundary

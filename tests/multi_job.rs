@@ -4,10 +4,31 @@
 //! changes nothing relative to the pre-arbiter single-job path.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
+use flexsp::arbiter::MaintenancePump;
 use flexsp::prelude::*;
 use flexsp_core::SolvedIteration;
 use flexsp_sim::GpuId;
+
+/// An arbiter over `cluster` on a logical clock the test advances, plus
+/// the pump that enforces its terms and grace windows.
+fn clocked(cluster: &ClusterSpec) -> (ClusterArbiter, LogicalClock, MaintenancePump) {
+    let clock = LogicalClock::new();
+    let arbiter = ClusterArbiter::with_clock(
+        cluster.topology(),
+        AdmissionPolicy::Fifo,
+        Arc::new(clock.clone()),
+    );
+    let pump = MaintenancePump::new(arbiter.clone());
+    (arbiter, clock, pump)
+}
+
+/// One tick of time: advance the clock, then poll the pump.
+fn step(clock: &LogicalClock, pump: &mut MaintenancePump) -> TickReport {
+    clock.advance(1);
+    pump.poll().unwrap_or_default()
+}
 
 fn batch(seed: u64, n: usize, max_len: u64) -> Vec<Sequence> {
     (0..n as u64)
@@ -171,7 +192,7 @@ fn late_high_priority_job_preempts_and_both_jobs_finish() {
     let model = ModelConfig::gpt_7b(48 * 1024);
     let policy = ActivationPolicy::None;
     let cost = CostModel::fit(&cluster, &model, policy);
-    let arbiter = ClusterArbiter::for_cluster(&cluster, AdmissionPolicy::Fifo);
+    let (arbiter, clock, mut pump) = clocked(&cluster);
 
     let mut lease_low = arbiter.try_lease(SlotRequest::new(JobId(1), 16)).unwrap();
     let solver_low = lease_low.bind(FlexSpSolver::new(cost.clone(), SolverConfig::fast()));
@@ -190,7 +211,7 @@ fn late_high_priority_job_preempts_and_both_jobs_finish() {
     assert_eq!(demand.gpus, 8);
 
     // The tenant ignores the demand; the grace window lapses.
-    let report = arbiter.tick();
+    let report = step(&clock, &mut pump);
     assert_eq!(report.reclaimed, vec![(JobId(1), 8)]);
     let lease_high = arbiter.claim(&ticket).expect("force-reclaim admitted it");
     assert_eq!(arbiter.fairness(JobId(1)).gpus_moved, 8);
@@ -271,16 +292,16 @@ fn leaked_lease_slots_return_after_its_term_lapses() {
     // but the lease carried a term — the arbiter reaps it and the pool
     // survives.
     let cluster = ClusterSpec::a100_cluster(2);
-    let arbiter = ClusterArbiter::for_cluster(&cluster, AdmissionPolicy::Fifo);
+    let (arbiter, clock, mut pump) = clocked(&cluster);
     let leaked = arbiter
         .try_lease(SlotRequest::new(JobId(7), 12).with_term(2))
         .unwrap();
     std::mem::forget(leaked);
     assert_eq!(arbiter.free_gpus(), 4);
 
-    assert!(arbiter.tick().is_quiet(), "term not lapsed yet");
+    assert!(step(&clock, &mut pump).is_quiet(), "term not lapsed yet");
     assert_eq!(arbiter.free_gpus(), 4);
-    let report = arbiter.tick();
+    let report = step(&clock, &mut pump);
     assert_eq!(report.expired, vec![(JobId(7), 12)]);
     assert_eq!(arbiter.free_gpus(), 16, "reaped slots return to the pool");
     assert_eq!(arbiter.fairness(JobId(7)).gpus_moved, 12);
@@ -300,7 +321,7 @@ fn unconfigured_leases_see_pr4_behavior_under_ticks() {
     let cluster = ClusterSpec::a100_cluster(2);
     let model = ModelConfig::gpt_7b(48 * 1024);
     let cost = CostModel::fit(&cluster, &model, ActivationPolicy::None);
-    let arbiter = ClusterArbiter::for_cluster(&cluster, AdmissionPolicy::Fifo);
+    let (arbiter, clock, mut pump) = clocked(&cluster);
     let lease = arbiter.try_lease(SlotRequest::new(JobId(1), 16)).unwrap();
     let fp = lease.fingerprint();
     let epoch = arbiter.epoch();
@@ -308,7 +329,7 @@ fn unconfigured_leases_see_pr4_behavior_under_ticks() {
     let solver = lease.bind(FlexSpSolver::new(cost.clone(), SolverConfig::fast()));
     let before = solver.solve_iteration(&input).expect("solvable");
     for _ in 0..4 {
-        assert!(arbiter.tick().is_quiet());
+        assert!(step(&clock, &mut pump).is_quiet());
     }
     assert_eq!(arbiter.epoch(), epoch, "quiet ticks never bump the epoch");
     assert_eq!(lease.fingerprint(), fp);
