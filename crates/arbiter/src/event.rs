@@ -35,7 +35,7 @@ use std::thread;
 use std::time::Duration;
 
 use flexsp_telemetry as tel;
-use flexsp_telemetry::Counter;
+use flexsp_telemetry::{Counter, Histogram, HistogramSnapshot};
 
 use crate::arbiter::{ClusterArbiter, TickReport};
 use crate::clock::WallClock;
@@ -206,6 +206,9 @@ pub struct MaintenancePump {
     /// Polls that found a deadline due and ran maintenance. Shared so a
     /// [`ClusterDaemon`] can report it while its thread owns the pump.
     wakeups: Arc<Counter>,
+    /// `now − deadline`, in ticks, of every deadline a poll fired.
+    /// Shared with a [`ClusterDaemon`] like `wakeups`.
+    lateness: Arc<Histogram>,
 }
 
 impl MaintenancePump {
@@ -217,6 +220,7 @@ impl MaintenancePump {
             heap: DeadlineHeap::new(),
             seen: None,
             wakeups: Arc::default(),
+            lateness: Arc::default(),
         };
         pump.refresh();
         pump
@@ -236,6 +240,12 @@ impl MaintenancePump {
     /// Polls that found a deadline due and ran a maintenance pass.
     pub fn wakeups(&self) -> u64 {
         self.wakeups.get()
+    }
+
+    /// How late each fired deadline was: `now − deadline` in ticks, one
+    /// sample per deadline a poll fired (a wakeup can fire several).
+    pub fn lateness(&self) -> HistogramSnapshot {
+        self.lateness.snapshot()
     }
 
     /// Re-derives the heap from the published shard snapshots if any
@@ -299,15 +309,19 @@ impl MaintenancePump {
     }
 
     /// One pump step at the arbiter clock's current time: refresh the
-    /// heap, and if any deadline is due, run one maintenance pass and
-    /// re-refresh (the pass mutates the ledger). Returns the pass's
-    /// report, or `None` when nothing was due and maintenance was
-    /// skipped entirely.
+    /// heap, and if any deadline is due, record how late each one fired,
+    /// run one maintenance pass and re-refresh (the pass mutates the
+    /// ledger). Returns the pass's report, or `None` when nothing was due
+    /// and maintenance was skipped entirely.
     pub fn poll(&mut self) -> Option<TickReport> {
         self.refresh();
         let now = self.arbiter.now();
-        if self.heap.pop_until(now).is_empty() {
+        let due = self.heap.pop_until(now);
+        if due.is_empty() {
             return None;
+        }
+        for (at, _) in due {
+            self.lateness.record(now - at);
         }
         let _wakeup_span = tel::span!(tel::Category::Pump, "pump.wakeup", "now" => now);
         self.wakeups.inc();
@@ -377,6 +391,8 @@ pub struct ClusterDaemon {
     shared: Arc<DaemonShared>,
     /// The pump's [`MaintenancePump::wakeups`] counter.
     wakeups: Arc<Counter>,
+    /// The pump's [`MaintenancePump::lateness`] histogram.
+    lateness: Arc<Histogram>,
     handle: Option<thread::JoinHandle<()>>,
 }
 
@@ -391,6 +407,7 @@ impl ClusterDaemon {
         let inner = Arc::clone(&shared);
         let mut pump = MaintenancePump::new(arbiter);
         let wakeups = Arc::clone(&pump.wakeups);
+        let lateness = Arc::clone(&pump.lateness);
         let handle = thread::Builder::new()
             .name("flexsp-arbiter-daemon".into())
             .spawn(move || {
@@ -425,6 +442,7 @@ impl ClusterDaemon {
         Self {
             shared,
             wakeups,
+            lateness,
             handle: Some(handle),
         }
     }
@@ -448,6 +466,14 @@ impl ClusterDaemon {
     /// [`wakeups`](MaintenancePump::wakeups) count.
     pub fn maintains(&self) -> u64 {
         self.wakeups.get()
+    }
+
+    /// How late the daemon fired each deadline, in ticks: the pump's
+    /// [`lateness`](MaintenancePump::lateness). On a [`WallClock`] a
+    /// deadline fires late when the daemon overslept it, so this shows
+    /// whether terms and grace windows lapse on time.
+    pub fn lateness(&self) -> HistogramSnapshot {
+        self.lateness.snapshot()
     }
 
     /// Stops and joins the maintenance thread.
@@ -534,6 +560,38 @@ mod tests {
         assert_eq!(pump.wakeups(), 1);
         assert_eq!(arb.free_gpus(), 16);
         assert_eq!(pump.next_deadline(), None, "reaped entry canceled");
+    }
+
+    #[test]
+    fn pump_records_how_late_each_deadline_fired() {
+        let clock = LogicalClock::new();
+        let arb = ClusterArbiter::with_clock(
+            &Topology::new(2, 8),
+            AdmissionPolicy::Fifo,
+            Arc::new(clock.clone()),
+        );
+        let mut pump = MaintenancePump::new(arb.clone());
+        let lease = |job: u64, term: u64| {
+            let lease = arb
+                .try_lease(SlotRequest::new(JobId(job), 8).with_term(term))
+                .unwrap();
+            std::mem::forget(lease);
+        };
+        lease(1, 3);
+        let deadline = pump.next_deadline().expect("termed lease scheduled");
+        let now = clock.advance(deadline + 4);
+        assert!(pump.poll().is_some(), "the term lapsed");
+        let late = pump.lateness();
+        assert_eq!((late.count, late.sum), (1, 4), "fired 4 ticks late");
+
+        // A poll exactly at the deadline fires it on time.
+        lease(2, 2);
+        let deadline = pump.next_deadline().expect("termed lease scheduled");
+        clock.advance(deadline - now);
+        assert!(pump.poll().is_some(), "the second term lapsed");
+        let late = pump.lateness();
+        assert_eq!((late.count, late.sum), (2, 4), "the second fired on time");
+        assert_eq!(late.counts[0], 1);
     }
 
     #[test]
@@ -634,6 +692,10 @@ mod tests {
         assert_eq!(arb.stats().reaps, 1);
         assert!(daemon.passes() > 0);
         assert!(daemon.maintains() >= 1, "the reap ran in a pump wakeup");
+        assert!(
+            daemon.lateness().count >= daemon.maintains(),
+            "each wakeup fires at least one deadline"
+        );
         daemon.shutdown();
     }
 

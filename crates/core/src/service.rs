@@ -10,16 +10,19 @@
 //! submission queue fans batches out to parallel [`FlexSpSolver`] workers
 //! and a reorder buffer delivers plans strictly in submission order.
 //!
-//! Workers additionally share an **LRU plan cache** keyed by the batch's
+//! In front of the workers sits an **LRU plan cache** keyed by the batch's
 //! length histogram (plus GPU count and solver-config fingerprint):
 //! training corpora repeat batch *shapes* constantly — identical sorted
 //! length multisets whose sequence ids differ — and for a recurring shape
 //! the cached [`SolvedIteration`] is rebound to the new ids instead of
-//! re-running the whole MILP workflow. Cache hits are delivered with
-//! `from_cache = true` and near-zero `solve_wall_s`.
+//! re-running the whole MILP workflow. [`SolverService::submit`] answers
+//! a hit on the caller's thread, under one shard's read lock and with no
+//! thread hop, and parks it in the reorder buffer; only misses reach the
+//! workers. Cache hits are delivered with `from_cache = true` and
+//! `solve_wall_s = 0`.
 //!
 //! The cache is **sharded** (16 `RwLock`ed shards hashed by key) so hits
-//! never funnel through one mutex, and misses are **single-flighted**:
+//! never funnel through one lock, and misses are **single-flighted**:
 //! N concurrent identical requests run exactly one solve while N−1
 //! waiters block on the leader's flight and rebind its plan — see
 //! [`ShardedPlanCache`] for the protocol.
@@ -109,7 +112,8 @@ enum FlightRole {
     Waiter(Arc<Flight>),
 }
 
-/// A sharded, mostly-read-lock-free LRU plan cache.
+/// A sharded LRU plan cache whose every read takes one shard's `RwLock`
+/// read lock.
 ///
 /// Keys hash to one of [`CACHE_SHARDS`] independent `RwLock`ed maps, so
 /// the read path (the overwhelmingly common one for recurring batch
@@ -171,16 +175,24 @@ impl ShardedPlanCache {
         &self.shards[shard_index(key)]
     }
 
-    /// Read path: shared lock on one shard, recency bump via atomic
-    /// store. Does *not* count misses — a missing key proceeds to the
-    /// flight registry, where exactly one worker is charged the miss.
-    fn get(&self, key: &CacheKey) -> Option<SolvedIteration> {
-        let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        let entry = shard.get(key)?;
-        let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
-        entry.last_access.store(stamp, AtomicOrd::Relaxed);
+    /// The one hit path, shared by [`SolverService::submit`] and
+    /// [`serve`](Self::serve): a shared lock on one shard, a recency bump
+    /// via atomic store, then the cached plan rebound onto `batch`'s ids.
+    /// A hit is counted only once the rebind succeeds. Does *not* count
+    /// misses — a missing key proceeds to the flight registry, where
+    /// exactly one worker is charged the miss.
+    fn lookup(&self, key: &CacheKey, batch: &[Sequence]) -> Option<SolvedIteration> {
+        let cached = {
+            let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
+            let entry = shard.get(key)?;
+            let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
+            entry.last_access.store(stamp, AtomicOrd::Relaxed);
+            entry.value.clone()
+        };
+        let hit = rebind(cached, batch)?;
         self.hits.inc();
-        Some(entry.value.clone())
+        tel::instant!(tel::Category::Cache, "cache.hit");
+        Some(hit)
     }
 
     fn insert(&self, key: CacheKey, value: SolvedIteration) {
@@ -290,8 +302,7 @@ impl ShardedPlanCache {
         batch: &[Sequence],
         solve: impl FnOnce() -> Result<SolvedIteration, PlanError>,
     ) -> Result<SolvedIteration, PlanError> {
-        if let Some(hit) = self.get(key).and_then(|hit| rebind(hit, batch)) {
-            tel::instant!(tel::Category::Cache, "cache.hit");
+        if let Some(hit) = self.lookup(key, batch) {
             return Ok(hit);
         }
         match self.join_flight(key) {
@@ -481,7 +492,9 @@ fn rebind(mut out: SolvedIteration, batch: &[Sequence]) -> Option<SolvedIteratio
 }
 
 /// A pool of solver workers delivering plans in submission order, with a
-/// shared LRU cache over recurring batch shapes.
+/// shared LRU cache over recurring batch shapes. Cache hits are answered
+/// by [`submit`](Self::submit) on the caller's thread; the workers solve
+/// only misses.
 ///
 /// # Example
 ///
@@ -576,12 +589,14 @@ impl SolverService {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     while let Ok((idx, batch)) = rx.recv() {
+                        // Every batch here missed the cache at submit.
                         // Read the solver at pick-up time, not spawn
                         // time: a rebind swaps it for every *subsequent*
                         // batch, and the fingerprint travels with it so
-                        // cache entries never cross the swap. Cloning
-                        // the Arc keeps the hot path at pointer cost —
-                        // the cost model is never deep-copied per batch.
+                        // cache entries never cross the swap. `serve`
+                        // probes again first, since an identical solve
+                        // may have finished since. Cloning the Arc never
+                        // deep-copies the cost model per batch.
                         let current = Arc::clone(&*bound.lock().unwrap_or_else(|e| e.into_inner()));
                         let key = cache_key(&batch, current.n_gpus, current.config_fp);
                         let result =
@@ -609,10 +624,12 @@ impl SolverService {
     /// multi-tenant job takes after its arbiter lease changed under it
     /// (cooperative shrink, forced revocation, grow): sync the lease,
     /// bind a fresh solver to the surviving slots (`Lease::bind`), and
-    /// hand it here. Batches already queued are solved with whichever
-    /// solver is installed when a worker picks them up; the availability
-    /// fingerprint inside every cache key keeps pre-rebind plans from
-    /// ever being replayed post-rebind.
+    /// hand it here. A batch submitted before the rebind that hit the
+    /// cache was already answered under the old solver; one that missed
+    /// is solved with whichever solver is installed when a worker picks
+    /// it up. Every batch submitted after the rebind is keyed under the
+    /// new solver, and the availability fingerprint inside every cache
+    /// key keeps pre-rebind plans from ever being replayed for it.
     ///
     /// # Panics
     ///
@@ -630,9 +647,25 @@ impl SolverService {
     }
 
     /// Queues a batch for solving; returns its sequence number.
+    ///
+    /// A cache hit is answered here, on the caller's thread: the key is
+    /// computed from the solver bound *now*, one shard's read lock is
+    /// taken, and the cached plan is rebound to the batch's ids and
+    /// parked for [`recv_plan`](Self::recv_plan) under its sequence
+    /// number — no worker is involved. Only a miss goes to a worker,
+    /// which reads the solver bound when it picks the batch up, probes
+    /// the cache again, and solves (or joins an identical in-flight
+    /// solve). So a hit uses the solver bound at submit time, a miss the
+    /// one bound at pick-up; see [`rebind`](Self::rebind).
     pub fn submit(&self, batch: Vec<Sequence>) -> u64 {
         let idx = self.next_submit.get();
         self.next_submit.set(idx + 1);
+        let current = Arc::clone(&*self.solver.lock().unwrap_or_else(|e| e.into_inner()));
+        let key = cache_key(&batch, current.n_gpus, current.config_fp);
+        if let Some(hit) = self.cache.lookup(&key, &batch) {
+            self.reorder.borrow_mut().insert(idx, Ok(hit));
+            return idx;
+        }
         self.jobs
             .send((idx, batch))
             // lint: allow(unwrap) send fails only after every worker dropped, which Drop does after draining
@@ -1014,6 +1047,123 @@ mod tests {
             for g in &mb.groups {
                 for gpu in g.placement.as_ref().unwrap().gpus() {
                     assert!(survivors.contains(gpu), "{gpu} escaped the rebound lease");
+                }
+            }
+        }
+        service.shutdown();
+    }
+
+    /// `template`'s length multiset under ids `base, base + 1, …`: the
+    /// same batch shape as a new request.
+    fn renumbered(template: &[Sequence], base: u64) -> Vec<Sequence> {
+        template
+            .iter()
+            .enumerate()
+            .map(|(i, s)| Sequence::new(base + i as u64, s.len))
+            .collect()
+    }
+
+    fn batch_ids(batch: &[Sequence]) -> Vec<u64> {
+        let mut ids: Vec<u64> = batch.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn plan_ids(solved: &SolvedIteration) -> Vec<u64> {
+        let mut ids: Vec<u64> = solved
+            .plan
+            .micro_batches
+            .iter()
+            .flat_map(|m| m.groups.iter().flat_map(|g| g.seqs.iter().map(|s| s.id)))
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn a_hit_is_answered_at_submit_while_the_worker_is_busy() {
+        // One worker: cache shape A, then occupy the worker with a fresh
+        // shape B. A's repeat is answered by `submit` itself, so the hit
+        // is counted before any worker could reach it, yet it is still
+        // delivered after B.
+        let service = SolverService::spawn(solver(), 1);
+        let a = renumbered(&batch(7, 24), 0);
+        service.submit(a.clone());
+        assert!(!service.recv_plan().expect("solvable").from_cache);
+        let b = renumbered(&batch(8, 24), 100);
+        let a_again = renumbered(&a, 200);
+        service.submit(b.clone());
+        service.submit(a_again.clone());
+        assert_eq!(service.cache_stats().hits, 1, "the hit is served at submit");
+        let first = service.recv_plan().expect("solvable");
+        assert!(!first.from_cache);
+        assert_eq!(plan_ids(&first), batch_ids(&b), "B was submitted first");
+        let second = service.recv_plan().expect("solvable");
+        assert!(second.from_cache);
+        assert_eq!(plan_ids(&second), batch_ids(&a_again));
+        let stats = service.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+        service.shutdown();
+    }
+
+    #[test]
+    fn hits_and_misses_interleave_in_order_across_a_rebind() {
+        use flexsp_sim::{GpuId, NodeSlots};
+        let cluster = ClusterSpec::a100_cluster(2);
+        let model = ModelConfig::gpt_7b(48 * 1024);
+        let cost = CostModel::fit(&cluster, &model, ActivationPolicy::None);
+        let topo = cost.topology().clone();
+        // One worker, so the post-rebind repeat of the hot shape cannot
+        // lead a flight ahead of the first one.
+        let service =
+            SolverService::spawn(FlexSpSolver::new(cost.clone(), SolverConfig::fast()), 1);
+        let hot = renumbered(&batch(5, 8), 0);
+        service.submit(hot.clone());
+        assert!(!service.recv_plan().expect("solvable").from_cache);
+
+        // Queue a miss, a hit and a miss, rebind to the second node, and
+        // queue the hot shape twice around another miss — all without
+        // draining. Each queued miss has a shape of its own, since either
+        // solver may pick it up.
+        let pre = [
+            renumbered(&batch(31, 6), 100),
+            renumbered(&hot, 200),
+            renumbered(&batch(32, 10), 300),
+        ];
+        for b in &pre {
+            service.submit(b.clone());
+        }
+        let survivors: Vec<GpuId> = (8..16).map(GpuId).collect();
+        service.rebind(
+            FlexSpSolver::new(cost, SolverConfig::fast())
+                .with_availability(NodeSlots::restricted_to(&topo, &survivors), 7),
+        );
+        let post = [
+            renumbered(&hot, 400),
+            renumbered(&batch(33, 8), 500),
+            renumbered(&hot, 600),
+        ];
+        for b in &post {
+            service.submit(b.clone());
+        }
+
+        let mut plans = Vec::new();
+        for (i, b) in pre.iter().chain(&post).enumerate() {
+            let solved = service.recv_plan().expect("solvable");
+            assert_eq!(plan_ids(&solved), batch_ids(b), "plan {i} out of order");
+            plans.push(solved);
+        }
+        assert!(
+            plans[1].from_cache,
+            "a hit before the rebind uses the old binding"
+        );
+        assert!(!plans[3].from_cache, "the rebind splits the cache key");
+        for solved in &plans[3..] {
+            for mb in &solved.plan.micro_batches {
+                for g in &mb.groups {
+                    for gpu in g.placement.as_ref().expect("placed").gpus() {
+                        assert!(survivors.contains(gpu), "{gpu} escaped the rebound lease");
+                    }
                 }
             }
         }

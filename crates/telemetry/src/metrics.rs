@@ -165,7 +165,9 @@ impl HistogramSnapshot {
     /// Interpolated quantile (`q` in `[0, 1]`): finds the bucket holding
     /// the rank-`q` sample and interpolates linearly inside its `[lo,
     /// hi)` range, so the answer is within one bucket (≤ 25% relative)
-    /// of the exact order statistic. Returns 0 when empty.
+    /// of the exact order statistic. A bucket one value wide (every value
+    /// below 8) holds only `lo`, so there the answer is `lo` itself,
+    /// exact. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -178,6 +180,9 @@ impl HistogramSnapshot {
             }
             if rank < seen + c {
                 let (lo, hi) = bucket_bounds(idx);
+                if hi - lo == 1 {
+                    return lo as f64;
+                }
                 let within = (rank - seen) as f64 / c as f64;
                 return lo as f64 + within * (hi - lo) as f64;
             }

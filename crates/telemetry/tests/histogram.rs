@@ -1,6 +1,7 @@
 //! Histogram satellite coverage: bucket-boundary values, cross-thread
-//! merge associativity, and a proptest that interpolated p50/p99 stay
-//! within one bucket of the exact order statistics.
+//! merge associativity, exact quantiles in one-value buckets, and a
+//! proptest that interpolated p50/p99 stay within one bucket of the
+//! exact order statistics.
 
 use flexsp_telemetry::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot};
 use proptest::prelude::*;
@@ -87,6 +88,28 @@ fn merge_is_associative_and_commutative_across_threads() {
     a_bc.merge(&bc);
     assert_eq!(ab, a_bc);
     assert_eq!(abc.count, parts.iter().map(|p| p.count).sum::<u64>());
+}
+
+#[test]
+fn quantiles_in_one_value_buckets_are_exact() {
+    let quantiles = |samples: &[u64]| {
+        let h = Histogram::new();
+        for &v in samples {
+            h.record(v);
+        }
+        let snap = h.snapshot();
+        [0.5, 0.9, 0.99].map(|q| snap.quantile(q))
+    };
+    assert_eq!(quantiles(&[0; 4]), [0.0; 3], "four zeros");
+    assert_eq!(quantiles(&[3; 100]), [3.0; 3], "a hundred 3s");
+    // Values 4–7 sit in one-value buckets too.
+    assert_eq!(quantiles(&[5; 10]), [5.0; 3]);
+    // A mix of small values reports the order statistics themselves.
+    let mut mixed: Vec<u64> = (0..100).map(|i| i % 8).collect();
+    let got = quantiles(&mixed);
+    for (q, est) in [0.5, 0.9, 0.99].into_iter().zip(got) {
+        assert_eq!(est, exact_quantile(&mut mixed, q) as f64, "q={q}");
+    }
 }
 
 proptest! {

@@ -155,12 +155,15 @@ pub struct ReplayReport {
     /// Deadline wakeups of the replay's pump
     /// ([`MaintenancePump::wakeups`]).
     pub pump_wakeups: u64,
+    /// How late (ticks) the replay's pump fired each deadline
+    /// ([`MaintenancePump::lateness`]).
+    pub pump_lateness_ticks: HistogramSnapshot,
     /// Admission wait (ticks) of every admitted job.
     pub wait_ticks: HistogramSnapshot,
 }
 
 impl ReplayReport {
-    /// This replay's counters, gauges, and wait histogram under their
+    /// This replay's counters, gauges, and histograms under their
     /// exported metric names — the one place those names are spelled.
     /// Every value is read from the report's own stats, so it describes
     /// this replay alone however many ran in the process.
@@ -198,7 +201,13 @@ impl ReplayReport {
                 ("flexsp.arbiter.queue_depth", a.queue_depth as i64),
                 ("flexsp.cache.entries", c.entries as i64),
             ],
-            histograms: vec![("flexsp.replay.wait_ticks", self.wait_ticks.clone())],
+            histograms: vec![
+                (
+                    "flexsp.pump.lateness_ticks",
+                    self.pump_lateness_ticks.clone(),
+                ),
+                ("flexsp.replay.wait_ticks", self.wait_ticks.clone()),
+            ],
         }
     }
 }
@@ -662,6 +671,7 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> ReplayReport {
         solver: eng.solver,
         cache: eng.cache,
         pump_wakeups: eng.pump.wakeups(),
+        pump_lateness_ticks: eng.pump.lateness(),
         wait_ticks: wait_ticks.snapshot(),
     }
 }

@@ -1,6 +1,8 @@
 //! `ReplayReport::metrics` describes one replay. Replayed twice in one
 //! process, as `trace_replay` does, the second report's export still
 //! equals that report's own stats, not a process-wide total.
+//! The pump's lateness histogram is checked the way the CI telemetry
+//! smoke checks it: present, with at least one sample per wakeup.
 
 use flexsp_telemetry::MetricsSnapshot;
 use flexsp_trace::{generate, replay, ReplayConfig, TraceConfig};
@@ -23,14 +25,27 @@ fn counter(metrics: &MetricsSnapshot, name: &str) -> u64 {
         .1
 }
 
+/// The value of the Prometheus line `name <value>`.
+fn prom_value(prom: &str, name: &str) -> u64 {
+    prom.lines()
+        .find_map(|l| l.strip_prefix(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("export lacks {name}:\n{prom}"))
+        .parse()
+        .unwrap_or_else(|e| panic!("{name} is not a count: {e}"))
+}
+
 fn assert_smoke_counters_present(metrics: &MetricsSnapshot) {
     let prom = metrics.to_prometheus();
     for name in SMOKE_COUNTERS {
-        assert!(
-            prom.lines().any(|l| l.starts_with(&format!("{name} "))),
-            "export lacks {name}:\n{prom}"
-        );
+        prom_value(&prom, name);
     }
+    // Every wakeup fires at least one deadline, and each fired deadline
+    // is one lateness sample.
+    assert!(
+        prom_value(&prom, "flexsp_pump_lateness_ticks_count")
+            >= prom_value(&prom, "flexsp_pump_wakeups"),
+        "fewer lateness samples than wakeups:\n{prom}"
+    );
 }
 
 #[test]
@@ -63,6 +78,8 @@ fn second_replay_exports_its_own_counts() {
     // A deterministic replay exports the same counts both times, so
     // nothing carried over from the first run.
     assert_eq!(first.metrics().counters, m.counters);
+    assert_eq!(first.pump_lateness_ticks, second.pump_lateness_ticks);
+    assert_eq!(first.metrics().histograms, m.histograms);
     assert_smoke_counters_present(&m);
 }
 
