@@ -99,20 +99,10 @@ impl WallClock {
         }
     }
 
-    /// One tick per millisecond.
-    pub fn millis() -> Self {
-        Self::new(Duration::from_millis(1))
-    }
-
     /// One tick per second — the natural unit when a term is "renew at
     /// least every `n` seconds".
     pub fn seconds() -> Self {
         Self::new(Duration::from_secs(1))
-    }
-
-    /// The wall duration of one tick.
-    pub fn tick_duration(&self) -> Duration {
-        self.tick
     }
 
     /// Wall time remaining until logical time `tick` is reached — zero

@@ -63,11 +63,6 @@ impl DeepSpeedUlysses {
         })
     }
 
-    /// The tuned static degree, if tuning has run.
-    pub fn tuned_degree(&self) -> Option<u32> {
-        self.degree
-    }
-
     /// Degree signature of the last iteration (Table 3 notation).
     pub fn last_signature(&self) -> &str {
         &self.last_signature

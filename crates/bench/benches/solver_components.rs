@@ -94,9 +94,9 @@ fn bench_components(c: &mut Criterion) {
         })
     });
 
-    // Formulation ablation (DESIGN.md §5.1): the paper-faithful per-group
-    // MILP vs the symmetry-reduced aggregated MILP on an 8-GPU instance
-    // where both are tractable.
+    // Formulation ablation (see the `flexsp_core::planner` module doc):
+    // the paper-faithful per-group MILP vs the symmetry-reduced
+    // aggregated MILP on an 8-GPU instance where both are tractable.
     let small_cluster = ClusterSpec::a100_cluster(1);
     let small_model = ModelConfig::gpt_7b(32 << 10);
     let small_cost = CostModel::fit(&small_cluster, &small_model, ActivationPolicy::None);

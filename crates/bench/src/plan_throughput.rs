@@ -18,47 +18,22 @@
 //!   `i % 5` modulo loop — plus an identical-burst segment (both tenants
 //!   submit the same brand-new shape at once) so the cache's
 //!   single-flight miss coalescing is actually measured;
-//! - the **branch-and-bound thread-scaling curve** (1/2/4/8 workers) on
-//!   the same to-completion per-group instance `solver_components`
-//!   benches, asserting every thread count reproduces the serial
-//!   objective;
 //! - the cache counters (hits / misses / coalesced / evictions) behind
 //!   the numbers.
 //!
 //! `scripts/check_bench.sh` regenerates the JSON in CI and fails the
 //! build on a >20% plans/sec regression against the checked-in baseline.
-//! Thread-scaling *wall-clock* is recorded but not gated: CI containers
-//! often expose a single CPU (`host_parallelism` records what this run
-//! had), which serializes worker threads; objective agreement is always
-//! asserted.
+//! `host_parallelism` records how many CPUs the run had.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use flexsp_core::bucketing::bucket_dp;
-use flexsp_core::{
-    plan_micro_batch, CacheStats, FlexSpSolver, Formulation, PlannerConfig, SharedPlanCache,
-    SolverConfig, SolverService,
-};
+use flexsp_core::{CacheStats, FlexSpSolver, SharedPlanCache, SolverConfig, SolverService};
 use flexsp_cost::CostModel;
 use flexsp_data::{GlobalBatchLoader, LengthDistribution, Sequence};
 use flexsp_model::{ActivationPolicy, ModelConfig};
 use flexsp_sim::ClusterSpec;
 use flexsp_telemetry as tel;
 use flexsp_trace::{generate, TraceConfig, TraceOp};
-
-/// One point of the B&B thread-scaling curve.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// `MilpSolver::threads` worker count.
-    pub threads: usize,
-    /// Mean wall-clock seconds per to-completion solve.
-    pub solve_s: f64,
-    /// Speedup over the 1-thread point.
-    pub speedup: f64,
-    /// Predicted makespan of the returned plan (must agree across
-    /// thread counts).
-    pub objective_s: f64,
-}
 
 /// The warm recurring workload measured with the span tracer off, then
 /// on — the telemetry cost in its worst case (microsecond cache-path
@@ -79,7 +54,7 @@ pub struct TracerOverhead {
 #[derive(Debug, Clone)]
 pub struct Report {
     /// `std::thread::available_parallelism()` of the machine that ran
-    /// the bench — scaling numbers are meaningless without it.
+    /// the bench; plans/sec compare only between runs with the same value.
     pub host_parallelism: usize,
     /// First-time shapes through the service (every request solves).
     pub cold_plans_per_s: f64,
@@ -95,8 +70,6 @@ pub struct Report {
     pub mixed_p99_ms: f64,
     /// Cache counters accumulated across the serving phases.
     pub cache: CacheStats,
-    /// 1/2/4/8-thread branch-and-bound scaling.
-    pub scaling: Vec<ScalingPoint>,
     /// Span-tracer on/off comparison (logged, not gated).
     pub tracer: TracerOverhead,
 }
@@ -150,31 +123,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// The to-completion per-group instance from `solver_components`: one
-/// MILP solve per plan, a search tree big enough that worker threads
-/// have real work.
-fn scaling_instance() -> (CostModel, Vec<Vec<Sequence>>) {
-    let cluster = ClusterSpec::a100_cluster(1);
-    let model = ModelConfig::gpt_7b(32 << 10);
-    let cost = CostModel::fit(&cluster, &model, ActivationPolicy::None);
-    let lens: [u64; 8] = [
-        16 << 10,
-        8 << 10,
-        8 << 10,
-        4 << 10,
-        2 << 10,
-        2 << 10,
-        1024,
-        1024,
-    ];
-    let batch: Vec<Sequence> = lens
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| Sequence::new(i as u64, l))
-        .collect();
-    (cost, vec![batch])
 }
 
 /// Runs the full throughput suite. `quick` shrinks the request counts
@@ -319,63 +267,6 @@ pub fn run(quick: bool) -> Report {
     cache.absorb(&hit_stats);
     cache.absorb(&mixed_stats);
 
-    // Thread-scaling curve on the to-completion per-group MILP.
-    let (cost, batches) = scaling_instance();
-    let buckets = bucket_dp(&batches[0], 6);
-    let reps = if quick { 1 } else { 3 };
-    let mut scaling = Vec::new();
-    let mut t1_s = 0.0;
-    let mut t1_obj = 0.0;
-    // On a single-CPU host every worker thread serializes, so 2/4/8
-    // points would record meaningless ~0.85x "speedups" into the
-    // baseline; record only the serial point and say so.
-    let thread_counts: &[usize] = if host_parallelism == 1 {
-        eprintln!(
-            "notice: host_parallelism == 1 — recording only the 1-thread \
-             B&B point (2/4/8-thread speedups would be meaningless)"
-        );
-        &[1]
-    } else {
-        &[1, 2, 4, 8]
-    };
-    for &threads in thread_counts {
-        let cfg = PlannerConfig {
-            formulation: Formulation::PerGroup,
-            milp_time_limit: Duration::from_secs(10),
-            milp_node_limit: 200_000,
-            milp_threads: threads,
-            ..PlannerConfig::default()
-        };
-        let plan =
-            plan_micro_batch(&cost, &buckets, 8, &cfg).expect("scaling instance is feasible");
-        let objective_s = plan.predicted_time(&cost);
-        let start = Instant::now();
-        for _ in 0..reps {
-            let p = plan_micro_batch(&cost, &buckets, 8, &cfg).expect("feasible");
-            let obj = p.predicted_time(&cost);
-            assert!(
-                (obj - objective_s).abs() <= 1e-9 * objective_s.abs().max(1.0),
-                "threads={threads} drifted across reps: {obj} vs {objective_s}"
-            );
-        }
-        let solve_s = start.elapsed().as_secs_f64() / reps as f64;
-        if threads == 1 {
-            t1_s = solve_s;
-            t1_obj = objective_s;
-        } else {
-            assert!(
-                (objective_s - t1_obj).abs() <= 1e-6 * t1_obj.abs().max(1.0),
-                "threads={threads} objective {objective_s} != serial {t1_obj}"
-            );
-        }
-        scaling.push(ScalingPoint {
-            threads,
-            solve_s,
-            speedup: t1_s / solve_s,
-            objective_s,
-        });
-    }
-
     Report {
         host_parallelism,
         cold_plans_per_s,
@@ -385,7 +276,6 @@ pub fn run(quick: bool) -> Report {
         mixed_p50_ms,
         mixed_p99_ms,
         cache,
-        scaling,
         tracer,
     }
 }
@@ -422,21 +312,9 @@ pub fn to_json(r: &Report) -> String {
     ));
     s.push_str(&format!(
         "  \"tracer_overhead\": {{\"off_plans_per_s\": {:.3}, \"on_plans_per_s\": {:.3}, \
-         \"overhead_pct\": {:.2}}},\n",
+         \"overhead_pct\": {:.2}}}\n",
         r.tracer.off_plans_per_s, r.tracer.on_plans_per_s, r.tracer.overhead_pct
     ));
-    s.push_str("  \"bnb_thread_scaling\": [\n");
-    for (i, p) in r.scaling.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"threads\": {}, \"solve_s\": {:.6}, \"speedup\": {:.3}, \"objective_s\": {:.6}}}{}\n",
-            p.threads,
-            p.solve_s,
-            p.speedup,
-            p.objective_s,
-            if i + 1 == r.scaling.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n");
     s.push_str("}\n");
     s
 }
@@ -503,12 +381,6 @@ mod tests {
             mixed_p50_ms: 1.5,
             mixed_p99_ms: 20.25,
             cache: CacheStats::default(),
-            scaling: vec![ScalingPoint {
-                threads: 1,
-                solve_s: 0.5,
-                speedup: 1.0,
-                objective_s: 2.25,
-            }],
             tracer: TracerOverhead::default(),
         };
         let json = to_json(&r);
@@ -530,7 +402,6 @@ mod tests {
             mixed_p50_ms: 1.0,
             mixed_p99_ms: 2.0,
             cache: CacheStats::default(),
-            scaling: Vec::new(),
             tracer: TracerOverhead::default(),
         };
         let baseline = to_json(&r);

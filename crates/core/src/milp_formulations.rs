@@ -88,8 +88,7 @@ pub(crate) fn plan_aggregated(
         let mut solver = MilpSolver::new()
             .time_limit(config.milp_time_limit)
             .node_limit(config.milp_node_limit)
-            .relative_gap(0.02)
-            .threads(config.milp_threads);
+            .relative_gap(0.02);
         if let Some(basis) = carried.clone() {
             solver = solver.root_basis(basis);
         }
@@ -510,8 +509,7 @@ pub(crate) fn plan_per_group(
     let mut solver = MilpSolver::new()
         .time_limit(config.milp_time_limit)
         .node_limit(config.milp_node_limit)
-        .relative_gap(config.search_rel_tol)
-        .threads(config.milp_threads);
+        .relative_gap(config.search_rel_tol);
     if let Some(ws) = warm_values {
         solver = solver.warm_start(ws);
     }

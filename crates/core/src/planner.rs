@@ -64,12 +64,6 @@ pub struct PlannerConfig {
     pub search_iters: usize,
     /// Stop the binary search when the bracket is this tight (relative).
     pub search_rel_tol: f64,
-    /// Branch-and-bound worker threads per MILP solve (`1` = the search
-    /// runs inline on the planning thread). Parallelism pays off on
-    /// to-completion solves with large trees; the default stays at one so
-    /// short budgeted solves don't spend their wall-clock on thread
-    /// coordination.
-    pub milp_threads: usize,
 }
 
 impl Default for PlannerConfig {
@@ -80,7 +74,6 @@ impl Default for PlannerConfig {
             milp_node_limit: 4_000,
             search_iters: 14,
             search_rel_tol: 0.01,
-            milp_threads: 1,
         }
     }
 }

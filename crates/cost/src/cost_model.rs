@@ -394,15 +394,6 @@ impl CostModel {
         (self.zero_raw_s - self.zero_overlap * compute_s).max(0.0)
     }
 
-    /// Enables the ZeRO-3 exposure term on a hand-built model: `raw_s`
-    /// un-overlapped traffic seconds per step, `overlap` the fraction of
-    /// compute that hides it.
-    pub fn with_zero_exposure(mut self, raw_s: f64, overlap: f64) -> Self {
-        self.zero_raw_s = raw_s.max(0.0);
-        self.zero_overlap = overlap.clamp(0.0, 1.0);
-        self
-    }
-
     /// Estimated execution time of a `shape` group processing sequences
     /// `lens` (paper Eq. 14, plus the ZeRO-3 exposure term the executor
     /// charges lightly loaded groups).

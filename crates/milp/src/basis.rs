@@ -31,16 +31,6 @@ pub struct Basis {
 }
 
 impl Basis {
-    /// Number of constraint rows the basis was extracted from.
-    pub fn num_rows(&self) -> usize {
-        self.basic.len()
-    }
-
-    /// Number of augmented columns (structural + slack + artificial).
-    pub fn num_cols(&self) -> usize {
-        self.state.len()
-    }
-
     /// Whether the basis plausibly fits a problem with `m` kept rows and
     /// `n` augmented columns. (Installation can still fail later if the
     /// basis matrix turned singular after coefficient edits.)

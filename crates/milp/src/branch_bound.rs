@@ -2,8 +2,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use flexsp_telemetry as tel;
@@ -130,7 +128,6 @@ pub struct MilpSolver {
     relative_gap: f64,
     warm_start: Option<Vec<f64>>,
     root_basis: Option<Basis>,
-    threads: usize,
 }
 
 impl Default for MilpSolver {
@@ -141,7 +138,7 @@ impl Default for MilpSolver {
 
 impl MilpSolver {
     /// Creates a solver with defaults: 30 s time limit, 200 000 nodes,
-    /// 10⁻⁶ relative gap, one worker thread.
+    /// 10⁻⁶ relative gap.
     pub fn new() -> Self {
         Self {
             time_limit: Duration::from_secs(30),
@@ -149,7 +146,6 @@ impl MilpSolver {
             relative_gap: 1e-6,
             warm_start: None,
             root_basis: None,
-            threads: 1,
         }
     }
 
@@ -180,27 +176,6 @@ impl MilpSolver {
         self
     }
 
-    /// Sets the number of branch-and-bound workers. `0` is treated as `1`.
-    ///
-    /// Every thread count runs the same worker protocol (see
-    /// [`MilpSolver::solve`]). The calling thread is worker 0 and `n − 1`
-    /// helper threads join it, so `threads(1)`, the default, runs the
-    /// search inline and spawns no thread. The wall-clock deadline and the
-    /// node budget are shared by all workers.
-    ///
-    /// When the search drains the open-node heap or closes the relative
-    /// gap, the incumbent is proven within that gap of the optimum, so
-    /// every thread count returns the same objective up to the gap
-    /// (tie-equivalent assignments and effort counters may differ). When
-    /// the node budget or the time limit stops the search first, the
-    /// incumbent depends on how far the workers got: different thread
-    /// counts, and under the time limit different runs, may return
-    /// different objectives.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
     /// Seeds the root relaxation with a basis from a previous solve of
     /// the same-shaped (possibly mutated) problem — the cross-solve warm
     /// start the makespan binary search uses. Unusable bases are dropped
@@ -212,15 +187,17 @@ impl MilpSolver {
 
     /// Solves `problem` to the configured limits.
     ///
-    /// After the root relaxation, the workers run best-first branch and
-    /// bound over one shared open-node heap. Each loops *claim* (pop the
-    /// best open node under the state lock), *expand* (outside the lock:
-    /// re-solve the node's LP warm from its parent's basis, prune against
-    /// the incumbent, run the rounding heuristic, branch on the most
-    /// fractional variable), and *publish* (push the children). The
-    /// search stops when the heap drains with every worker idle, when the
-    /// bound over open *and* in-flight nodes closes the relative gap, or
-    /// when the node budget or time limit trips.
+    /// After the root relaxation, one best-first loop runs on the calling
+    /// thread. Each round drops the open-node heap if its best node cannot
+    /// improve the incumbent, then stops if the relative gap is closed, if
+    /// the heap is drained, or if the node budget or the time limit is
+    /// spent, in that order. Otherwise it pops the best node and expands
+    /// it: it re-solves the node's LP warm from its parent's basis, prunes
+    /// against the incumbent, runs the rounding heuristic and branches on
+    /// the most fractional variable.
+    ///
+    /// The same problem and options always give the same incumbent, bound
+    /// and [`SolveStats`], unless the time limit stops the search.
     ///
     /// # Errors
     ///
@@ -255,7 +232,7 @@ impl MilpSolver {
             });
 
         // The constraint matrix is the same at every node (branching only
-        // moves bounds), so one model serves the root and every worker.
+        // moves bounds), so one model serves the root and every node.
         let BuildOutcome::Model(model) = SparseModel::build(problem) else {
             return Ok(finish(
                 problem,
@@ -309,60 +286,33 @@ impl MilpSolver {
         // the next binary-search step) and down to the root's children.
         let root_basis = root.take_basis();
 
-        let mut heap = BinaryHeap::new();
-        heap.push(OpenNode {
-            score: sense_sign * root.objective,
-            depth: 0,
-            seq: 0,
-            bounds: root_bounds,
-            basis: root_basis.clone(),
-        });
-        let n = self.threads;
-        let incumbent_score = incumbent.as_ref().map_or(f64::INFINITY, |(_, s)| *s);
-        let shared = SharedSearch {
+        let mut search = Search {
             solver: self,
             problem,
             model: &model,
             int_vars: &int_vars,
             sense_sign,
             start,
-            state: Mutex::new(SearchState::new(heap, incumbent, n)),
-            work: Condvar::new(),
-            incumbent_score: AtomicU64::new(incumbent_score.to_bits()),
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            incumbent,
+            stats,
         };
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let helpers: Vec<_> = (1..n)
-                .map(|w| scope.spawn(move || shared.worker(w)))
-                .collect();
-            stats.absorb(&shared.worker(0));
-            for helper in helpers {
-                // lint: allow(unwrap) join fails only on a worker panic; re-raise it, don't swallow it
-                stats.absorb(&helper.join().expect("branch-and-bound worker panicked"));
-            }
+        search.push(OpenNode {
+            score: sense_sign * root.objective,
+            depth: 0,
+            seq: 0,
+            bounds: root_bounds,
+            basis: root_basis.clone(),
         });
-
-        let state = shared.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = state.error {
-            return Err(e);
-        }
-        let status = match state.stop {
-            Some(StopReason::NodeLimit) => {
-                stats.node_limit_stops += 1;
-                MilpStatus::Feasible
-            }
-            Some(StopReason::TimeLimit) => {
-                stats.time_limit_stops += 1;
-                MilpStatus::Feasible
-            }
-            _ => MilpStatus::Optimal,
-        };
+        let status = search.run()?;
+        let best_bound = search.open_bound().min(search.best_score());
         Ok(finish(
             problem,
-            state.incumbent,
-            sense_sign * state.final_bound,
+            search.incumbent,
+            sense_sign * best_bound,
             status,
-            stats,
+            search.stats,
             start,
             root_basis,
         ))
@@ -490,11 +440,10 @@ impl PartialOrd for OpenNode {
 /// 2. Ties break toward *deeper* nodes, so dives finish and produce
 ///    incumbents.
 /// 3. Remaining ties break toward the *older* node (lower `seq`) — FIFO
-///    among full equals, in the order the search published them.
+///    among full equals, in the order the search pushed them.
 ///
 /// `seq` is unique per search, so the order is total: heap behavior never
-/// depends on unspecified tie handling, and a single worker's search is
-/// deterministic.
+/// depends on unspecified tie handling, and the search is deterministic.
 impl Ord for OpenNode {
     fn cmp(&self, other: &Self) -> Ordering {
         score_cmp(other.score, self.score)
@@ -503,286 +452,148 @@ impl Ord for OpenNode {
     }
 }
 
-/// Why the search stopped.
-#[derive(Debug, Clone, Copy)]
-enum StopReason {
-    /// Heap drained with every worker idle — the incumbent is optimal.
-    Drained,
-    /// Global bound (open ∪ in-flight nodes) closed the relative gap.
-    GapClosed,
-    /// The node budget was spent (checked before the deadline).
-    NodeLimit,
-    /// The wall-clock deadline passed with node budget to spare.
-    TimeLimit,
-}
-
-/// Mutable search state shared by all branch-and-bound workers, guarded
-/// by a single mutex. Workers hold it only to claim a node and to push
-/// children; LP solves happen outside the lock.
-struct SearchState {
-    heap: BinaryHeap<OpenNode>,
-    /// Next heap insertion sequence number (root used 0).
-    next_seq: u64,
-    /// Total nodes claimed — the shared counter the node budget meters.
-    claimed: u64,
-    /// Workers currently expanding a node.
-    active: usize,
-    /// Workers parked on the condvar waiting for work. Publishing skips
-    /// the wake-up (a syscall) when nobody is parked, as with one worker.
-    parked: usize,
-    /// Per-worker score of the node being expanded (`INFINITY` = idle).
-    /// Folded into the global bound so the gap check never ignores work
-    /// still in flight.
-    active_scores: Vec<f64>,
-    /// Best feasible point: `(values, score)` in minimize-score space.
-    incumbent: Option<(Vec<f64>, f64)>,
-    stop: Option<StopReason>,
-    /// Best bound (minimize-score space) at the moment the search stopped.
-    final_bound: f64,
-    /// First LP error; aborts the whole search.
-    error: Option<SolveError>,
-}
-
-impl SearchState {
-    /// State before any node is claimed, for `workers` workers.
-    fn new(heap: BinaryHeap<OpenNode>, incumbent: Option<(Vec<f64>, f64)>, workers: usize) -> Self {
-        Self {
-            heap,
-            next_seq: 1,
-            claimed: 0,
-            active: 0,
-            parked: 0,
-            active_scores: vec![f64::INFINITY; workers],
-            incumbent,
-            stop: None,
-            final_bound: f64::NEG_INFINITY,
-            error: None,
-        }
-    }
-}
-
-/// Everything the workers share. The incumbent *score* is mirrored into
-/// a lock-free bit-cast atomic so the hot pruning path inside node
-/// expansion never touches the mutex.
-struct SharedSearch<'a> {
+/// One branch-and-bound search after the root relaxation: the open-node
+/// heap, the incumbent and the effort counters.
+struct Search<'a> {
     solver: &'a MilpSolver,
     problem: &'a Problem,
-    /// `problem`'s constraint matrix, built once and read by every worker.
+    /// `problem`'s constraint matrix, built once and read by every node.
     model: &'a SparseModel,
     int_vars: &'a [usize],
     sense_sign: f64,
     start: Instant,
-    state: Mutex<SearchState>,
-    /// Signaled when children are pushed or the search stops.
-    work: Condvar,
-    /// `f64::to_bits` of the incumbent score (`INFINITY` if none).
-    /// Monotonically non-increasing via CAS in [`Self::try_improve`].
-    incumbent_score: AtomicU64,
+    heap: BinaryHeap<OpenNode>,
+    /// Sequence number of the next pushed node.
+    next_seq: u64,
+    /// Best feasible point: `(values, score)` in minimize-score space.
+    incumbent: Option<(Vec<f64>, f64)>,
+    stats: SolveStats,
 }
 
-impl SharedSearch<'_> {
-    /// Lock-free read of the best incumbent score seen so far.
+impl Search<'_> {
+    /// Score of the incumbent (`INFINITY` if none).
     fn best_score(&self) -> f64 {
-        f64::from_bits(self.incumbent_score.load(AtomicOrd::Acquire))
+        self.incumbent.as_ref().map_or(f64::INFINITY, |(_, s)| *s)
     }
 
-    /// CAS-improve the atomic incumbent score, then publish the values
-    /// under the state lock. The post-CAS re-check keeps the stored
-    /// values consistent when two workers improve concurrently.
-    fn try_improve(&self, vals: Vec<f64>, score: f64) {
-        let mut cur = self.incumbent_score.load(AtomicOrd::Acquire);
-        loop {
-            if score >= f64::from_bits(cur) {
-                return;
-            }
-            match self.incumbent_score.compare_exchange_weak(
-                cur,
-                score.to_bits(),
-                AtomicOrd::AcqRel,
-                AtomicOrd::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.incumbent.as_ref().is_none_or(|(_, s)| score < *s) {
-            st.incumbent = Some((vals, score));
+    /// Lower bound on every solution still in the heap: the heap top's
+    /// score, or `INFINITY` when the heap is empty. NaN scores sort last,
+    /// so a NaN top means no open node has a bound, and it also reads as
+    /// `INFINITY`.
+    fn open_bound(&self) -> f64 {
+        match self.heap.peek() {
+            Some(node) if !node.score.is_nan() => node.score,
+            _ => f64::INFINITY,
         }
     }
 
-    /// Valid lower bound on every undiscovered solution: the minimum
-    /// score over open nodes *and* nodes currently being expanded (a
-    /// worker may still push children scored at its claimed bound).
-    fn global_bound(st: &SearchState) -> f64 {
-        let open = st.heap.peek().map(|n| n.score).unwrap_or(f64::INFINITY);
-        st.active_scores.iter().fold(open, |acc, &s| acc.min(s))
+    /// Makes `(values, score)` the incumbent if it beats the current one;
+    /// returns whether it did.
+    fn improve(&mut self, values: Vec<f64>, score: f64) -> bool {
+        let better = score < self.best_score();
+        if better {
+            self.incumbent = Some((values, score));
+        }
+        better
     }
 
-    /// Stops the search for every worker, recording why and the best
-    /// bound (the global bound, capped by the incumbent).
-    fn stop(&self, st: &mut SearchState, reason: StopReason) {
-        let inc = st.incumbent.as_ref().map_or(f64::INFINITY, |(_, s)| *s);
-        st.final_bound = Self::global_bound(st).min(inc);
-        st.stop = Some(reason);
-        self.work.notify_all();
+    /// Pushes `node` with the next sequence number.
+    fn push(&mut self, mut node: OpenNode) {
+        node.seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(node);
     }
 
-    /// Worker loop: claim a node under the lock, expand it outside the
-    /// lock, publish its children, repeat — until the gap closes, nothing
-    /// open can improve the incumbent, a limit trips, or the heap drains
-    /// with every worker idle.
-    fn worker(&self, w: usize) -> SolveStats {
-        let mut stats = SolveStats::default();
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+    /// Expands the best open node until the gap closes, the heap drains,
+    /// or a budget stops the search. Returns [`MilpStatus::Optimal`] for
+    /// the first two and [`MilpStatus::Feasible`] for a budget stop, which
+    /// it counts by reason.
+    fn run(&mut self) -> Result<MilpStatus, SolveError> {
         loop {
-            if st.stop.is_some() || st.error.is_some() {
-                break;
-            }
-            if let Some((_, inc)) = &st.incumbent {
-                let inc = *inc;
+            if let Some(&(_, inc)) = self.incumbent.as_ref() {
                 // The heap top is the minimum open score; if it cannot
-                // improve the incumbent nothing in the heap can. In-flight
-                // workers may still push improving children, so keep
-                // draining.
-                if st.heap.peek().is_some_and(|n| n.score >= inc - 1e-9) {
-                    st.heap.clear();
+                // improve the incumbent nothing in the heap can.
+                if self.heap.peek().is_some_and(|n| n.score >= inc - 1e-9) {
+                    self.heap.clear();
                 }
-                if self.solver.gap_closed(inc, Self::global_bound(&st)) {
-                    self.stop(&mut st, StopReason::GapClosed);
-                    break;
+                if self.solver.gap_closed(inc, self.open_bound()) {
+                    return Ok(MilpStatus::Optimal);
                 }
             }
-            if st.heap.is_empty() {
-                if st.active == 0 {
-                    self.stop(&mut st, StopReason::Drained);
-                    break;
-                }
-                st.parked += 1;
-                st = {
-                    let _wait_span =
-                        tel::span!(tel::Category::Solver, "bnb.claim.wait", "worker" => w as u64);
-                    self.work.wait(st).unwrap_or_else(|e| e.into_inner())
-                };
-                st.parked -= 1;
-                continue;
+            if self.heap.is_empty() {
+                return Ok(MilpStatus::Optimal);
             }
-            let limit = if st.claimed >= self.solver.node_limit {
-                Some(StopReason::NodeLimit)
-            } else if self.start.elapsed() > self.solver.time_limit {
-                Some(StopReason::TimeLimit)
-            } else {
-                None
-            };
-            if let Some(reason) = limit {
-                self.stop(&mut st, reason);
-                break;
+            // The node budget is checked before the deadline, so a search
+            // past both counts as a node stop.
+            if self.stats.nodes >= self.solver.node_limit {
+                self.stats.node_limit_stops += 1;
+                return Ok(MilpStatus::Feasible);
             }
-            let node = {
-                let _claim_span =
-                    tel::span!(tel::Category::Solver, "bnb.claim", "worker" => w as u64);
-                // lint: allow(unwrap) the claim loop only reaches here after observing a non-empty heap
-                let node = st.heap.pop().expect("heap checked non-empty");
-                st.claimed += 1;
-                st.active += 1;
-                st.active_scores[w] = node.score;
-                node
-            };
-            drop(st);
-
-            let expanded = {
-                let _expand_span =
-                    tel::span!(tel::Category::Solver, "bnb.expand", "worker" => w as u64);
-                self.expand(node, &mut stats)
-            };
-
-            st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.active -= 1;
-            st.active_scores[w] = f64::INFINITY;
-            match expanded {
-                Ok(children) => {
-                    let _publish_span = tel::span!(tel::Category::Solver, "bnb.publish",
-                        "children" => children.len() as u64);
-                    for mut child in children {
-                        child.seq = st.next_seq;
-                        st.next_seq += 1;
-                        st.heap.push(child);
-                        if st.parked > 0 {
-                            self.work.notify_one();
-                        }
-                    }
-                    // If this was the last in-flight node and it produced
-                    // nothing, the loop iteration below declares Drained.
-                }
-                Err(e) => {
-                    if st.error.is_none() {
-                        st.error = Some(e);
-                    }
-                    self.work.notify_all();
-                    break;
-                }
+            if self.start.elapsed() > self.solver.time_limit {
+                self.stats.time_limit_stops += 1;
+                return Ok(MilpStatus::Feasible);
             }
+            // lint: allow(unwrap) the drained check above saw a non-empty heap
+            let node = self.heap.pop().expect("heap checked non-empty");
+            let _expand_span = tel::span!(tel::Category::Solver, "bnb.expand");
+            self.expand(node)?;
         }
-        stats
     }
 
-    /// Expand one claimed node: warm LP re-solve from the parent basis,
-    /// prune against the lock-free incumbent score, run the rounding
-    /// heuristic, and return up to two children (`seq` is assigned by
-    /// the caller under the state lock). Runs without holding the lock.
-    fn expand(&self, node: OpenNode, stats: &mut SolveStats) -> Result<Vec<OpenNode>, SolveError> {
-        stats.nodes += 1;
+    /// Expands one node: warm LP re-solve from the parent basis, prune
+    /// against the incumbent, run the rounding heuristic, and push up to
+    /// two children.
+    fn expand(&mut self, node: OpenNode) -> Result<(), SolveError> {
+        self.stats.nodes += 1;
         let mut lp = match solve_relaxation(
             self.problem,
             self.model,
             &node.bounds,
             node.basis.as_ref(),
-            stats,
+            &mut self.stats,
         )? {
             LpOutcome::Optimal(s) => s,
             // Infeasible subtree, or unbounded (root-only, handled before
-            // the workers start).
-            _ => return Ok(Vec::new()),
+            // the search starts).
+            _ => return Ok(()),
         };
         // Children re-solve from this node's optimal basis with the dual
         // simplex instead of cold-starting.
         let child_basis = lp.take_basis();
         let lp_score = self.sense_sign * lp.objective;
         if lp_score >= self.best_score() - 1e-9 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let Some((bvar, bval)) = most_fractional(&lp.values, self.int_vars) else {
             // Integral: candidate incumbent.
             let vals = round_integers(lp.values, self.int_vars);
             let score = self.sense_sign * self.problem.objective_value(&vals);
-            self.try_improve(vals, score);
-            return Ok(Vec::new());
+            self.improve(vals, score);
+            return Ok(());
         };
         if let Some((vals, score)) =
-            self.fix_and_complete(&node.bounds, &lp.values, child_basis.as_ref(), stats)?
+            self.fix_and_complete(&node.bounds, &lp.values, child_basis.as_ref())?
         {
-            if score < self.best_score() {
-                stats.heuristic_incumbents += 1;
-                self.try_improve(vals, score);
+            if self.improve(vals, score) {
+                self.stats.heuristic_incumbents += 1;
             }
         }
         // Branch on the most fractional variable: down, then up.
         let (lo, hi) = node.bounds[bvar];
-        let mut children = Vec::with_capacity(2);
         for range in [(lo, bval.floor().min(hi)), (bval.ceil().max(lo), hi)] {
             if range.0 <= range.1 + FEAS_TOL {
                 let mut bounds = node.bounds.clone();
                 bounds[bvar] = range;
-                children.push(OpenNode {
+                self.push(OpenNode {
                     score: lp_score,
                     depth: node.depth + 1,
-                    seq: 0, // assigned under the state lock
+                    seq: 0, // assigned by `push`
                     bounds,
                     basis: child_basis.clone(),
                 });
             }
         }
-        Ok(children)
+        Ok(())
     }
 
     /// The fix-and-complete rounding heuristic. Rounds each integer
@@ -792,11 +603,10 @@ impl SharedSearch<'_> {
     /// completes it, warm from the node's basis. The candidate counts only
     /// if it is feasible for the original problem.
     fn fix_and_complete(
-        &self,
+        &mut self,
         bounds: &[(f64, f64)],
         lp_values: &[f64],
         node_basis: Option<&Basis>,
-        stats: &mut SolveStats,
     ) -> Result<Option<(Vec<f64>, f64)>, SolveError> {
         let fixed = fix_integers(bounds, lp_values, self.int_vars);
         let completed = if self.int_vars.len() == self.problem.num_vars() {
@@ -808,7 +618,7 @@ impl SharedSearch<'_> {
                 &fixed,
                 self.int_vars,
                 node_basis,
-                stats,
+                &mut self.stats,
             )?
         };
         Ok(completed
@@ -1091,8 +901,8 @@ mod tests {
         assert_eq!(order, vec![3, 4, 2, 1, 5]);
     }
 
-    /// A knapsack big enough that every thread count has real work, with
-    /// a unique optimum so objective equality is meaningful.
+    /// A knapsack big enough to grow a real search tree, with a unique
+    /// optimum so objective equality is meaningful.
     fn wide_knapsack() -> (Problem, f64) {
         let v = [24.0, 13.0, 23.0, 15.0, 16.0, 9.0, 7.0, 11.0, 5.0, 8.0];
         let w = [12.0, 7.0, 11.0, 8.0, 9.0, 5.0, 4.0, 6.0, 3.0, 5.0];
@@ -1125,36 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threads_match_serial_objective() {
-        let (p, best) = wide_knapsack();
-        let serial = MilpSolver::new().solve(&p).unwrap();
-        assert_eq!(serial.status(), MilpStatus::Optimal);
-        approx(serial.objective(), best);
-        for threads in [2, 4, 8] {
-            let par = MilpSolver::new().threads(threads).solve(&p).unwrap();
-            assert_eq!(par.status(), MilpStatus::Optimal, "threads={threads}");
-            approx(par.objective(), serial.objective());
-            assert!(p.is_feasible(par.values(), 1e-6));
-        }
-    }
-
-    #[test]
-    fn parallel_respects_zero_node_budget() {
-        let (p, _) = wide_knapsack();
-        let warm = vec![0.0; 10];
-        let sol = MilpSolver::new()
-            .threads(4)
-            .node_limit(0)
-            .warm_start(warm)
-            .solve(&p)
-            .unwrap();
-        // Budget spent before any node: the warm start survives as a
-        // feasible (not proven optimal) incumbent, as in the serial path.
-        assert_eq!(sol.status(), MilpStatus::Feasible);
-        approx(sol.objective(), 0.0);
-    }
-
-    #[test]
     fn limit_stops_are_counted_by_reason() {
         let (p, _) = wide_knapsack();
         let stops = |solver: MilpSolver| {
@@ -1164,31 +944,19 @@ mod tests {
         assert_eq!(stops(MilpSolver::new()), (0, 0), "drained");
         assert_eq!(stops(MilpSolver::new().node_limit(1)), (1, 0));
         assert_eq!(stops(MilpSolver::new().time_limit(Duration::ZERO)), (0, 1));
-        // Both limits hold at the first claim: a node stop, so the count
-        // does not depend on how fast the host ran.
+        // Both limits hold before the first node: a node stop, so the
+        // count does not depend on how fast the host ran.
         let both = MilpSolver::new().node_limit(0).time_limit(Duration::ZERO);
         assert_eq!(stops(both), (1, 0));
 
         let mut total = SolveStats::default();
         for solver in [
             MilpSolver::new().node_limit(1),
-            MilpSolver::new().node_limit(1).threads(2),
             MilpSolver::new().time_limit(Duration::ZERO),
         ] {
             total.absorb(&solver.solve(&p).unwrap().stats());
         }
-        assert_eq!((total.node_limit_stops, total.time_limit_stops), (2, 1));
-    }
-
-    #[test]
-    fn parallel_infeasible_matches_serial() {
-        let mut p = Problem::minimize();
-        let x = p.add_binary("x");
-        let y = p.add_binary("y");
-        p.add_ge(LinExpr::from_terms([(x, 1.0), (y, 1.0)]), 3.0);
-        p.set_objective(LinExpr::from_terms([(x, 1.0), (y, 1.0)]));
-        let sol = MilpSolver::new().threads(4).solve(&p).unwrap();
-        assert_eq!(sol.status(), MilpStatus::Infeasible);
+        assert_eq!((total.node_limit_stops, total.time_limit_stops), (1, 1));
     }
 
     /// `wide_knapsack` plus the variable-free row `0 ≤ −1`, which no
@@ -1329,22 +1097,22 @@ mod tests {
             let basis = lp.take_basis();
 
             let solver = MilpSolver::new();
-            let search = SharedSearch {
+            let mut search = Search {
                 solver: &solver,
                 problem: &p,
                 model: &model,
                 int_vars: &int_vars,
                 sense_sign,
                 start: Instant::now(),
-                state: Mutex::new(SearchState::new(BinaryHeap::new(), None, 1)),
-                work: Condvar::new(),
-                incumbent_score: AtomicU64::new(f64::INFINITY.to_bits()),
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                incumbent: None,
+                stats: SolveStats::default(),
             };
-            let lp_solves = stats.lp_solves;
             let direct = search
-                .fix_and_complete(&bounds, &lp.values, basis.as_ref(), &mut stats)
+                .fix_and_complete(&bounds, &lp.values, basis.as_ref())
                 .unwrap();
-            prop_assert_eq!(stats.lp_solves, lp_solves, "the direct path solved an LP");
+            prop_assert_eq!(search.stats.lp_solves, 0, "the direct path solved an LP");
 
             let fixed = fix_integers(&bounds, &lp.values, &int_vars);
             for warm in [basis.as_ref(), None] {

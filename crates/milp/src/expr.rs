@@ -83,24 +83,9 @@ impl LinExpr {
         self
     }
 
-    /// Adds a constant offset.
-    pub fn add_constant(&mut self, k: f64) -> &mut Self {
-        self.constant += k;
-        self
-    }
-
     /// The (unmerged) terms of the expression.
     pub fn terms(&self) -> &[(VarId, f64)] {
         &self.terms
-    }
-
-    /// The merged coefficient of `var` (0 if absent).
-    pub fn coef_of(&self, var: VarId) -> f64 {
-        self.terms
-            .iter()
-            .filter(|&&(v, _)| v == var)
-            .map(|&(_, c)| c)
-            .sum()
     }
 
     /// Sets the *total* coefficient of `var`, merging any duplicate terms
@@ -144,11 +129,6 @@ impl LinExpr {
             acc += c * values[v.index()];
         }
         acc
-    }
-
-    /// True if the expression has no variable terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
     }
 }
 

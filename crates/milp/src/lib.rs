@@ -7,9 +7,9 @@
 //! group selection and sequence assignment as a mixed-integer linear program
 //! (MILP) and solves it with SCIP. This crate is a from-scratch replacement
 //! for that dependency: a sparse revised simplex with bounded variables
-//! for linear relaxations ([`solve_lp`]) and a best-first branch-and-bound
-//! driver with warm starts, a rounding heuristic, time/node/gap limits,
-//! and optional worker threads ([`MilpSolver`]).
+//! for linear relaxations ([`solve_lp`]) and a sequential best-first
+//! branch-and-bound loop with warm starts, a rounding heuristic and
+//! time/node/gap limits ([`MilpSolver`]).
 //!
 //! The solver is deliberately engineered for the planner's regime —
 //! problems with a few hundred rows and a few hundred to a couple of
@@ -36,10 +36,10 @@
 //!   pivots instead of a cold two-phase solve. Branch and bound re-solves
 //!   every child node from its parent's basis the same way.
 //! * **One model per MILP solve** — [`MilpSolver::solve`] builds the
-//!   sparse constraint matrix once; the root and every node relaxation,
-//!   on every worker, read it, since branching moves only variable
-//!   bounds. A standalone [`solve_lp`] / [`solve_lp_opts`] call builds its
-//!   own, so a [`Problem`] edited between calls is always read afresh.
+//!   sparse constraint matrix once; the root and every node relaxation
+//!   read it, since branching moves only variable bounds. A standalone
+//!   [`solve_lp`] / [`solve_lp_opts`] call builds its own, so a
+//!   [`Problem`] edited between calls is always read afresh.
 //! * **One engine** — every relaxation runs on the revised simplex over
 //!   sparse columns with an LU-factored basis and eta updates. A dense
 //!   tableau is compiled into the unit tests only, as the oracle that

@@ -309,14 +309,6 @@ impl Problem {
         self.constraints.len()
     }
 
-    /// Number of integer (including binary) variables.
-    pub fn num_integer_vars(&self) -> usize {
-        self.vars
-            .iter()
-            .filter(|v| matches!(v.kind, VarKind::Integer | VarKind::Binary))
-            .count()
-    }
-
     /// The constraints added so far.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
@@ -331,11 +323,6 @@ impl Problem {
     /// Variable kind.
     pub fn kind(&self, var: VarId) -> VarKind {
         self.vars[var.index()].kind
-    }
-
-    /// Variable name.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.index()].name
     }
 
     /// Checks a full assignment for feasibility: bounds, integrality and all

@@ -130,27 +130,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_search_matches_serial_objective(ip in random_ip()) {
-        let p = build_problem(&ip);
-        let serial = MilpSolver::new().solve(&p).unwrap();
-        for threads in [2usize, 4, 8] {
-            let par = MilpSolver::new().threads(threads).solve(&p).unwrap();
-            prop_assert_eq!(
-                par.status().has_solution(),
-                serial.status().has_solution(),
-                "threads={} status {:?} vs serial {:?}", threads, par.status(), serial.status()
-            );
-            if serial.status().has_solution() {
-                prop_assert!(
-                    (par.objective() - serial.objective()).abs() < 1e-6,
-                    "threads={}: parallel {} vs serial {}", threads, par.objective(), serial.objective()
-                );
-                prop_assert!(p.is_feasible(par.values(), 1e-6));
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_never_hurts(ip in random_ip()) {
         let p = build_problem(&ip);
         if let Some(best) = brute_force(&ip) {

@@ -222,16 +222,6 @@ impl Topology {
         self.nodes.iter().map(|n| n.width / degree.max(1)).sum()
     }
 
-    /// The most intra-node groups of `degree` GPUs the SKU-`sku` nodes can
-    /// host.
-    pub fn intra_capacity_sku(&self, degree: u32, sku: SkuId) -> u32 {
-        self.nodes
-            .iter()
-            .filter(|n| n.sku == sku)
-            .map(|n| n.width / degree.max(1))
-            .sum()
-    }
-
     /// The number of distinct nodes the given GPUs touch — the realized
     /// span of a placement, lease, or reservation.
     ///
@@ -775,14 +765,6 @@ impl NodeSlots {
     /// Total free GPUs.
     pub fn total_free(&self) -> u32 {
         self.free.iter().map(|f| f.len() as u32).sum()
-    }
-
-    /// The node with the most free GPUs (lowest index wins ties), or
-    /// `None` if the cluster is fully allocated.
-    pub fn most_free_node(&self) -> Option<u32> {
-        (0..self.topo.num_nodes())
-            .filter(|&n| self.free_on(n) > 0)
-            .max_by_key(|&n| (self.free_on(n), std::cmp::Reverse(n)))
     }
 
     /// Takes `count` GPUs from `node`.

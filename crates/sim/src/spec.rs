@@ -543,15 +543,6 @@ impl ClusterSpec {
         self.net.nic_eff_per_gpu(msg, self.inter_bw_derate())
     }
 
-    /// Whole-node NIC bandwidth for a node contributing `width` GPUs (for
-    /// node-aware collectives that ship each byte across the fabric once
-    /// per node). On heterogeneous spans, callers gate on the *narrowest*
-    /// participating node — All-to-All cost is dominated by the slowest
-    /// participating link (DeepSpeed-Ulysses).
-    pub fn node_nic_eff_bw(&self, width: u32, msg: f64) -> f64 {
-        self.nic_eff_bw_per_gpu(msg) * width as f64
-    }
-
     /// Cluster-size bandwidth multiplier (≥ 1; larger on small clusters).
     pub fn inter_bw_derate(&self) -> f64 {
         match self.num_nodes() {

@@ -32,6 +32,24 @@ fn audited_replay_maintains_across_shards_and_policies() {
     }
 }
 
+/// The `trace_replay --quick` input: 1000 jobs on 16 nodes at seed 42,
+/// 4 shards, a plan every 64 events. Its log hash pins every plan the
+/// replay's `SolverService` and branch and bound produce, in debug and
+/// release builds alike.
+#[test]
+fn quick_replay_hash_is_pinned() {
+    let trace = generate(&TraceConfig::new(1000, 16, 42));
+    let mut cfg = ReplayConfig::new();
+    cfg.shards = 4;
+    cfg.plan_every = 64;
+    let report = replay(&trace, &cfg);
+    assert_eq!(
+        report.log_hash, 0x309e_e4ce_c2a5_8359,
+        "the quick replay's hash moved: {:016x}",
+        report.log_hash
+    );
+}
+
 #[test]
 fn replay_is_deterministic_and_seed_sensitive() {
     let trace = generate(&TraceConfig::quick(99));

@@ -64,24 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Stage 3: the planner. Heuristic first, then the MILP — with one
-    // and with four branch-and-bound workers (the same objective whenever
-    // no node or time budget cuts a search short; wall-clock only
-    // improves when the host has spare cores).
+    // Stage 3: the planner. Heuristic first, then the MILP.
     for (name, cfg) in [
         ("heuristic", PlannerConfig::heuristic_only()),
         (
             "MILP (aggregated)",
             PlannerConfig {
                 formulation: Formulation::Aggregated,
-                ..PlannerConfig::default()
-            },
-        ),
-        (
-            "MILP (4 B&B threads)",
-            PlannerConfig {
-                formulation: Formulation::Aggregated,
-                milp_threads: 4,
                 ..PlannerConfig::default()
             },
         ),

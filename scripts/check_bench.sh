@@ -12,8 +12,9 @@
 #     (sync reads ride a 3x band) or if the sharded ledger's speedup
 #     over a 1-shard configuration at 1000 tenants drops below 5x.
 #
-# Thread-scaling wall-clock is recorded but never gated, and on hosts
-# where host_parallelism == 1 the benches skip the >1-thread points
+# Only arbiter_churn records a thread-scaling curve (1/2/4/8 caller
+# threads). Its wall-clock is recorded but never gated, and on hosts
+# where host_parallelism == 1 the bench skips the >1-thread points
 # entirely (with a logged notice) instead of recording meaningless
 # "speedups" into the baseline — CI runners expose varying CPU counts
 # ("host_parallelism" in each JSON says what that run had).
@@ -28,8 +29,8 @@ PLAN_BASELINE=BENCH_plan_throughput.json
 CHURN_BASELINE=BENCH_arbiter_churn.json
 
 if [[ "$(nproc 2>/dev/null || echo 1)" == "1" ]]; then
-  echo "notice: this host exposes a single CPU — thread-scaling points" >&2
-  echo "notice: beyond 1 thread are skipped, not gated (see bench output)" >&2
+  echo "notice: this host exposes a single CPU — arbiter_churn's thread-scaling" >&2
+  echo "notice: points beyond 1 thread are skipped, not gated (see bench output)" >&2
 fi
 
 if [[ "${1:-}" == "--refresh" ]]; then
