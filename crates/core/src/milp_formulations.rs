@@ -94,13 +94,17 @@ pub(crate) fn plan_aggregated(
         }
         let feasible = match solver.solve(&model.problem) {
             Ok(mut sol) => {
-                stats.milp.absorb(&sol.stats());
+                let milp = sol.stats();
+                stats.milp.absorb(&milp);
                 if let Some(basis) = sol.take_root_basis() {
                     carried = Some(basis);
                 }
                 if sol.status().has_solution() {
                     Some(model.extract(&sol))
                 } else {
+                    if milp.node_limit_stops + milp.time_limit_stops > 0 {
+                        stats.undecided_steps += 1;
+                    }
                     None
                 }
             }
@@ -120,7 +124,10 @@ pub(crate) fn plan_aggregated(
                         // The achieved makespan may be well below c.
                         hi = c.min(best_time);
                     }
-                    None => lo = c,
+                    None => {
+                        stats.split_failures += 1;
+                        lo = c;
+                    }
                 }
             }
             None => lo = c,
@@ -519,8 +526,12 @@ pub(crate) fn plan_per_group(
     let Ok(sol) = solver.solve(&p) else {
         return (None, stats);
     };
-    stats.milp.absorb(&sol.stats());
+    let milp = sol.stats();
+    stats.milp.absorb(&milp);
     if !sol.status().has_solution() {
+        if milp.node_limit_stops + milp.time_limit_stops > 0 {
+            stats.undecided_steps += 1;
+        }
         return (None, stats);
     }
 
@@ -540,6 +551,7 @@ pub(crate) fn plan_per_group(
             let take = sol.value(a_vars[qi][pi]).round() as usize;
             for _ in 0..take {
                 let Some(s) = pool.pop() else {
+                    stats.split_failures += 1;
                     return (None, stats);
                 };
                 members.push(s);
@@ -549,10 +561,15 @@ pub(crate) fn plan_per_group(
             groups.push(GroupAssignment::new(s, members));
         }
     }
-    if pools.iter().any(|p| !p.is_empty()) {
-        return (None, stats);
+    let plan = if pools.iter().any(|p| !p.is_empty()) {
+        None
+    } else {
+        finalize(MicroBatchPlan::new(groups), avail)
+    };
+    if plan.is_none() {
+        stats.split_failures += 1;
     }
-    (finalize(MicroBatchPlan::new(groups), avail), stats)
+    (plan, stats)
 }
 
 /// Maps a concrete plan onto the per-group decision variables

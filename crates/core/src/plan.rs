@@ -32,6 +32,14 @@ pub struct PlanStats {
     pub model_builds: u32,
     /// Makespan binary-search steps (feasibility MILP solves).
     pub search_steps: u32,
+    /// Steps whose MILP stopped on its node or time budget without an
+    /// incumbent. The step neither proved its makespan infeasible nor
+    /// found a plan for it, yet the binary search treats it as
+    /// infeasible.
+    pub undecided_steps: u32,
+    /// Feasible MILP points that no split into concrete groups (or no
+    /// placement of those groups) could realize.
+    pub split_failures: u32,
     /// Aggregated branch-and-bound / simplex counters across all solves.
     pub milp: SolveStats,
 }
@@ -41,6 +49,8 @@ impl PlanStats {
     pub fn absorb(&mut self, other: &PlanStats) {
         self.model_builds += other.model_builds;
         self.search_steps += other.search_steps;
+        self.undecided_steps += other.undecided_steps;
+        self.split_failures += other.split_failures;
         self.milp.absorb(&other.milp);
     }
 }

@@ -747,6 +747,30 @@ mod tests {
     }
 
     #[test]
+    fn budget_stops_without_incumbent_count_as_undecided() {
+        // With no node budget, a step whose root relaxation is feasible
+        // stops before any node and, lacking a warm start, without an
+        // incumbent: it decides nothing.
+        let cost = cost64();
+        let input = seqs(&[64 * 1024, 32 * 1024, 16 * 1024, 8192, 4096, 2048]);
+        let buckets = bucket_dp(&input, 16);
+        let starved = PlannerConfig {
+            milp_node_limit: 0,
+            ..PlannerConfig::default()
+        };
+        let s = plan_micro_batch(&cost, &buckets, 64, &starved)
+            .unwrap()
+            .stats;
+        assert!(s.undecided_steps > 0, "{s:?}");
+        assert_eq!(u64::from(s.undecided_steps), s.milp.node_limit_stops);
+        assert_eq!(s.split_failures, 0, "no step produced a point: {s:?}");
+        let ample = plan_micro_batch(&cost, &buckets, 64, &PlannerConfig::default())
+            .unwrap()
+            .stats;
+        assert_eq!(ample.undecided_steps, 0, "{ample:?}");
+    }
+
+    #[test]
     fn too_long_sequence_is_rejected() {
         let cost = cost64();
         let too_long = cost.max_group_tokens(64) + 1;

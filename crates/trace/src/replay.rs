@@ -169,7 +169,9 @@ impl ReplayReport {
     /// this replay alone however many ran in the process.
     /// `flexsp.milp.*` counts the solves behind freshly solved plans:
     /// `flexsp.milp.solves` is their summed
-    /// [`search_steps`](PlanStats::search_steps).
+    /// [`search_steps`](PlanStats::search_steps), and
+    /// `flexsp.milp.{undecided_steps, split_failures}` count the steps
+    /// among them that the search wasted.
     pub fn metrics(&self) -> MetricsSnapshot {
         let (a, c, s) = (&self.arbiter, &self.cache, &self.stats);
         let (p, m) = (&self.solver, &self.solver.milp);
@@ -189,7 +191,9 @@ impl ReplayReport {
                 ("flexsp.milp.node_limit_stops", m.node_limit_stops),
                 ("flexsp.milp.nodes", m.nodes),
                 ("flexsp.milp.solves", u64::from(p.search_steps)),
+                ("flexsp.milp.split_failures", u64::from(p.split_failures)),
                 ("flexsp.milp.time_limit_stops", m.time_limit_stops),
+                ("flexsp.milp.undecided_steps", u64::from(p.undecided_steps)),
                 ("flexsp.pump.wakeups", self.pump_wakeups),
                 ("flexsp.replay.admitted", s.admitted as u64),
                 ("flexsp.replay.jobs", s.jobs as u64),

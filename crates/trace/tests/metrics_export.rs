@@ -68,6 +68,15 @@ fn second_replay_exports_its_own_counts() {
         counter(&m, "flexsp.milp.solves"),
         u64::from(second.solver.search_steps)
     );
+    // The wasted-step counters are exported from the same stats, and a
+    // deterministic replay wastes the same steps both times.
+    for (name, count) in [
+        ("flexsp.milp.undecided_steps", second.solver.undecided_steps),
+        ("flexsp.milp.split_failures", second.solver.split_failures),
+    ] {
+        assert_eq!(counter(&m, name), u64::from(count), "{name}");
+        assert_eq!(counter(&first.metrics(), name), u64::from(count), "{name}");
+    }
     // Every planning request is one cache hit or one miss (one worker
     // per service, so nothing coalesces): the cache counters of every
     // service reached the report.
