@@ -6,7 +6,7 @@
 
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
-use flexsp_milp::{Basis, LinExpr, MilpSolver, Problem, VarId, VarKind};
+use flexsp_milp::{Basis, Cmp, LinExpr, MilpSolver, Problem, VarId, VarKind};
 use flexsp_sim::{GroupShape, NodeSlots};
 use flexsp_telemetry as tel;
 
@@ -26,17 +26,26 @@ use crate::planner::{available_shapes, finalize, lpt_split, PlannerConfig};
 /// n_s ≤ cap_topo(s)                 (node capacity: intra shapes are
 ///                                    bounded by their class's per-node
 ///                                    slots)
+/// Σ_{s: t(s) ≥ t} n_s ≤ Σ_nodes ⌊free/t⌋  (node chunks, t(s) = ⌈d/k⌉;
+///                                    only where the GPU budget does not
+///                                    imply it)
 /// Σ_s x_{q,s} = b̂_q   ∀q           (assignment, Eq. 22)
 /// Σ_q x_{q,s}·w(ŝ_q,s) ≤ (C − β_s)·n_s  ∀s  (aggregate time, Eq. 18)
 /// Σ_q x_{q,s}·ŝ_q ≤ cap(d(s))·n_s  ∀s   (aggregate memory, Eq. 19)
 /// ```
 ///
-/// Each feasible `(n, x)` is split into concrete groups by LPT and then
-/// run through the [placement engine](crate::placement); if the realized
-/// plan respects memory and the cluster, `C` is achievable and the search
-/// tightens. Because the candidate is *placed* before evaluation, its
-/// predicted time reflects realized spans — the engine may even tighten a
-/// planned spanning shape into an intra-node one when slots allow.
+/// Branch and bound fixes the group counts before the assignment counts:
+/// every `n_s` has branching priority 1 and every `x_{q,s}` the default
+/// 0, so a node branches on an assignment count only once its group
+/// counts are integral.
+///
+/// Each feasible `(n, x)` is split into concrete groups by LPT (by first
+/// fit when LPT strands a sequence) and then run through the [placement
+/// engine](crate::placement); if the realized plan respects memory and
+/// the cluster, `C` is achievable and the search tightens. Because the
+/// candidate is *placed* before evaluation, its predicted time reflects
+/// realized spans — the engine may even tighten a planned spanning shape
+/// into an intra-node one when slots allow.
 ///
 /// The binary-search steps differ **only** in the `C`-dependent numbers:
 /// the `(C − β_s)` coefficient on `n_s` in each aggregate-time row and
@@ -208,15 +217,18 @@ impl AggregatedModel {
         let mut p = Problem::minimize();
 
         // n_s: number of shape-s groups, capped by free node capacity.
+        // They decide the plan's structure, so they are branched on first.
         let n_vars: Vec<_> = shapes
             .iter()
             .map(|&s| {
-                p.add_var(
+                let n = p.add_var(
                     format!("n_{s}"),
                     VarKind::Integer,
                     0.0,
                     shape_count_cap(avail, s),
-                )
+                );
+                p.set_branch_priority(n, 1);
+                n
             })
             .collect();
         // x_{q,s}: sequences of bucket q on shape-s groups. Bounds are
@@ -260,8 +272,8 @@ impl AggregatedModel {
                 p.add_le(expr, avail.free_sku_gpus(sku) as f64);
             }
         }
-        // Assignment completeness (the next q rows; on mixed clusters
-        // the per-class budget rows sit between them and row 0).
+        add_chunk_rows(&mut p, avail, shapes, &n_vars);
+        // Assignment completeness (after the budget and chunk rows).
         for (qi, b) in buckets.iter().enumerate() {
             p.add_eq(
                 LinExpr::from_terms(x_vars[qi].iter().map(|&v| (v, 1.0))),
@@ -349,10 +361,44 @@ impl AggregatedModel {
     }
 }
 
-/// Splits the per-shape aggregate assignment into concrete groups (LPT),
+/// Adds the node-chunk rows over the group counts `n_vars`. A group of
+/// shape `s` (degree `d` over `k` nodes) holds at least
+/// `t(s) = ⌈d/k⌉` GPUs on one node, and a node with `f` free GPUs holds
+/// at most `⌊f/t⌋` such chunks. So for each distinct `t`, the groups with
+/// `t(s) ≥ t` number at most `Σ_nodes ⌊f/t⌋`. A row is added only when
+/// the GPU budget does not already imply it, i.e. when the free GPUs over
+/// the smallest member degree exceed that sum. On nodes whose width every
+/// chunk divides (the paper's 8-GPU nodes) no row is added; on 6-GPU
+/// nodes the `t = 4` row stops the MILP from proposing more SP4 and
+/// SP8-over-two-nodes groups than the nodes can hold.
+fn add_chunk_rows(p: &mut Problem, avail: &NodeSlots, shapes: &[GroupShape], n_vars: &[VarId]) {
+    let chunks: std::collections::BTreeSet<u32> =
+        shapes.iter().map(GroupShape::max_gpus_per_node).collect();
+    for t in chunks {
+        let members: Vec<(VarId, u32)> = n_vars
+            .iter()
+            .zip(shapes)
+            .filter(|(_, s)| s.max_gpus_per_node() >= t)
+            .map(|(&v, s)| (v, s.degree))
+            .collect();
+        let rhs = avail.intra_capacity_free(t);
+        let min_degree = members.iter().map(|&(_, d)| d).min().unwrap_or(1);
+        if f64::from(avail.total_free()) / f64::from(min_degree) > f64::from(rhs) {
+            p.add_named_constraint(
+                format!("chunk_{t}"),
+                LinExpr::from_terms(members.into_iter().map(|(v, _)| (v, 1.0))),
+                Cmp::Le,
+                f64::from(rhs),
+            );
+        }
+    }
+}
+
+/// Splits the per-shape aggregate assignment into concrete groups,
 /// validating per-group memory, then places the whole micro-batch onto
-/// the topology. Longer sequences in a bucket are handed out first so the
-/// representative-length approximation stays safe.
+/// the topology. Each shape's pool is split by LPT, or by first fit when
+/// LPT strands a sequence. Longer sequences in a bucket are handed out
+/// first so the representative-length approximation stays safe.
 fn split_into_groups(
     cost: &CostModel,
     buckets: &[Bucket],
@@ -388,7 +434,8 @@ fn split_into_groups(
             return None; // assignment without groups: infeasible split
         }
         let cap = cost.max_group_tokens(s.degree);
-        let bins = lpt_split(cost, &members, s, n_s, cap)?;
+        let bins = lpt_split(cost, &members, s, n_s, cap)
+            .or_else(|| first_fit_split(&members, n_s, cap))?;
         for bin in bins.into_iter().filter(|b| !b.is_empty()) {
             groups.push(GroupAssignment::new(s, bin));
         }
@@ -398,6 +445,23 @@ fn split_into_groups(
         return None;
     }
     finalize(MicroBatchPlan::new(groups), avail)
+}
+
+/// First-fit-decreasing split of `seqs` into `num_groups` groups of at
+/// most `cap` tokens: longest first (ties by id), each into the first
+/// group with room. LPT balances time, so near the memory wall it can
+/// leave a sequence with no room where packing by tokens still fits it.
+/// `None` when first fit strands a sequence too.
+fn first_fit_split(seqs: &[Sequence], num_groups: usize, cap: u64) -> Option<Vec<Vec<Sequence>>> {
+    let mut order: Vec<&Sequence> = seqs.iter().collect();
+    order.sort_by(|a, b| b.len.cmp(&a.len).then(a.id.cmp(&b.id)));
+    let mut bins: Vec<(u64, Vec<Sequence>)> = vec![(0, Vec::new()); num_groups];
+    for s in order {
+        let (tokens, members) = bins.iter_mut().find(|(tokens, _)| tokens + s.len <= cap)?;
+        *tokens += s.len;
+        members.push(*s);
+    }
+    Some(bins.into_iter().map(|(_, members)| members).collect())
 }
 
 /// Paper-faithful per-group formulation (Eq. 17–22): one binary `m_p` per
@@ -437,7 +501,14 @@ pub(crate) fn plan_per_group(
         tel::span!(tel::Category::Solver, "milp.build_model", "buckets" => buckets.len() as u64);
     let mut p = Problem::minimize();
     let c_var = p.add_var("C", VarKind::Continuous, 0.0, f64::INFINITY);
-    let m_vars: Vec<_> = (0..np).map(|pi| p.add_binary(format!("m_{pi}"))).collect();
+    // The group switches decide the plan's structure: branch on them first.
+    let m_vars: Vec<_> = (0..np)
+        .map(|pi| {
+            let m = p.add_binary(format!("m_{pi}"));
+            p.set_branch_priority(m, 1);
+            m
+        })
+        .collect();
     let mut a_vars = vec![Vec::with_capacity(np); q];
     for (qi, b) in buckets.iter().enumerate() {
         for (pi, &s) in slots.iter().enumerate() {
@@ -618,4 +689,95 @@ fn warm_start_values(
         }
     }
     Some(values)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexsp_model::{ActivationPolicy, ModelConfig};
+    use flexsp_sim::ClusterSpec;
+
+    use crate::bucketing::bucket_dp;
+
+    /// `topology_sweep`'s cost model: GPT-7B on `nodes × width` A100s,
+    /// the context sized to the cluster, the NIC scaled by `nic`.
+    fn sweep_cost(nodes: u32, width: u32, nic: f64) -> CostModel {
+        let mut cluster = ClusterSpec::a100_nodes_of(nodes, width);
+        cluster.net.nic_bw_per_gpu *= nic;
+        let max_ctx = 8 * 1024 * cluster.num_gpus() as u64 / 4;
+        CostModel::fit(
+            &cluster,
+            &ModelConfig::gpt_7b(max_ctx),
+            ActivationPolicy::None,
+        )
+    }
+
+    fn seqs(lens: &[u64]) -> Vec<Sequence> {
+        lens.iter()
+            .enumerate()
+            .map(|(i, &l)| Sequence::new(i as u64, l))
+            .collect()
+    }
+
+    /// The model's chunk rows as `(name, rhs)`, and its constraint count.
+    fn chunk_rows(cost: &CostModel) -> (Vec<(String, f64)>, usize, usize) {
+        let avail = NodeSlots::new(cost.topology());
+        let shapes = available_shapes(cost, &avail);
+        let buckets = bucket_dp(&seqs(&[24576, 16384, 8192, 4096, 4096, 2048]), 4);
+        let model = AggregatedModel::build(cost, &buckets, &avail, &shapes);
+        let p = &model.problem;
+        let chunks = (p.constraints().iter())
+            .filter(|c| c.name().starts_with("chunk_"))
+            .map(|c| (c.name().to_owned(), c.rhs()))
+            .collect();
+        // Without chunk rows: the GPU budget, one assignment row per
+        // bucket, and a time and a memory row per shape.
+        let without = 1 + buckets.len() + 2 * shapes.len();
+        (chunks, p.num_constraints(), without)
+    }
+
+    #[test]
+    fn six_gpu_nodes_get_one_chunk_row_and_eight_gpu_nodes_none() {
+        let (chunks, rows, without) = chunk_rows(&sweep_cost(4, 6, 0.25));
+        // Four 6-GPU nodes hold one 4-GPU chunk each.
+        assert_eq!(chunks, vec![("chunk_4".to_owned(), 4.0)]);
+        assert_eq!(rows, without + 1);
+
+        let cost = CostModel::fit(
+            &ClusterSpec::a100_cluster(8),
+            &ModelConfig::gpt_7b(384 << 10),
+            ActivationPolicy::None,
+        );
+        let (chunks, rows, without) = chunk_rows(&cost);
+        assert_eq!(chunks, vec![]);
+        assert_eq!(rows, without);
+    }
+
+    #[test]
+    fn first_fit_packs_what_lpt_strands() {
+        let cost = sweep_cost(4, 6, 0.25);
+        let cap = cost.max_group_tokens(4);
+        assert_eq!(cap, 29_040);
+        let lens: Vec<u64> = [24576, 16384, 12288, 12288, 6144, 6144, 6144]
+            .into_iter()
+            .chain(std::iter::repeat_n(4096, 7))
+            .collect();
+        let members = seqs(&lens);
+        // 112,640 tokens into 4 × 29,040: LPT, balancing time, runs out
+        // of room.
+        assert_eq!(
+            lpt_split(&cost, &members, GroupShape::intra(4), 4, cap),
+            None
+        );
+        let bins = first_fit_split(&members, 4, cap).expect("first fit packs the pool");
+        assert_eq!(bins.len(), 4);
+        for bin in &bins {
+            assert!(bin.iter().map(|s| s.len).sum::<u64>() <= cap, "{bin:?}");
+        }
+        let mut ids: Vec<u64> = bins.iter().flatten().map(|s| s.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..lens.len() as u64).collect::<Vec<_>>());
+        // Four groups of 28,159 tokens hold less than the pool.
+        assert_eq!(first_fit_split(&members, 4, 28_159), None);
+    }
 }

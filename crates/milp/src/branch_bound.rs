@@ -194,7 +194,8 @@ impl MilpSolver {
     /// spent, in that order. Otherwise it pops the best node and expands
     /// it: it re-solves the node's LP warm from its parent's basis, prunes
     /// against the incumbent, runs the rounding heuristic and branches on
-    /// the most fractional variable.
+    /// the most fractional variable among those of the highest
+    /// [branching priority](Problem::set_branch_priority).
     ///
     /// The same problem and options always give the same incumbent, bound
     /// and [`SolveStats`], unless the time limit stops the search.
@@ -383,17 +384,25 @@ fn round_integers(mut values: Vec<f64>, int_vars: &[usize]) -> Vec<f64> {
     values
 }
 
-fn most_fractional(values: &[f64], int_vars: &[usize]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64, f64)> = None; // (var, value, dist to 0.5)
+/// The branching variable at a node with LP point `values`: among the
+/// fractional integer variables, the highest branching priority, then the
+/// fractional part closest to 0.5, then the lowest index. `None` when
+/// every integer variable is integral.
+fn most_fractional(problem: &Problem, values: &[f64], int_vars: &[usize]) -> Option<(usize, f64)> {
+    // (var, value, priority, dist to 0.5)
+    let mut best: Option<(usize, f64, u32, f64)> = None;
     for &j in int_vars {
         let v = values[j];
         let frac = v - v.floor();
-        let dist = (frac - 0.5).abs();
-        if frac > INT_TOL && frac < 1.0 - INT_TOL && best.is_none_or(|(_, _, d)| dist < d) {
-            best = Some((j, v, dist));
+        if frac <= INT_TOL || frac >= 1.0 - INT_TOL {
+            continue;
+        }
+        let (priority, dist) = (problem.vars[j].priority, (frac - 0.5).abs());
+        if best.is_none_or(|(_, _, p, d)| priority > p || (priority == p && dist < d)) {
+            best = Some((j, v, priority, dist));
         }
     }
-    best.map(|(j, v, _)| (j, v))
+    best.map(|(j, v, _, _)| (j, v))
 }
 
 struct OpenNode {
@@ -564,7 +573,7 @@ impl Search<'_> {
         if lp_score >= self.best_score() - 1e-9 {
             return Ok(());
         }
-        let Some((bvar, bval)) = most_fractional(&lp.values, self.int_vars) else {
+        let Some((bvar, bval)) = most_fractional(self.problem, &lp.values, self.int_vars) else {
             // Integral: candidate incumbent.
             let vals = round_integers(lp.values, self.int_vars);
             let score = self.sense_sign * self.problem.objective_value(&vals);
@@ -578,7 +587,8 @@ impl Search<'_> {
                 self.stats.heuristic_incumbents += 1;
             }
         }
-        // Branch on the most fractional variable: down, then up.
+        // Branch on the most fractional variable of the highest priority:
+        // down, then up.
         let (lo, hi) = node.bounds[bvar];
         for range in [(lo, bval.floor().min(hi)), (bval.ceil().max(lo), hi)] {
             if range.0 <= range.1 + FEAS_TOL {
@@ -899,6 +909,83 @@ mod tests {
         // Best score first; among score ties deepest first; among full
         // ties oldest first; NaN dead last.
         assert_eq!(order, vec![3, 4, 2, 1, 5]);
+    }
+
+    #[test]
+    fn branching_takes_priority_then_fractionality_then_index() {
+        let mut p = Problem::minimize();
+        let x = p.add_var("x", VarKind::Integer, 0.0, 4.0);
+        let y = p.add_var("y", VarKind::Integer, 0.0, 4.0);
+        let z = p.add_var("z", VarKind::Integer, 0.0, 4.0);
+        let ints = [0, 1, 2];
+        // x sits at a half, y barely off an integer, z on one.
+        let point = [1.5, 2.1, 3.0];
+        assert_eq!(most_fractional(&p, &point, &ints), Some((0, 1.5)));
+        p.set_branch_priority(y, 1);
+        assert_eq!(most_fractional(&p, &point, &ints), Some((1, 2.1)));
+        // An integral variable is never branched on, whatever its priority.
+        p.set_branch_priority(z, 2);
+        assert_eq!(most_fractional(&p, &point, &ints), Some((1, 2.1)));
+        // Equal priorities fall back to the most fractional, and an equal
+        // distance from 0.5 to the lowest index.
+        p.set_branch_priority(x, 1);
+        assert_eq!(most_fractional(&p, &point, &ints), Some((0, 1.5)));
+        assert_eq!(
+            most_fractional(&p, &[1.75, 2.25, 3.0], &ints),
+            Some((0, 1.75))
+        );
+        assert_eq!(most_fractional(&p, &[1.0, 2.0, 3.0], &ints), None);
+    }
+
+    #[test]
+    fn a_priority_variable_is_branched_on_before_a_more_fractional_one() {
+        // max x + y, 2x ≤ 1, 10y ≤ 1: the root LP point is x = 0.5,
+        // y = 0.1, so x is the more fractional.
+        let mut p = Problem::maximize();
+        let x = p.add_var("x", VarKind::Integer, 0.0, 3.0);
+        let y = p.add_var("y", VarKind::Integer, 0.0, 3.0);
+        p.add_le(LinExpr::term(x, 2.0), 1.0);
+        p.add_le(LinExpr::term(y, 10.0), 1.0);
+        p.set_objective(LinExpr::from_terms([(x, 1.0), (y, 1.0)]));
+        // The bounds of each variable in the root's two children.
+        let children = |p: &Problem| {
+            let BuildOutcome::Model(model) = SparseModel::build(p) else {
+                unreachable!("every row has variable terms");
+            };
+            let solver = MilpSolver::new();
+            let mut search = Search {
+                solver: &solver,
+                problem: p,
+                model: &model,
+                int_vars: &[0, 1],
+                sense_sign: -1.0,
+                start: Instant::now(),
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                incumbent: None,
+                stats: SolveStats::default(),
+            };
+            search.expand(open_at(vec![(0.0, 3.0); 2])).unwrap();
+            let mut kids: Vec<_> = search.heap.into_iter().collect();
+            kids.sort_by_key(|n| n.seq);
+            kids.into_iter().map(|n| n.bounds).collect::<Vec<_>>()
+        };
+        let down_up = |var: usize| {
+            let mut down = vec![(0.0, 3.0); 2];
+            let mut up = down.clone();
+            (down[var], up[var]) = ((0.0, 0.0), (1.0, 3.0));
+            vec![down, up]
+        };
+        assert_eq!(children(&p), down_up(x.index()));
+        p.set_branch_priority(y, 1);
+        assert_eq!(children(&p), down_up(y.index()));
+    }
+
+    fn open_at(bounds: Vec<(f64, f64)>) -> OpenNode {
+        OpenNode {
+            bounds,
+            ..open(f64::NEG_INFINITY, 0, 0)
+        }
     }
 
     /// A knapsack big enough to grow a real search tree, with a unique

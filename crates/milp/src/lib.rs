@@ -51,6 +51,18 @@
 //! only speed. [`SolveStats`] reports pivots, refactorizations, and
 //! basis-reuse hits/misses so callers can verify reuse actually happens.
 //!
+//! # Branching order
+//!
+//! Every node branches on a fractional integer variable of the highest
+//! [branching priority](Problem::set_branch_priority) present, the most
+//! fractional among those, then the lowest index. Priorities default to
+//! 0, so an unprioritized problem branches on the most fractional
+//! variable. The planner raises the group counts that fix a plan's
+//! structure above the assignment counts that fill it in, so a search
+//! settles the structure near the root before it spends nodes on the
+//! assignment. Priorities reorder the search only: they never change
+//! which points are feasible or what a drained search proves optimal.
+//!
 //! # Example
 //!
 //! Maximize `3x + 2y` subject to `x + y <= 4`, `x + 3y <= 6` with integral

@@ -82,6 +82,8 @@ pub(crate) struct VarDef {
     pub kind: VarKind,
     pub lower: f64,
     pub upper: f64,
+    /// Branching priority; see [`Problem::set_branch_priority`].
+    pub priority: u32,
 }
 
 /// A mixed-integer linear program under construction.
@@ -170,6 +172,7 @@ impl Problem {
             kind,
             lower,
             upper,
+            priority: 0,
         });
         id
     }
@@ -276,6 +279,26 @@ impl Problem {
         let def = &mut self.vars[var.index()];
         def.lower = lower;
         def.upper = upper;
+    }
+
+    /// Sets the branching priority of `var` (default 0). At every node,
+    /// branch and bound branches on a fractional integer variable of the
+    /// highest priority present; among those it takes the one whose
+    /// fractional part is closest to 0.5, and then the lowest index. A
+    /// problem that sets no priority therefore branches on the most
+    /// fractional variable. Priorities steer only the order of the
+    /// search, never which points are feasible; continuous variables
+    /// ignore them.
+    ///
+    /// Raising the variables that fix a solution's structure (the planner's
+    /// group counts) above the ones that fill it in (its assignment
+    /// counts) settles the structure near the root of the search tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is out of range.
+    pub fn set_branch_priority(&mut self, var: VarId, priority: u32) {
+        self.vars[var.index()].priority = priority;
     }
 
     /// Sets the total objective coefficient of `var`.

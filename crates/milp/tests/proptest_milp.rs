@@ -74,6 +74,12 @@ fn brute_force(ip: &RandomIp) -> Option<f64> {
 }
 
 fn build_problem(ip: &RandomIp) -> Problem {
+    build_prioritized(ip, &[])
+}
+
+/// `ip` as a [`Problem`], with `priorities[i]` (where given) as the
+/// branching priority of variable `i`.
+fn build_prioritized(ip: &RandomIp, priorities: &[u32]) -> Problem {
     let mut p = if ip.maximize {
         Problem::maximize()
     } else {
@@ -82,6 +88,9 @@ fn build_problem(ip: &RandomIp) -> Problem {
     let vars: Vec<_> = (0..ip.n_vars)
         .map(|i| p.add_var(format!("x{i}"), VarKind::Integer, 0.0, ip.upper[i] as f64))
         .collect();
+    for (&v, &priority) in vars.iter().zip(priorities) {
+        p.set_branch_priority(v, priority);
+    }
     for (coefs, cmp, rhs) in &ip.rows {
         let e = LinExpr::from_terms(vars.iter().copied().zip(coefs.iter().map(|&c| c as f64)));
         match cmp {
@@ -95,24 +104,46 @@ fn build_problem(ip: &RandomIp) -> Problem {
     p
 }
 
+/// Solves `p`, which is `ip` as a [`Problem`], and checks the result
+/// against exhaustive enumeration: the same optimum, or infeasible.
+fn assert_solves_to_brute_force(ip: &RandomIp, p: &Problem) -> Result<(), TestCaseError> {
+    let sol = MilpSolver::new().solve(p).unwrap();
+    match brute_force(ip) {
+        None => prop_assert_eq!(sol.status(), MilpStatus::Infeasible),
+        Some(best) => {
+            prop_assert!(
+                sol.status().has_solution(),
+                "solver said {:?} but brute force found {best}",
+                sol.status()
+            );
+            prop_assert!(
+                (sol.objective() - best).abs() < 1e-6,
+                "solver {} vs brute force {best}",
+                sol.objective()
+            );
+            // The incumbent must actually be feasible.
+            prop_assert!(p.is_feasible(sol.values(), 1e-6));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn solver_matches_brute_force(ip in random_ip()) {
-        let p = build_problem(&ip);
-        let sol = MilpSolver::new().solve(&p).unwrap();
-        match brute_force(&ip) {
-            None => prop_assert_eq!(sol.status(), MilpStatus::Infeasible),
-            Some(best) => {
-                prop_assert!(sol.status().has_solution(),
-                    "solver said {:?} but brute force found {best}", sol.status());
-                prop_assert!((sol.objective() - best).abs() < 1e-6,
-                    "solver {} vs brute force {best}", sol.objective());
-                // The incumbent must actually be feasible.
-                prop_assert!(p.is_feasible(sol.values(), 1e-6));
-            }
-        }
+        assert_solves_to_brute_force(&ip, &build_problem(&ip))?;
+    }
+
+    /// Branching priorities reorder the search but never cut a point
+    /// off: with any priorities, the solver still reaches the optimum.
+    #[test]
+    fn priorities_keep_the_brute_force_optimum(
+        ip in random_ip(),
+        priorities in prop::collection::vec(0u32..=2, 4),
+    ) {
+        assert_solves_to_brute_force(&ip, &build_prioritized(&ip, &priorities))?;
     }
 
     #[test]
