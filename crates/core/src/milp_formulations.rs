@@ -719,7 +719,9 @@ mod tests {
             .collect()
     }
 
-    /// The model's chunk rows as `(name, rhs)`, and its constraint count.
+    /// The chunk rows, as `(name, rhs)`, of a model built on `cost`'s
+    /// whole cluster; its constraint count; and the count it would have
+    /// without chunk rows.
     fn chunk_rows(cost: &CostModel) -> (Vec<(String, f64)>, usize, usize) {
         let avail = NodeSlots::new(cost.topology());
         let shapes = available_shapes(cost, &avail);

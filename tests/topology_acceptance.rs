@@ -2,7 +2,7 @@
 //! mixed batch on 4 nodes × 6 GPUs with the inter-node NIC at a quarter
 //! of its bandwidth. The shape-aware planner keeps every group of the
 //! long-sequence micro-batch inside a node (`<4x4, 2>`), which is what
-//! makes it 1.45× faster than the degree-only ablation there.
+//! makes it about 1.4× faster than the degree-only ablation there.
 //!
 //! The MILP's wall-clock limit is lifted to an hour, so the 400-node
 //! budget of `SolverConfig::fast()` is the one that binds and the plan
