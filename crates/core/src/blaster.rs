@@ -79,7 +79,7 @@ pub fn blast(batch: &[Sequence], m: usize, sort_by_length: bool) -> Vec<Vec<Sequ
 }
 
 /// Exact min-max token chunking of `seqs` (in order) into `m` consecutive
-/// chunks. Small inputs use the paper's DP verbatim (Appendix A, Eq. 24);
+/// chunks. Small inputs use the paper's DP (Appendix A, Eq. 24);
 /// large inputs switch to binary search on the achievable maximum with a
 /// greedy feasibility check, which finds the same optimal min-max value in
 /// `O(K·log ΣS)` (the chunk count is monotone in the cap). Returns the
@@ -91,6 +91,13 @@ fn balanced_boundaries(seqs: &[Sequence], m: usize) -> Vec<usize> {
     balanced_boundaries_dp(seqs, m)
 }
 
+/// Eq. 24 in `O(m·k·log k)`. For `b ≥ 2` and `j ∈ [b−1, i)`,
+/// `dp[j][b−1]` is non-decreasing in `j` and `seg(j, i)` non-increasing,
+/// so `max(dp[j][b−1], seg(j, i))` is minimized at the crossover: the
+/// smallest `j*` with `dp[j*][b−1] ≥ seg(j*, i)`, or the earliest `j`
+/// before it that attains `seg(j* − 1, i)` (prefix sums repeat over
+/// zero-length sequences). Ties keep the smaller index, so the
+/// boundaries are exactly those of the quadratic scan over every `j`.
 fn balanced_boundaries_dp(seqs: &[Sequence], m: usize) -> Vec<usize> {
     let k = seqs.len();
     let mut prefix = vec![0u64; k + 1];
@@ -104,18 +111,26 @@ fn balanced_boundaries_dp(seqs: &[Sequence], m: usize) -> Vec<usize> {
     let mut dp = vec![vec![INF; m + 1]; k + 1];
     let mut from = vec![vec![0usize; m + 1]; k + 1];
     dp[0][0] = 0;
-    for b in 1..=m {
+    // One chunk: only `j = 0` has a finite `dp[j][0]`.
+    for (i, row) in dp.iter_mut().enumerate().skip(1) {
+        row[1] = seg(0, i);
+    }
+    for b in 2..=m {
+        let lo = b - 1;
         for i in b..=k {
-            for j in (b - 1)..i {
-                if dp[j][b - 1] == INF {
-                    continue;
-                }
-                let v = dp[j][b - 1].max(seg(j, i));
-                if v < dp[i][b] {
-                    dp[i][b] = v;
-                    from[i][b] = j;
-                }
+            // Smallest j in [lo, i) where the prefix cost overtakes the
+            // last chunk; every j before it is priced by its last chunk.
+            let cross = first_in(lo, i, |j| dp[j][b - 1] >= seg(j, i));
+            let mut best = (INF, 0);
+            if cross > lo {
+                let j = first_in(lo, cross - 1, |j| prefix[j] == prefix[cross - 1]);
+                best = (seg(j, i), j);
             }
+            if cross < i && dp[cross][b - 1] < best.0 {
+                best = (dp[cross][b - 1], cross);
+            }
+            dp[i][b] = best.0;
+            from[i][b] = best.1;
         }
     }
     let mut bounds = Vec::with_capacity(m);
@@ -127,6 +142,20 @@ fn balanced_boundaries_dp(seqs: &[Sequence], m: usize) -> Vec<usize> {
     }
     bounds.reverse();
     bounds
+}
+
+/// The smallest `j` in `[lo, hi)` with `pred(j)`, or `hi` if none, for a
+/// `pred` that is false up to some point and true from there on.
+fn first_in(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// Binary search on the optimal min-max chunk total; `fits(cap)` greedily
@@ -187,12 +216,77 @@ pub fn max_chunk_tokens(micro_batches: &[Vec<Sequence>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seqs(lens: &[u64]) -> Vec<Sequence> {
         lens.iter()
             .enumerate()
             .map(|(i, &l)| Sequence::new(i as u64, l))
             .collect()
+    }
+
+    /// Eq. 24 verbatim: every `j` for every `(i, b)`, keeping the first
+    /// minimizer. The oracle for [`balanced_boundaries_dp`].
+    fn quadratic_boundaries(seqs: &[Sequence], m: usize) -> Vec<usize> {
+        let k = seqs.len();
+        let mut prefix = vec![0u64; k + 1];
+        for (i, s) in seqs.iter().enumerate() {
+            prefix[i + 1] = prefix[i] + s.len;
+        }
+        const INF: u64 = u64::MAX / 2;
+        let mut dp = vec![vec![INF; m + 1]; k + 1];
+        let mut from = vec![vec![0usize; m + 1]; k + 1];
+        dp[0][0] = 0;
+        for b in 1..=m {
+            for i in b..=k {
+                for j in (b - 1)..i {
+                    if dp[j][b - 1] == INF {
+                        continue;
+                    }
+                    let v = dp[j][b - 1].max(prefix[i] - prefix[j]);
+                    if v < dp[i][b] {
+                        dp[i][b] = v;
+                        from[i][b] = j;
+                    }
+                }
+            }
+        }
+        let mut bounds = Vec::with_capacity(m);
+        let (mut i, mut b) = (k, m);
+        while b > 0 {
+            bounds.push(i);
+            i = from[i][b];
+            b -= 1;
+        }
+        bounds.reverse();
+        bounds
+    }
+
+    /// Lengths with many zeros and repeats, so prefix sums tie often.
+    fn lengths() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(
+            prop_oneof![2 => Just(0u64), 3 => 1u64..4, 3 => 1u64..5000],
+            1..=64,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dp_boundaries_match_the_quadratic_scan(mut lens in lengths(), sort in any::<bool>()) {
+            if sort {
+                lens.sort_unstable();
+            }
+            let input = seqs(&lens);
+            for m in 1..=lens.len() {
+                prop_assert_eq!(
+                    balanced_boundaries_dp(&input, m),
+                    quadratic_boundaries(&input, m),
+                    "lens {:?} m {}", lens, m
+                );
+            }
+        }
     }
 
     /// Brute-force min-max chunking for validation.
