@@ -126,6 +126,9 @@ pub(crate) fn plan_aggregated(
                 match split_into_groups(cost, buckets, avail, &shapes, &counts, &assignment) {
                     Some(plan) => {
                         let t = plan.predicted_time(cost);
+                        if t > c {
+                            stats.unwitnessed_steps += 1;
+                        }
                         if t < best_time {
                             best_time = t;
                             best = Some(plan);

@@ -40,6 +40,10 @@ pub struct PlanStats {
     /// Feasible MILP points that no split into concrete groups (or no
     /// placement of those groups) could realize.
     pub split_failures: u32,
+    /// Steps whose MILP point was realized, but as a placed plan slower
+    /// than the step's makespan `C`. The search still lowers its upper
+    /// bound to `C`, although no plan it holds witnesses `C`.
+    pub unwitnessed_steps: u32,
     /// Aggregated branch-and-bound / simplex counters across all solves.
     pub milp: SolveStats,
 }
@@ -51,6 +55,7 @@ impl PlanStats {
         self.search_steps += other.search_steps;
         self.undecided_steps += other.undecided_steps;
         self.split_failures += other.split_failures;
+        self.unwitnessed_steps += other.unwitnessed_steps;
         self.milp.absorb(&other.milp);
     }
 }

@@ -171,7 +171,9 @@ impl ReplayReport {
     /// `flexsp.milp.solves` is their summed
     /// [`search_steps`](PlanStats::search_steps), and
     /// `flexsp.milp.{undecided_steps, split_failures}` count the steps
-    /// among them that the search wasted.
+    /// among them that the search wasted, and
+    /// `flexsp.milp.unwitnessed_steps` the steps that lowered the upper
+    /// bound without a plan as fast as it.
     pub fn metrics(&self) -> MetricsSnapshot {
         let (a, c, s) = (&self.arbiter, &self.cache, &self.stats);
         let (p, m) = (&self.solver, &self.solver.milp);
@@ -194,6 +196,10 @@ impl ReplayReport {
                 ("flexsp.milp.split_failures", u64::from(p.split_failures)),
                 ("flexsp.milp.time_limit_stops", m.time_limit_stops),
                 ("flexsp.milp.undecided_steps", u64::from(p.undecided_steps)),
+                (
+                    "flexsp.milp.unwitnessed_steps",
+                    u64::from(p.unwitnessed_steps),
+                ),
                 ("flexsp.pump.wakeups", self.pump_wakeups),
                 ("flexsp.replay.admitted", s.admitted as u64),
                 ("flexsp.replay.jobs", s.jobs as u64),

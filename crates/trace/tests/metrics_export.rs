@@ -73,6 +73,10 @@ fn second_replay_exports_its_own_counts() {
     for (name, count) in [
         ("flexsp.milp.undecided_steps", second.solver.undecided_steps),
         ("flexsp.milp.split_failures", second.solver.split_failures),
+        (
+            "flexsp.milp.unwitnessed_steps",
+            second.solver.unwitnessed_steps,
+        ),
     ] {
         assert_eq!(counter(&m, name), u64::from(count), "{name}");
         assert_eq!(counter(&first.metrics(), name), u64::from(count), "{name}");
