@@ -12,12 +12,15 @@ use flexsp_telemetry as tel;
 
 use crate::bucketing::Bucket;
 use crate::plan::{GroupAssignment, MicroBatchPlan, PlanStats};
-use crate::planner::{available_shapes, finalize, lpt_split, PlannerConfig};
+use crate::planner::{
+    available_shapes, finalize, lpt_split, rebalance, slots_into_plan, PlannerConfig, Slot,
+};
 
 /// Shape-aggregated formulation with binary search on the makespan `C`.
 ///
-/// For fixed `C`, feasibility is a small MILP over per-shape group counts
-/// `n_s` and per-(bucket, shape) assignment counts `x_{q,s}`:
+/// For fixed `C`, feasibility is a small MILP over integer per-shape
+/// group counts `n_s` and real per-(bucket, shape) assignment shares
+/// `x_{q,s} ≥ 0`:
 ///
 /// ```text
 /// Σ_s d(s)·n_s ≤ N                  (GPU budget, Eq. 20)
@@ -34,15 +37,19 @@ use crate::planner::{available_shapes, finalize, lpt_split, PlannerConfig};
 /// Σ_q x_{q,s}·ŝ_q ≤ cap(d(s))·n_s  ∀s   (aggregate memory, Eq. 19)
 /// ```
 ///
-/// Branch and bound fixes the group counts before the assignment counts:
-/// every `n_s` has branching priority 1 and every `x_{q,s}` the default
-/// 0, so a node branches on an assignment count only once its group
-/// counts are integral.
+/// The `n_s` are the only integers, so branch and bound branches on them
+/// alone, and its fix-and-complete heuristic completes each rounded `n`
+/// with an LP over the shares. Integral shares would buy little: only
+/// the realized, placed plan is priced.
 ///
-/// Each feasible `(n, x)` is split into concrete groups by LPT (by first
-/// fit when LPT strands a sequence) and then run through the [placement
-/// engine](crate::placement); if the realized plan respects memory and
-/// the cluster, `C` is achievable and the search tightens. Because the
+/// Each feasible `(n, x)` is realized by packing the micro-batch into
+/// the `n_s` groups it chose (see `realize`). The shares are rounded per
+/// bucket by largest remainder and guide one packing, a per-shape LPT
+/// split (first fit when LPT strands a sequence); an LPT over all the
+/// chosen groups is the other. Each packing is rebalanced by moves and
+/// swaps off its bottleneck group and run through the [placement
+/// engine](crate::placement), and the faster placed plan is kept. If it
+/// respects memory and the cluster, the search tightens. Because the
 /// candidate is *placed* before evaluation, its predicted time reflects
 /// realized spans — the engine may even tighten a planned spanning shape
 /// into an intra-node one when slots allow.
@@ -109,7 +116,7 @@ pub(crate) fn plan_aggregated(
                     carried = Some(basis);
                 }
                 if sol.status().has_solution() {
-                    Some(model.extract(&sol))
+                    Some(model.extract(buckets, &sol))
                 } else {
                     if milp.node_limit_stops + milp.time_limit_stops > 0 {
                         stats.undecided_steps += 1;
@@ -123,7 +130,7 @@ pub(crate) fn plan_aggregated(
         };
         match feasible {
             Some((counts, assignment)) => {
-                match split_into_groups(cost, buckets, avail, &shapes, &counts, &assignment) {
+                match realize(cost, buckets, avail, &shapes, &counts, &assignment) {
                     Some(plan) => {
                         let t = plan.predicted_time(cost);
                         if t > c {
@@ -220,28 +227,27 @@ impl AggregatedModel {
         let mut p = Problem::minimize();
 
         // n_s: number of shape-s groups, capped by free node capacity.
-        // They decide the plan's structure, so they are branched on first.
+        // The only integers, so branch and bound branches on them alone.
         let n_vars: Vec<_> = shapes
             .iter()
             .map(|&s| {
-                let n = p.add_var(
+                p.add_var(
                     format!("n_{s}"),
                     VarKind::Integer,
                     0.0,
                     shape_count_cap(avail, s),
-                );
-                p.set_branch_priority(n, 1);
-                n
+                )
             })
             .collect();
-        // x_{q,s}: sequences of bucket q on shape-s groups. Bounds are
+        // x_{q,s}: the share of bucket q on shape-s groups, continuous;
+        // `extract` rounds it and `realize` packs the groups. Bounds are
         // C-dependent (time gating) and set by `set_makespan`.
         let mut x_vars = vec![Vec::with_capacity(ns); q];
         for (qi, b) in buckets.iter().enumerate() {
             for &s in shapes {
                 let fits_mem = b.upper <= cost.max_group_tokens(s.degree);
                 let ub = if fits_mem { b.count() as f64 } else { 0.0 };
-                x_vars[qi].push(p.add_var(format!("x_{qi}_{s}"), VarKind::Integer, 0.0, ub));
+                x_vars[qi].push(p.add_var(format!("x_{qi}_{s}"), VarKind::Continuous, 0.0, ub));
             }
         }
 
@@ -349,19 +355,47 @@ impl AggregatedModel {
         }
     }
 
-    fn extract(&self, sol: &flexsp_milp::MilpSolution) -> (Vec<u64>, Assignment) {
+    /// The group counts of `sol` and its assignment shares rounded per
+    /// bucket by [`largest_remainder`], so each bucket's counts sum to
+    /// its size.
+    fn extract(
+        &self,
+        buckets: &[Bucket],
+        sol: &flexsp_milp::MilpSolution,
+    ) -> (Vec<u64>, Assignment) {
         let counts: Vec<u64> = self
             .n_vars
             .iter()
             .map(|&v| sol.value(v).round() as u64)
             .collect();
-        let assignment: Assignment = self
-            .x_vars
-            .iter()
-            .map(|row| row.iter().map(|&v| sol.value(v).round() as u64).collect())
+        let assignment: Assignment = (self.x_vars.iter().zip(buckets))
+            .map(|(row, b)| {
+                let shares: Vec<f64> = row.iter().map(|&v| sol.value(v)).collect();
+                let upper: Vec<f64> = row.iter().map(|&v| self.problem.bounds(v).1).collect();
+                largest_remainder(&shares, &upper, b.count() as u64)
+            })
             .collect();
         (counts, assignment)
     }
+}
+
+/// Rounds the shares of one bucket to counts summing to `total`: floors
+/// every share, then hands each remaining sequence to the share with the
+/// largest fractional part (ties to the lower index). Only shares still
+/// below their `upper` bound receive one, so a share bounded at 0 never
+/// does.
+fn largest_remainder(shares: &[f64], upper: &[f64], total: u64) -> Vec<u64> {
+    let mut counts: Vec<u64> = shares.iter().map(|&v| v.max(0.0).floor() as u64).collect();
+    let assigned: u64 = counts.iter().sum();
+    let mut order: Vec<usize> = (0..shares.len())
+        .filter(|&i| (counts[i] as f64) < upper[i])
+        .collect();
+    let frac = |i: usize| shares[i].max(0.0) - counts[i] as f64;
+    order.sort_by(|&a, &b| frac(b).total_cmp(&frac(a)).then(a.cmp(&b)));
+    for &i in order.iter().take(total.saturating_sub(assigned) as usize) {
+        counts[i] += 1;
+    }
+    counts
 }
 
 /// Adds the node-chunk rows over the group counts `n_vars`. A group of
@@ -397,12 +431,13 @@ fn add_chunk_rows(p: &mut Problem, avail: &NodeSlots, shapes: &[GroupShape], n_v
     }
 }
 
-/// Splits the per-shape aggregate assignment into concrete groups,
-/// validating per-group memory, then places the whole micro-batch onto
-/// the topology. Each shape's pool is split by LPT, or by first fit when
-/// LPT strands a sequence. Longer sequences in a bucket are handed out
-/// first so the representative-length approximation stays safe.
-fn split_into_groups(
+/// Realizes a MILP point as a placed plan. Two packings of the
+/// micro-batch into the point's groups are tried, the bucket-guided
+/// [`split_into_groups`] and the shape-blind [`lpt_into_groups`]; each
+/// is rebalanced by moves and swaps off its bottleneck group, then
+/// placed, and the faster placed plan is kept (the first on a tie).
+/// `None` when neither packs and places.
+fn realize(
     cost: &CostModel,
     buckets: &[Bucket],
     avail: &NodeSlots,
@@ -410,6 +445,32 @@ fn split_into_groups(
     counts: &[u64],
     assignment: &Assignment,
 ) -> Option<MicroBatchPlan> {
+    let packings = [
+        split_into_groups(cost, buckets, shapes, counts, assignment),
+        lpt_into_groups(cost, buckets, shapes, counts),
+    ];
+    packings
+        .into_iter()
+        .flatten()
+        .filter_map(|mut slots| {
+            rebalance(cost, &mut slots, true);
+            finalize(slots_into_plan(slots), avail)
+        })
+        .min_by(|a, b| a.predicted_time(cost).total_cmp(&b.predicted_time(cost)))
+}
+
+/// Splits the per-shape aggregate assignment into concrete groups,
+/// validating per-group memory. Each shape's pool is split by LPT, or by
+/// first fit when LPT strands a sequence. Longer sequences in a bucket
+/// are handed out first so the representative-length approximation
+/// stays safe.
+fn split_into_groups(
+    cost: &CostModel,
+    buckets: &[Bucket],
+    shapes: &[GroupShape],
+    counts: &[u64],
+    assignment: &Assignment,
+) -> Option<Vec<Slot>> {
     // Per-bucket dealing cursors: longest members first.
     let mut pools: Vec<Vec<Sequence>> = buckets
         .iter()
@@ -440,14 +501,44 @@ fn split_into_groups(
         let bins = lpt_split(cost, &members, s, n_s, cap)
             .or_else(|| first_fit_split(&members, n_s, cap))?;
         for bin in bins.into_iter().filter(|b| !b.is_empty()) {
-            groups.push(GroupAssignment::new(s, bin));
+            groups.push(Slot::new(cost, s, bin));
         }
     }
     // All pools must be drained.
     if pools.iter().any(|p| !p.is_empty()) {
         return None;
     }
-    finalize(MicroBatchPlan::new(groups), avail)
+    Some(groups)
+}
+
+/// Packs the whole micro-batch into `counts[s]` groups of each shape by
+/// LPT over all of them: longest sequence first (ties by id), each into
+/// the group with memory room whose load after adding it is lowest.
+/// `None` when a sequence finds no group with room.
+fn lpt_into_groups(
+    cost: &CostModel,
+    buckets: &[Bucket],
+    shapes: &[GroupShape],
+    counts: &[u64],
+) -> Option<Vec<Slot>> {
+    let mut groups: Vec<Slot> = (shapes.iter().zip(counts))
+        .flat_map(|(&s, &n)| (0..n).map(move |_| s))
+        .map(|s| Slot::new(cost, s, Vec::new()))
+        .collect();
+    let mut order: Vec<Sequence> = buckets
+        .iter()
+        .flat_map(|b| b.seqs.iter().copied())
+        .collect();
+    order.sort_by(|a, b| b.len.cmp(&a.len).then(a.id.cmp(&b.id)));
+    for s in order {
+        let load_with = |g: &Slot| g.load + cost.seq_time(s.len, g.shape);
+        let group = groups
+            .iter_mut()
+            .filter(|g| g.has_room(cost, s.len))
+            .min_by(|a, b| load_with(a).total_cmp(&load_with(b)))?;
+        group.push(cost, s);
+    }
+    Some(groups)
 }
 
 /// First-fit-decreasing split of `seqs` into `num_groups` groups of at
@@ -697,10 +788,13 @@ fn warm_start_values(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use flexsp_model::{ActivationPolicy, ModelConfig};
     use flexsp_sim::ClusterSpec;
 
     use crate::bucketing::bucket_dp;
+    use crate::workflow::{FlexSpSolver, SolverConfig};
 
     /// `topology_sweep`'s cost model: GPT-7B on `nodes × width` A100s,
     /// the context sized to the cluster, the NIC scaled by `nic`.
@@ -756,6 +850,57 @@ mod tests {
         let (chunks, rows, without) = chunk_rows(&cost);
         assert_eq!(chunks, vec![]);
         assert_eq!(rows, without);
+    }
+
+    #[test]
+    fn largest_remainder_keeps_each_bucket_sum() {
+        let open = [f64::INFINITY; 3];
+        // The remaining sequence goes to the largest fractional part.
+        assert_eq!(largest_remainder(&[0.3, 0.3, 0.4], &open, 1), vec![0, 0, 1]);
+        // Equal parts: the lower shape index wins.
+        assert_eq!(largest_remainder(&[1.5, 1.5], &open, 3), vec![2, 1]);
+        // LP noise around integers rounds to the integers, never below
+        // zero.
+        assert_eq!(
+            largest_remainder(&[2.999_999_999_5, 1e-10, 1.000_000_000_4], &open, 4),
+            vec![3, 0, 1]
+        );
+        assert_eq!(
+            largest_remainder(&[-1e-10, 0.999_999_999_5, 2.0], &open, 3),
+            vec![0, 1, 2]
+        );
+        // A shape bounded at 0 never receives a sequence, even when it
+        // wins the tie on index.
+        assert_eq!(
+            largest_remainder(&[0.0, 1.0, 1.0], &[0.0, 2.0, 2.0], 3),
+            vec![0, 2, 1]
+        );
+        assert_eq!(
+            largest_remainder(&[0.0, 0.5, 0.5], &[0.0, 1.0, 1.0], 1),
+            vec![0, 1, 0]
+        );
+    }
+
+    #[test]
+    fn swaps_keep_the_4x8_long_micro_batch_fast() {
+        // `topology_sweep`'s 4×8 row. Without the swap step of the
+        // realization's rebalance, its long micro-batch plans at 1.5687 s.
+        let cost = sweep_cost(4, 8, 1.0);
+        let max_ctx = 8 * 1024 * 32 / 4;
+        let lens: Vec<u64> = [2, 3, 4, 4, 8, 8, 8]
+            .into_iter()
+            .map(|d| max_ctx / d)
+            .chain(std::iter::repeat_n(4096, 24))
+            .chain(std::iter::repeat_n(2048, 24))
+            .collect();
+        let mut config = SolverConfig::fast();
+        config.planner.milp_time_limit = Duration::from_secs(3600);
+        let solved = FlexSpSolver::new(cost.clone(), config)
+            .solve_iteration(&seqs(&lens))
+            .expect("the batch fits the cluster");
+        let long = &solved.plan.micro_batches[1];
+        let t = long.predicted_time(&cost);
+        assert!(t < 1.5286, "{} at {t:.4} s", long.shape_signature());
     }
 
     #[test]

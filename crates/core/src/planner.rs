@@ -454,12 +454,6 @@ fn heuristic_plan(
     let mut seqs: Vec<Sequence> = buckets.iter().flat_map(|b| b.seqs.clone()).collect();
     seqs.sort_by(|a, b| b.len.cmp(&a.len).then(a.id.cmp(&b.id)));
 
-    struct Slot {
-        shape: GroupShape,
-        load: f64,
-        tokens: u64,
-        seqs: Vec<Sequence>,
-    }
     let mut slots: Vec<Slot> = Vec::new();
     let mut free = HeuristicSlots::new(avail, &candidates);
 
@@ -468,7 +462,7 @@ fn heuristic_plan(
         // preferring the resulting minimum load.
         let mut best: Option<(f64, usize)> = None;
         for (i, g) in slots.iter().enumerate() {
-            if g.tokens + s.len > cost.max_group_tokens(g.shape.degree) {
+            if !g.has_room(cost, s.len) {
                 continue;
             }
             let new_load = g.load + cost.seq_time(s.len, g.shape);
@@ -493,104 +487,184 @@ fn heuristic_plan(
                 open = Some((load, shape, sku));
             }
         }
-        match (best, open) {
-            (Some((la, i)), Some((lb, shape, sku))) => {
-                if lb < la {
-                    free.commit(shape.degree, sku);
-                    slots.push(Slot {
-                        shape,
-                        load: lb,
-                        tokens: s.len,
-                        seqs: vec![*s],
-                    });
-                } else {
-                    let g = &mut slots[i];
-                    g.load = la;
-                    g.tokens += s.len;
-                    g.seqs.push(*s);
-                }
-            }
-            (Some((la, i)), None) => {
-                let g = &mut slots[i];
-                g.load = la;
-                g.tokens += s.len;
-                g.seqs.push(*s);
-            }
-            (None, Some((lb, shape, sku))) => {
-                free.commit(shape.degree, sku);
-                slots.push(Slot {
-                    shape,
-                    load: lb,
-                    tokens: s.len,
-                    seqs: vec![*s],
-                });
-            }
-            (None, None) => {
-                return Err(PlanError::Infeasible(format!(
-                    "no group can absorb a {}-token sequence ({} free GPUs)",
-                    s.len,
-                    free.total()
-                )));
-            }
+        // Append unless opening the new group is strictly cheaper.
+        let append = best.filter(|&(la, _)| open.is_none_or(|(lb, _, _)| lb >= la));
+        if let Some((_, i)) = append {
+            slots[i].push(cost, *s);
+        } else if let Some((_, shape, sku)) = open {
+            free.commit(shape.degree, sku);
+            slots.push(Slot::new(cost, shape, vec![*s]));
+        } else {
+            return Err(PlanError::Infeasible(format!(
+                "no group can absorb a {}-token sequence ({} free GPUs)",
+                s.len,
+                free.total()
+            )));
         }
     }
 
     // Local search: repeatedly move a sequence off the bottleneck group.
-    for _ in 0..200 {
-        let Some((bi, _)) = slots
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.load.total_cmp(&b.1.load))
-        else {
-            break;
+    rebalance(cost, &mut slots, false);
+    Ok(slots_into_plan(slots))
+}
+
+/// One SP group under construction: its planned shape, its load (the
+/// group overhead plus its sequences' times), its tokens and sequences.
+pub(crate) struct Slot {
+    pub(crate) shape: GroupShape,
+    pub(crate) load: f64,
+    pub(crate) tokens: u64,
+    pub(crate) seqs: Vec<Sequence>,
+}
+
+impl Slot {
+    /// An open shape-`shape` group holding `seqs`.
+    pub(crate) fn new(cost: &CostModel, shape: GroupShape, seqs: Vec<Sequence>) -> Self {
+        let mut slot = Self {
+            shape,
+            load: cost.group_overhead(shape),
+            tokens: 0,
+            seqs: Vec::with_capacity(seqs.len()),
         };
-        let bottleneck_load = slots[bi].load;
-        let mut best_move: Option<(usize, usize, f64)> = None; // (seq idx, dest, new max)
-        for (si, s) in slots[bi].seqs.iter().enumerate() {
-            let t_src = cost.seq_time(s.len, slots[bi].shape);
-            for (di, dst) in slots.iter().enumerate() {
-                if di == bi || dst.tokens + s.len > cost.max_group_tokens(dst.shape.degree) {
-                    continue;
-                }
-                let dst_new = dst.load + cost.seq_time(s.len, dst.shape);
-                let src_new = bottleneck_load - t_src;
-                let local_max = dst_new.max(src_new);
-                if local_max < bottleneck_load - 1e-9
-                    && best_move.is_none_or(|(_, _, m)| local_max < m)
-                {
-                    best_move = Some((si, di, local_max));
-                }
-            }
+        for s in seqs {
+            slot.push(cost, s);
         }
-        match best_move {
-            None => break,
-            Some((si, di, _)) => {
-                let s = slots[bi].seqs.remove(si);
-                slots[bi].load -= cost.seq_time(s.len, slots[bi].shape);
-                slots[bi].tokens -= s.len;
-                slots[di].load += cost.seq_time(s.len, slots[di].shape);
-                slots[di].tokens += s.len;
-                slots[di].seqs.push(s);
-            }
-        }
+        slot
     }
 
-    Ok(MicroBatchPlan::new(
+    /// Whether `len` more tokens fit the group's memory.
+    pub(crate) fn has_room(&self, cost: &CostModel, len: u64) -> bool {
+        self.tokens + len <= cost.max_group_tokens(self.shape.degree)
+    }
+
+    /// Adds `s` to the group.
+    pub(crate) fn push(&mut self, cost: &CostModel, s: Sequence) {
+        self.load += cost.seq_time(s.len, self.shape);
+        self.tokens += s.len;
+        self.seqs.push(s);
+    }
+}
+
+/// The unplaced plan of the non-empty `slots`.
+pub(crate) fn slots_into_plan(slots: Vec<Slot>) -> MicroBatchPlan {
+    MicroBatchPlan::new(
         slots
             .into_iter()
             .filter(|g| !g.seqs.is_empty())
             .map(|g| GroupAssignment::new(g.shape, g.seqs))
             .collect(),
-    ))
+    )
+}
+
+/// Local search over `slots`, at most 200 rounds. Each round moves the
+/// sequence off the bottleneck group that most lowers the pair's larger
+/// load. With `swaps`, a round that finds no such move instead swaps a
+/// bottleneck sequence for a shorter one elsewhere. Stops when a round
+/// cannot lower the bottleneck.
+pub(crate) fn rebalance(cost: &CostModel, slots: &mut [Slot], swaps: bool) {
+    for _ in 0..200 {
+        let Some(bi) = bottleneck(slots) else {
+            return;
+        };
+        if !(move_off(cost, slots, bi) || (swaps && swap_off(cost, slots, bi))) {
+            return;
+        }
+    }
+}
+
+/// Index of the most loaded slot (the last one among equals).
+fn bottleneck(slots: &[Slot]) -> Option<usize> {
+    slots
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.load.total_cmp(&b.1.load))
+        .map(|(i, _)| i)
+}
+
+/// Moves the sequence of bottleneck slot `bi` whose move to another slot
+/// with memory room gives the lowest larger load of the two, if that is
+/// below the bottleneck's load. Returns whether it moved one.
+fn move_off(cost: &CostModel, slots: &mut [Slot], bi: usize) -> bool {
+    let bottleneck_load = slots[bi].load;
+    let mut best_move: Option<(usize, usize, f64)> = None; // (seq idx, dest, new max)
+    for (si, s) in slots[bi].seqs.iter().enumerate() {
+        let t_src = cost.seq_time(s.len, slots[bi].shape);
+        for (di, dst) in slots.iter().enumerate() {
+            if di == bi || !dst.has_room(cost, s.len) {
+                continue;
+            }
+            let dst_new = dst.load + cost.seq_time(s.len, dst.shape);
+            let src_new = bottleneck_load - t_src;
+            let local_max = dst_new.max(src_new);
+            if local_max < bottleneck_load - 1e-9 && best_move.is_none_or(|(_, _, m)| local_max < m)
+            {
+                best_move = Some((si, di, local_max));
+            }
+        }
+    }
+    let Some((si, di, _)) = best_move else {
+        return false;
+    };
+    let s = slots[bi].seqs.remove(si);
+    slots[bi].load -= cost.seq_time(s.len, slots[bi].shape);
+    slots[bi].tokens -= s.len;
+    slots[di].push(cost, s);
+    true
+}
+
+/// Swaps a sequence of bottleneck slot `bi` for a shorter one of another
+/// slot with memory room for it, taking the swap with the lowest larger
+/// load of the two, if that is below the bottleneck's load. Returns
+/// whether it swapped.
+fn swap_off(cost: &CostModel, slots: &mut [Slot], bi: usize) -> bool {
+    let src = &slots[bi];
+    let bottleneck_load = src.load;
+    let mut best_swap: Option<(usize, usize, usize, f64)> = None; // (seq, dest, dest seq, new max)
+    for (si, a) in src.seqs.iter().enumerate() {
+        let a_src = cost.seq_time(a.len, src.shape);
+        for (di, dst) in slots.iter().enumerate() {
+            if di == bi {
+                continue;
+            }
+            let cap = cost.max_group_tokens(dst.shape.degree);
+            let a_dst = cost.seq_time(a.len, dst.shape);
+            for (dj, b) in dst.seqs.iter().enumerate() {
+                if b.len >= a.len || dst.tokens - b.len + a.len > cap {
+                    continue;
+                }
+                let src_new = bottleneck_load - a_src + cost.seq_time(b.len, src.shape);
+                let dst_new = dst.load - cost.seq_time(b.len, dst.shape) + a_dst;
+                let local_max = src_new.max(dst_new);
+                if local_max < bottleneck_load - 1e-9
+                    && best_swap.is_none_or(|(_, _, _, m)| local_max < m)
+                {
+                    best_swap = Some((si, di, dj, local_max));
+                }
+            }
+        }
+    }
+    let Some((si, di, dj, _)) = best_swap else {
+        return false;
+    };
+    let (a, b) = (slots[bi].seqs[si], slots[di].seqs[dj]);
+    for (i, j, out, into) in [(bi, si, a, b), (di, dj, b, a)] {
+        let slot = &mut slots[i];
+        slot.load += cost.seq_time(into.len, slot.shape) - cost.seq_time(out.len, slot.shape);
+        slot.tokens = slot.tokens - out.len + into.len;
+        slot.seqs[j] = into;
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexsp_cost::CostModel;
+    use flexsp_data::{GlobalBatchLoader, LengthDistribution};
     use flexsp_model::{ActivationPolicy, ModelConfig};
     use flexsp_sim::ClusterSpec;
 
+    use crate::blaster::blast;
     use crate::bucketing::bucket_dp;
 
     fn cost64() -> CostModel {
@@ -768,6 +842,63 @@ mod tests {
             .unwrap()
             .stats;
         assert_eq!(ample.undecided_steps, 0, "{ample:?}");
+    }
+
+    #[test]
+    fn fig6_micro_batch_decides_every_step() {
+        // Paper Fig. 6: GPT-7B at 128K on 8×8 A100s, a CommonCrawl
+        // batch of 512 (seed 1) blasted into seven micro-batches. With
+        // integer assignment counts, three of the third micro-batch's
+        // makespan steps spent their 400 nodes without an incumbent.
+        let cost = CostModel::fit(
+            &ClusterSpec::a100_cluster(8),
+            &ModelConfig::gpt_7b(128 << 10),
+            ActivationPolicy::None,
+        );
+        let batch = GlobalBatchLoader::new(LengthDistribution::common_crawl(), 512, 128 << 10, 1)
+            .next_batch();
+        let buckets = bucket_dp(&blast(&batch, 7, true)[2], 16);
+        let config = PlannerConfig {
+            milp_time_limit: Duration::from_secs(3600),
+            ..PlannerConfig::fast()
+        };
+        let s = plan_micro_batch(&cost, &buckets, 64, &config)
+            .unwrap()
+            .stats;
+        assert!(s.search_steps > 0, "{s:?}");
+        assert_eq!(s.undecided_steps, 0, "{s:?}");
+    }
+
+    #[test]
+    fn swaps_lower_a_bottleneck_no_move_can() {
+        // Moving an 8K sequence onto the other group makes that group the
+        // slower one; swapping it for a 7K or 6K one does not.
+        let cost = cost64();
+        let shape = GroupShape::intra(8);
+        let group = |lens: &[u64]| Slot::new(&cost, shape, seqs(lens));
+        let loads = |slots: &[Slot]| slots.iter().map(|g| g.load).collect::<Vec<_>>();
+        let mut slots = vec![group(&[8192, 8192]), group(&[7168, 6144])];
+        let before = loads(&slots);
+        assert!(before[0] > before[1]);
+
+        rebalance(&cost, &mut slots, false);
+        assert_eq!(loads(&slots), before, "no move lowers the bottleneck");
+
+        rebalance(&cost, &mut slots, true);
+        let after = loads(&slots);
+        assert!(
+            after[0].max(after[1]) < before[0] - 1e-9,
+            "{after:?} vs {before:?}"
+        );
+        let mut lens: Vec<u64> = slots
+            .iter()
+            .flat_map(|g| g.seqs.iter().map(|s| s.len))
+            .collect();
+        lens.sort_unstable();
+        assert_eq!(lens, vec![6144, 7168, 8192, 8192]);
+        for g in &slots {
+            assert_eq!(g.tokens, g.seqs.iter().map(|s| s.len).sum::<u64>());
+        }
     }
 
     #[test]
