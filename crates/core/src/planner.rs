@@ -10,13 +10,16 @@
 //!   serves as the MILP warm start.
 //! * [`Formulation::Aggregated`] (default) — the paper's MILP after a
 //!   documented symmetry reduction: groups of equal shape are
-//!   interchangeable, so we decide *per-shape group counts* `n_s` and
-//!   *per-(bucket, shape) assignment counts* `x_{q,s}` under node-capacity
-//!   caps, then split each shape's pool into concrete groups by LPT. The
-//!   min-max objective is recovered by binary-searching the makespan `C`
-//!   over feasibility MILPs (each linear because `C` is fixed),
-//!   sidestepping the `C·n_s` bilinearity that the aggregation would
-//!   otherwise introduce.
+//!   interchangeable, so we decide integer *per-shape group counts* `n_s`
+//!   and continuous *per-(bucket, shape) assignment shares* `x_{q,s}`
+//!   under node-capacity caps. Branch and bound branches on the `n_s`
+//!   only; each point is realized by packing the micro-batch into the
+//!   chosen groups (a bucket-guided per-shape LPT split and an LPT over
+//!   all of them, each rebalanced by moves and swaps, the faster placed
+//!   plan kept). The min-max objective is recovered by binary-searching
+//!   the makespan `C` over feasibility MILPs (each linear because `C` is
+//!   fixed), sidestepping the `C·n_s` bilinearity that the aggregation
+//!   would otherwise introduce.
 //! * [`Formulation::PerGroup`] — the paper's Eq. 17–22 verbatim (one
 //!   binary `m_p` per virtual group, integer assignment matrix `Â`, free
 //!   makespan variable `C`) with symmetry-breaking row ordering. Exact but

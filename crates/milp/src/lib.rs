@@ -57,11 +57,13 @@
 //! [branching priority](Problem::set_branch_priority) present, the most
 //! fractional among those, then the lowest index. Priorities default to
 //! 0, so an unprioritized problem branches on the most fractional
-//! variable. The planner raises the group counts that fix a plan's
-//! structure above the assignment counts that fill it in, so a search
-//! settles the structure near the root before it spends nodes on the
-//! assignment. Priorities reorder the search only: they never change
-//! which points are feasible or what a drained search proves optimal.
+//! variable. The planner's per-group model raises its group switches,
+//! which fix a plan's structure, above the integer assignments that
+//! fill it in, so a search settles the structure near the root before
+//! it spends nodes on the assignment. (Its default aggregated model
+//! needs no priorities: its group counts are its only integers.)
+//! Priorities reorder the search only: they never change which points
+//! are feasible or what a drained search proves optimal.
 //!
 //! # Example
 //!

@@ -290,9 +290,10 @@ impl Problem {
     /// search, never which points are feasible; continuous variables
     /// ignore them.
     ///
-    /// Raising the variables that fix a solution's structure (the planner's
-    /// group counts) above the ones that fill it in (its assignment
-    /// counts) settles the structure near the root of the search tree.
+    /// Raising the variables that fix a solution's structure (the
+    /// planner's per-group switches `m_p`) above the ones that fill it in
+    /// (its per-group assignments) settles the structure near the root of
+    /// the search tree.
     ///
     /// # Panics
     ///
