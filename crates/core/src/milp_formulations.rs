@@ -531,11 +531,13 @@ fn lpt_into_groups(
         .collect();
     order.sort_by(|a, b| b.len.cmp(&a.len).then(a.id.cmp(&b.id)));
     for s in order {
-        let load_with = |g: &Slot| g.load + cost.seq_time(s.len, g.shape);
         let group = groups
             .iter_mut()
             .filter(|g| g.has_room(cost, s.len))
-            .min_by(|a, b| load_with(a).total_cmp(&load_with(b)))?;
+            .min_by(|a, b| {
+                a.load_with(cost, s.len)
+                    .total_cmp(&b.load_with(cost, s.len))
+            })?;
         group.push(cost, s);
     }
     Some(groups)

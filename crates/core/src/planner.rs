@@ -468,7 +468,7 @@ fn heuristic_plan(
             if !g.has_room(cost, s.len) {
                 continue;
             }
-            let new_load = g.load + cost.seq_time(s.len, g.shape);
+            let new_load = g.load_with(cost, s.len);
             if best.is_none_or(|(l, _)| new_load < l) {
                 best = Some((new_load, i));
             }
@@ -513,11 +513,13 @@ fn heuristic_plan(
 
 /// One SP group under construction: its planned shape, its load (the
 /// group overhead plus its sequences' times), its tokens and sequences.
+/// Only [`Slot::push`] and the rebalance change a slot, so load and
+/// tokens always match the sequences.
 pub(crate) struct Slot {
-    pub(crate) shape: GroupShape,
-    pub(crate) load: f64,
-    pub(crate) tokens: u64,
-    pub(crate) seqs: Vec<Sequence>,
+    shape: GroupShape,
+    load: f64,
+    tokens: u64,
+    seqs: Vec<Sequence>,
 }
 
 impl Slot {
@@ -538,6 +540,11 @@ impl Slot {
     /// Whether `len` more tokens fit the group's memory.
     pub(crate) fn has_room(&self, cost: &CostModel, len: u64) -> bool {
         self.tokens + len <= cost.max_group_tokens(self.shape.degree)
+    }
+
+    /// The group's load once a `len`-token sequence is added.
+    pub(crate) fn load_with(&self, cost: &CostModel, len: u64) -> f64 {
+        self.load + cost.seq_time(len, self.shape)
     }
 
     /// Adds `s` to the group.
@@ -566,22 +573,15 @@ pub(crate) fn slots_into_plan(slots: Vec<Slot>) -> MicroBatchPlan {
 /// cannot lower the bottleneck.
 pub(crate) fn rebalance(cost: &CostModel, slots: &mut [Slot], swaps: bool) {
     for _ in 0..200 {
-        let Some(bi) = bottleneck(slots) else {
+        // The most loaded slot, the last one among equals.
+        let Some((bi, _)) = (slots.iter().enumerate()).max_by(|a, b| a.1.load.total_cmp(&b.1.load))
+        else {
             return;
         };
         if !(move_off(cost, slots, bi) || (swaps && swap_off(cost, slots, bi))) {
             return;
         }
     }
-}
-
-/// Index of the most loaded slot (the last one among equals).
-fn bottleneck(slots: &[Slot]) -> Option<usize> {
-    slots
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.load.total_cmp(&b.1.load))
-        .map(|(i, _)| i)
 }
 
 /// Moves the sequence of bottleneck slot `bi` whose move to another slot
@@ -596,7 +596,7 @@ fn move_off(cost: &CostModel, slots: &mut [Slot], bi: usize) -> bool {
             if di == bi || !dst.has_room(cost, s.len) {
                 continue;
             }
-            let dst_new = dst.load + cost.seq_time(s.len, dst.shape);
+            let dst_new = dst.load_with(cost, s.len);
             let src_new = bottleneck_load - t_src;
             let local_max = dst_new.max(src_new);
             if local_max < bottleneck_load - 1e-9 && best_move.is_none_or(|(_, _, m)| local_max < m)
