@@ -432,11 +432,12 @@ fn add_chunk_rows(p: &mut Problem, avail: &NodeSlots, shapes: &[GroupShape], n_v
 }
 
 /// Realizes a MILP point as a placed plan. Two packings of the
-/// micro-batch into the point's groups are tried, the bucket-guided
-/// [`split_into_groups`] and the shape-blind [`lpt_into_groups`]; each
-/// is rebalanced by moves and swaps off its bottleneck group, then
-/// placed, and the faster placed plan is kept (the first on a tie).
-/// `None` when neither packs and places.
+/// micro-batch into the point's groups are tried: the bucket-guided
+/// [`split_into_groups`], which follows the rounded shares, and
+/// [`lpt_into_groups`], which ignores them. Each is rebalanced by moves
+/// and swaps off its bottleneck group, then placed, and the faster
+/// placed plan is kept (the first on a tie). `None` when neither packs
+/// and places.
 fn realize(
     cost: &CostModel,
     buckets: &[Bucket],
