@@ -55,8 +55,10 @@ pub fn token_error_ratio(buckets: &[Bucket]) -> f64 {
 /// Optimal bucketing by dynamic programming (Eq. 16): splits the sorted
 /// lengths into at most `q` buckets minimizing total token deviation.
 ///
-/// Runs in `O(K²·Q)` with prefix sums; `K = 512`, `Q = 16` (the paper's
-/// defaults) is ≈ 4M transitions.
+/// The DP runs over the `D ≤ K` distinct lengths, one layer per bucket
+/// count, and fills each layer by divide and conquer over the split
+/// point: `O(Q·D·log D)` cost evaluations, ≈ 74K at the paper's defaults
+/// (`K = 512`, `Q = 16`).
 ///
 /// Returns fewer than `q` buckets when sequences have fewer distinct
 /// lengths. Buckets are ascending; empty input yields no buckets.
@@ -80,6 +82,16 @@ pub fn token_error_ratio(buckets: &[Bucket]) -> f64 {
 /// assert_eq!(total_token_error(&buckets), (12-10) + (12-11) + (520-500) + (520-510));
 /// ```
 pub fn bucket_dp(seqs: &[Sequence], q: usize) -> Vec<Bucket> {
+    bucket_with(seqs, q, dp_splits)
+}
+
+/// Buckets `seqs` into at most `q` buckets at the boundaries `splits`
+/// picks over their distinct lengths.
+fn bucket_with(
+    seqs: &[Sequence],
+    q: usize,
+    splits: fn(&Prefix, usize) -> Vec<(usize, usize)>,
+) -> Vec<Bucket> {
     assert!(q > 0, "need at least one bucket");
     if seqs.is_empty() {
         return Vec::new();
@@ -89,8 +101,8 @@ pub fn bucket_dp(seqs: &[Sequence], q: usize) -> Vec<Bucket> {
     sorted.sort_by_key(|s| s.len);
 
     // Bucket boundaries only ever fall between *distinct* lengths, so run
-    // the DP over distinct values with multiplicities: O(D²·Q) instead of
-    // O(K²·Q), which keeps large batches (Fig. 8 scales K with N) cheap.
+    // the DP over distinct values with multiplicities, which keeps large
+    // batches (Fig. 8 scales K with N) cheap.
     let mut distinct: Vec<(u64, u64, usize)> = Vec::new(); // (len, count, end idx)
     for (i, s) in sorted.iter().enumerate() {
         match distinct.last_mut() {
@@ -102,52 +114,18 @@ pub fn bucket_dp(seqs: &[Sequence], q: usize) -> Vec<Bucket> {
         }
     }
     let d = distinct.len();
-    let q = q.min(d);
-
-    // Weighted prefix sums over distinct values.
-    let mut pc = vec![0u64; d + 1]; // counts
-    let mut ps = vec![0u64; d + 1]; // count·len
+    let mut prefix = Prefix {
+        tops: Vec::with_capacity(d),
+        count: vec![0; d + 1],
+        tokens: vec![0; d + 1],
+    };
     for (i, &(len, count, _)) in distinct.iter().enumerate() {
-        pc[i + 1] = pc[i] + count;
-        ps[i + 1] = ps[i] + count * len;
-    }
-    // cost(j, i): one bucket over distinct[j..i] represented by its top
-    // value: Σ count·(top − len).
-    let cost =
-        |j: usize, i: usize| -> u64 { (pc[i] - pc[j]) * distinct[i - 1].0 - (ps[i] - ps[j]) };
-
-    // err[i][b]: min error bucketing the first i distinct values into b
-    // buckets (Eq. 16).
-    const INF: u64 = u64::MAX / 2;
-    let mut err = vec![vec![INF; q + 1]; d + 1];
-    let mut from = vec![vec![0usize; q + 1]; d + 1];
-    err[0][0] = 0;
-    for b in 1..=q {
-        for i in 1..=d {
-            for j in (b - 1)..i {
-                if err[j][b - 1] == INF {
-                    continue;
-                }
-                let c = err[j][b - 1] + cost(j, i);
-                if c < err[i][b] {
-                    err[i][b] = c;
-                    from[i][b] = j;
-                }
-            }
-        }
+        prefix.tops.push(len);
+        prefix.count[i + 1] = prefix.count[i] + count;
+        prefix.tokens[i + 1] = prefix.tokens[i] + count * len;
     }
 
-    // Using exactly q buckets is never worse than fewer; reconstruct at q.
-    let mut bounds = Vec::with_capacity(q);
-    let (mut i, mut b) = (d, q);
-    while b > 0 {
-        let j = from[i][b];
-        bounds.push((j, i));
-        i = j;
-        b -= 1;
-    }
-    bounds.reverse();
-    bounds
+    splits(&prefix, q.min(d))
         .into_iter()
         .filter(|(j, i)| i > j)
         .map(|(j, i)| {
@@ -159,6 +137,138 @@ pub fn bucket_dp(seqs: &[Sequence], q: usize) -> Vec<Bucket> {
             }
         })
         .collect()
+}
+
+/// Weighted prefix sums over the distinct lengths of a sorted batch.
+struct Prefix {
+    /// The distinct lengths, ascending.
+    tops: Vec<u64>,
+    /// `count[i]`: sequences among the first `i` distinct lengths.
+    count: Vec<u64>,
+    /// `tokens[i]`: their tokens.
+    tokens: Vec<u64>,
+}
+
+impl Prefix {
+    /// One bucket over distinct lengths `j..i` (`j < i`), represented by
+    /// its top value: `Σ count·(top − len)`.
+    fn cost(&self, j: usize, i: usize) -> u64 {
+        (self.count[i] - self.count[j]) * self.tops[i - 1] - (self.tokens[i] - self.tokens[j])
+    }
+
+    /// Number of distinct lengths.
+    fn len(&self) -> usize {
+        self.tops.len()
+    }
+}
+
+/// Sentinel error of an unreachable DP state.
+const INF: u64 = u64::MAX / 2;
+
+/// The optimal split of the distinct lengths into `q ≤ D` buckets (Eq. 16)
+/// as `(start, end)` ranges of distinct indices, ascending.
+///
+/// Layer `b` holds `err_b[i]`, the least error of the first `i` distinct
+/// lengths in `b` buckets: `min_j err_{b−1}[j] + cost(j, i)`. The cost
+/// satisfies the quadrangle inequality,
+/// `cost(a,d) + cost(b,c) − cost(a,c) − cost(b,d) = (P[b]−P[a])·(v_d − v_c) ≥ 0`
+/// for `a ≤ b ≤ c ≤ d` (`P` the prefix counts, `v` the tops), so the
+/// smallest optimal `j` never decreases as `i` grows. Each layer is filled
+/// by divide and conquer over that split point, keeping the smallest `j`
+/// on ties, as a scan of every `j` would.
+fn dp_splits(p: &Prefix, q: usize) -> Vec<(usize, usize)> {
+    let (d, w) = (p.len(), p.len() + 1);
+    // from[b·w + i]: where the last bucket starts in layer b's optimum for
+    // the first i distinct lengths. Layer 1 has one bucket, from 0.
+    let mut from = vec![0usize; (q + 1) * w];
+    let mut prev = vec![INF; w];
+    for (i, e) in prev.iter_mut().enumerate().skip(1) {
+        *e = p.cost(0, i);
+    }
+    let mut cur = vec![INF; w];
+    for b in 2..=q {
+        let row = &mut from[b * w..(b + 1) * w];
+        // b buckets need b lengths, and err_{b−1}[j] is finite for j ≥ b−1.
+        fill_layer(p, &prev, &mut cur, row, (b, d), (b - 1, d - 1));
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    trace_back(&from, w, d, q)
+}
+
+/// Fills `cur[i]` and `from[i]` for `i` in `rows`, knowing that the
+/// smallest optimal split of each lies in `splits` and never decreases
+/// in `i`.
+fn fill_layer(
+    p: &Prefix,
+    prev: &[u64],
+    cur: &mut [u64],
+    from: &mut [usize],
+    rows: (usize, usize),
+    splits: (usize, usize),
+) {
+    let ((lo, hi), (s_lo, s_hi)) = (rows, splits);
+    if lo > hi {
+        return;
+    }
+    let mid = lo + (hi - lo) / 2;
+    let (mut best, mut arg) = (INF, s_lo);
+    for (j, &err) in prev
+        .iter()
+        .enumerate()
+        .take(s_hi.min(mid - 1) + 1)
+        .skip(s_lo)
+    {
+        let c = err + p.cost(j, mid);
+        if c < best {
+            best = c;
+            arg = j;
+        }
+    }
+    cur[mid] = best;
+    from[mid] = arg;
+    if mid > lo {
+        fill_layer(p, prev, cur, from, (lo, mid - 1), (s_lo, arg));
+    }
+    fill_layer(p, prev, cur, from, (mid + 1, hi), (arg, s_hi));
+}
+
+/// Walks the split table back from all `d` lengths in `q` buckets.
+fn trace_back(from: &[usize], w: usize, d: usize, q: usize) -> Vec<(usize, usize)> {
+    let mut bounds = Vec::with_capacity(q);
+    let (mut i, mut b) = (d, q);
+    while b > 0 {
+        let j = from[b * w + i];
+        bounds.push((j, i));
+        i = j;
+        b -= 1;
+    }
+    bounds.reverse();
+    bounds
+}
+
+/// [`dp_splits`] by scanning every split point: `O(Q·D²)`. The test
+/// oracle for the divide-and-conquer layers.
+#[cfg(test)]
+fn quadratic_splits(p: &Prefix, q: usize) -> Vec<(usize, usize)> {
+    let (d, w) = (p.len(), p.len() + 1);
+    let mut err = vec![INF; (q + 1) * w];
+    let mut from = vec![0usize; (q + 1) * w];
+    err[0] = 0;
+    for b in 1..=q {
+        for i in 1..=d {
+            for j in (b - 1)..i {
+                if err[(b - 1) * w + j] == INF {
+                    continue;
+                }
+                let c = err[(b - 1) * w + j] + p.cost(j, i);
+                if c < err[b * w + i] {
+                    err[b * w + i] = c;
+                    from[b * w + i] = j;
+                }
+            }
+        }
+    }
+    trace_back(&from, w, d, q)
 }
 
 /// Naive fixed-width bucketing (the ablation baseline of §4.1.3): buckets
@@ -212,6 +322,7 @@ pub fn bucket_exact(seqs: &[Sequence]) -> Vec<Bucket> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seqs(lens: &[u64]) -> Vec<Sequence> {
         lens.iter()
@@ -347,6 +458,23 @@ mod tests {
         // Both land in the ≤2048 bucket: error = 1048 + 548 over 2500.
         let ratio = token_error_ratio(&buckets);
         assert!((ratio - (1048.0 + 548.0) / 2500.0).abs() < 1e-12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The divide-and-conquer layers pick the same buckets as the
+        /// quadratic scan, ties included: few distinct lengths repeated
+        /// many times, and bucket counts past the distinct count.
+        #[test]
+        fn divide_and_conquer_matches_the_quadratic_scan(
+            (lens, q) in prop_oneof![Just(4u64), Just(20), Just(5000)].prop_flat_map(|range| {
+                (prop::collection::vec(1u64..=range, 1..=80), 1usize..=24)
+            }),
+        ) {
+            let input = seqs(&lens);
+            prop_assert_eq!(bucket_dp(&input, q), bucket_with(&input, q, quadratic_splits));
+        }
     }
 
     #[test]
