@@ -174,6 +174,10 @@ impl ReplayReport {
     /// among them that the search wasted, and
     /// `flexsp.milp.unwitnessed_steps` the steps that lowered the upper
     /// bound without a plan as fast as it.
+    /// `flexsp.milp.{primal_pivots, dual_pivots, refactorizations,
+    /// basis_reuse_misses}` are the LP engine's effort over their
+    /// relaxations, the last counting warm starts that fell back to a cold
+    /// solve.
     pub fn metrics(&self) -> MetricsSnapshot {
         let (a, c, s) = (&self.arbiter, &self.cache, &self.stats);
         let (p, m) = (&self.solver, &self.solver.milp);
@@ -187,11 +191,15 @@ impl ReplayReport {
                 ("flexsp.cache.evictions", c.evictions),
                 ("flexsp.cache.hits", c.hits),
                 ("flexsp.cache.misses", c.misses),
+                ("flexsp.milp.basis_reuse_misses", m.basis_reuse_misses),
+                ("flexsp.milp.dual_pivots", m.dual_pivots),
                 ("flexsp.milp.heuristic_incumbents", m.heuristic_incumbents),
                 ("flexsp.milp.lp_solves", m.lp_solves),
                 ("flexsp.milp.model_builds", u64::from(p.model_builds)),
                 ("flexsp.milp.node_limit_stops", m.node_limit_stops),
                 ("flexsp.milp.nodes", m.nodes),
+                ("flexsp.milp.primal_pivots", m.primal_pivots),
+                ("flexsp.milp.refactorizations", m.refactorizations),
                 ("flexsp.milp.solves", u64::from(p.search_steps)),
                 ("flexsp.milp.split_failures", u64::from(p.split_failures)),
                 ("flexsp.milp.time_limit_stops", m.time_limit_stops),

@@ -81,6 +81,18 @@ fn second_replay_exports_its_own_counts() {
         assert_eq!(counter(&m, name), u64::from(count), "{name}");
         assert_eq!(counter(&first.metrics(), name), u64::from(count), "{name}");
     }
+    // So is the LP engine's effort, summed over every relaxation.
+    let lp = &second.solver.milp;
+    for (name, count) in [
+        ("flexsp.milp.primal_pivots", lp.primal_pivots),
+        ("flexsp.milp.dual_pivots", lp.dual_pivots),
+        ("flexsp.milp.refactorizations", lp.refactorizations),
+        ("flexsp.milp.basis_reuse_misses", lp.basis_reuse_misses),
+    ] {
+        assert_eq!(counter(&m, name), count, "{name}");
+        assert_eq!(counter(&first.metrics(), name), count, "{name}");
+    }
+    assert!(lp.pivots() > 0, "the replay's relaxations must pivot");
     // Every planning request is one cache hit or one miss (one worker
     // per service, so nothing coalesces): the cache counters of every
     // service reached the report.
