@@ -569,8 +569,8 @@ fn first_fit_split(seqs: &[Sequence], num_groups: usize, cap: u64) -> Option<Vec
 /// Only tractable for small clusters (the virtual-group count is
 /// `Σ_s cap(s)`); production planning uses [`plan_aggregated`]. Inside
 /// the single branch-and-bound run, child nodes re-solve from their
-/// parent's basis (see `flexsp-milp`), which is where this formulation's
-/// basis reuse shows up in [`PlanStats`].
+/// parent's basis inverse and reduced costs (see `flexsp-milp`), which is
+/// where this formulation's basis reuse shows up in [`PlanStats`].
 pub(crate) fn plan_per_group(
     cost: &CostModel,
     buckets: &[Bucket],

@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexsp_telemetry as tel;
@@ -9,7 +10,8 @@ use flexsp_telemetry as tel;
 use crate::basis::Basis;
 use crate::error::SolveError;
 use crate::problem::{ObjectiveSense, Problem, VarKind};
-use crate::simplex::{solve_lp_model, LpOptions, LpOutcome, LpStats};
+use crate::revised::{NodeState, WarmStart};
+use crate::simplex::{solve_lp_model, LpOutcome, LpStats};
 use crate::solution::{MilpSolution, MilpStatus};
 use crate::sparse::{BuildOutcome, SparseModel};
 use crate::{FEAS_TOL, INT_TOL};
@@ -29,12 +31,14 @@ pub struct SolveStats {
     pub primal_pivots: u64,
     /// Dual simplex pivots (warm re-solves) across all relaxations.
     pub dual_pivots: u64,
-    /// Basis refactorizations across all relaxations.
+    /// Rebuilds of the basis inverse across all relaxations. A node's
+    /// inverse carries its update count to its children, so the pivots of
+    /// a whole branch-and-bound path count toward the next rebuild.
     pub refactorizations: u64,
     /// Relaxations completed from a reused (parent or caller) basis.
     pub basis_reuse_hits: u64,
-    /// Relaxations where a supplied basis had to be dropped for a cold
-    /// start.
+    /// Relaxations where a supplied basis or carried state had to be
+    /// dropped for a cold start.
     pub basis_reuse_misses: u64,
     /// Searches stopped by the node budget. When the node budget and the
     /// time limit trip together, the stop counts here, so this count is
@@ -192,10 +196,10 @@ impl MilpSolver {
     /// improve the incumbent, then stops if the relative gap is closed, if
     /// the heap is drained, or if the node budget or the time limit is
     /// spent, in that order. Otherwise it pops the best node and expands
-    /// it: it re-solves the node's LP warm from its parent's basis, prunes
-    /// against the incumbent, runs the rounding heuristic and branches on
-    /// the most fractional variable among those of the highest
-    /// [branching priority](Problem::set_branch_priority).
+    /// it: it re-solves the node's LP warm from its parent's basis inverse
+    /// and reduced costs, prunes against the incumbent, runs the rounding
+    /// heuristic and branches on the most fractional variable among those
+    /// of the highest [branching priority](Problem::set_branch_priority).
     ///
     /// The same problem and options always give the same incumbent, bound
     /// and [`SolveStats`], unless the time limit stops the search.
@@ -245,17 +249,17 @@ impl MilpSolver {
                 None,
             ));
         };
-        let root_outcome = {
+        let (root_outcome, root_state) = {
             let _root_span = tel::span!(tel::Category::Solver, "milp.root_lp");
             solve_relaxation(
                 problem,
                 &model,
                 &root_bounds,
-                self.root_basis.as_ref(),
+                self.root_basis.as_ref().map(WarmStart::Basis),
                 &mut stats,
             )?
         };
-        let mut root = match root_outcome {
+        let root = match root_outcome {
             LpOutcome::Infeasible => {
                 return Ok(finish(
                     problem,
@@ -284,8 +288,10 @@ impl MilpSolver {
             LpOutcome::Optimal(s) => s,
         };
         // The root relaxation's basis is handed back to the caller (for
-        // the next binary-search step) and down to the root's children.
-        let root_basis = root.take_basis();
+        // the next binary-search step), and its whole state down to the
+        // root node.
+        let root_state = root_state.map(Arc::new);
+        let root_basis = root_state.as_ref().map(|s| s.basis.clone());
 
         let mut search = Search {
             solver: self,
@@ -304,7 +310,7 @@ impl MilpSolver {
             depth: 0,
             seq: 0,
             bounds: root_bounds,
-            basis: root_basis.clone(),
+            warm: root_state,
         });
         let status = search.run()?;
         let best_bound = search.open_bound().min(search.best_score());
@@ -356,24 +362,18 @@ fn finish(
 
 /// Solves one relaxation of `problem` (prebuilt as `model`) under
 /// `bounds`, warm from `warm` when given, and counts it into `stats`.
+/// Returns the optimum's state for warm re-solves next to the outcome.
 fn solve_relaxation(
     problem: &Problem,
     model: &SparseModel,
     bounds: &[(f64, f64)],
-    warm: Option<&Basis>,
+    warm: Option<WarmStart<'_>>,
     stats: &mut SolveStats,
-) -> Result<LpOutcome, SolveError> {
+) -> Result<(LpOutcome, Option<NodeState>), SolveError> {
     stats.lp_solves += 1;
-    let (outcome, lp_stats) = solve_lp_model(
-        problem,
-        model,
-        &LpOptions {
-            bound_overrides: Some(bounds),
-            warm_basis: warm,
-        },
-    )?;
+    let (outcome, lp_stats, state) = solve_lp_model(problem, model, bounds, warm)?;
     stats.absorb_lp(&lp_stats);
-    Ok(outcome)
+    Ok((outcome, state))
 }
 
 /// Rounds every integer variable of `values` to the nearest integer.
@@ -412,8 +412,10 @@ struct OpenNode {
     /// tie-break that makes the node order total and deterministic.
     seq: u64,
     bounds: Vec<(f64, f64)>,
-    /// Parent relaxation's optimal basis (warm start for this node).
-    basis: Option<Basis>,
+    /// The parent relaxation's optimal basis, inverse and reduced costs:
+    /// this node's warm start, shared with its sibling and the parent's
+    /// completion LP.
+    warm: Option<Arc<NodeState>>,
 }
 
 /// NaN-safe score comparison: NaN orders *after* every real score (a NaN
@@ -549,26 +551,26 @@ impl Search<'_> {
         }
     }
 
-    /// Expands one node: warm LP re-solve from the parent basis, prune
+    /// Expands one node: warm LP re-solve from the parent's state, prune
     /// against the incumbent, run the rounding heuristic, and push up to
     /// two children.
     fn expand(&mut self, node: OpenNode) -> Result<(), SolveError> {
         self.stats.nodes += 1;
-        let mut lp = match solve_relaxation(
+        let (outcome, state) = solve_relaxation(
             self.problem,
             self.model,
             &node.bounds,
-            node.basis.as_ref(),
+            node.warm.as_deref().map(WarmStart::State),
             &mut self.stats,
-        )? {
-            LpOutcome::Optimal(s) => s,
+        )?;
+        let LpOutcome::Optimal(lp) = outcome else {
             // Infeasible subtree, or unbounded (root-only, handled before
             // the search starts).
-            _ => return Ok(()),
+            return Ok(());
         };
-        // Children re-solve from this node's optimal basis with the dual
-        // simplex instead of cold-starting.
-        let child_basis = lp.take_basis();
+        // Children resume from this node's optimal basis, inverse and
+        // reduced costs with the dual simplex instead of cold-starting.
+        let child_state = state.map(Arc::new);
         let lp_score = self.sense_sign * lp.objective;
         if lp_score >= self.best_score() - 1e-9 {
             return Ok(());
@@ -581,7 +583,7 @@ impl Search<'_> {
             return Ok(());
         };
         if let Some((vals, score)) =
-            self.fix_and_complete(&node.bounds, &lp.values, child_basis.as_ref())?
+            self.fix_and_complete(&node.bounds, &lp.values, child_state.as_deref())?
         {
             if self.improve(vals, score) {
                 self.stats.heuristic_incumbents += 1;
@@ -599,7 +601,7 @@ impl Search<'_> {
                     depth: node.depth + 1,
                     seq: 0, // assigned by `push`
                     bounds,
-                    basis: child_basis.clone(),
+                    warm: child_state.clone(),
                 });
             }
         }
@@ -610,13 +612,13 @@ impl Search<'_> {
     /// variable of a node's LP solution into the node's bounds and fixes
     /// it there. When every variable is integer, that point is the whole
     /// candidate. Otherwise an LP over the remaining continuous variables
-    /// completes it, warm from the node's basis. The candidate counts only
+    /// completes it, warm from the node's state. The candidate counts only
     /// if it is feasible for the original problem.
     fn fix_and_complete(
         &mut self,
         bounds: &[(f64, f64)],
         lp_values: &[f64],
-        node_basis: Option<&Basis>,
+        node_state: Option<&NodeState>,
     ) -> Result<Option<(Vec<f64>, f64)>, SolveError> {
         let fixed = fix_integers(bounds, lp_values, self.int_vars);
         let completed = if self.int_vars.len() == self.problem.num_vars() {
@@ -627,7 +629,7 @@ impl Search<'_> {
                 self.model,
                 &fixed,
                 self.int_vars,
-                node_basis,
+                node_state,
                 &mut self.stats,
             )?
         };
@@ -653,16 +655,17 @@ fn fix_integers(bounds: &[(f64, f64)], lp_values: &[f64], int_vars: &[usize]) ->
 }
 
 /// Completes the continuous variables of `fixed` by solving the LP under
-/// those bounds, warm from `basis`; `None` when that LP has no optimum.
+/// those bounds, warm from `state`; `None` when that LP has no optimum.
 fn complete_by_lp(
     problem: &Problem,
     model: &SparseModel,
     fixed: &[(f64, f64)],
     int_vars: &[usize],
-    basis: Option<&Basis>,
+    state: Option<&NodeState>,
     stats: &mut SolveStats,
 ) -> Result<Option<Vec<f64>>, SolveError> {
-    match solve_relaxation(problem, model, fixed, basis, stats)? {
+    let warm = state.map(WarmStart::State);
+    match solve_relaxation(problem, model, fixed, warm, stats)?.0 {
         LpOutcome::Optimal(s) => Ok(Some(round_integers(s.values, int_vars))),
         _ => Ok(None),
     }
@@ -864,7 +867,7 @@ mod tests {
             depth,
             seq,
             bounds: Vec::new(),
-            basis: None,
+            warm: None,
         }
     }
 
@@ -1156,13 +1159,21 @@ mod tests {
         }
     }
 
+    /// Whether `values` lies within `bounds` and satisfies every row of
+    /// `p`, integrality aside.
+    fn relaxation_feasible(p: &Problem, values: &[f64], bounds: &[(f64, f64)]) -> bool {
+        let tol = 1e-6;
+        let in_box = (values.iter().zip(bounds)).all(|(v, &(l, u))| *v >= l - tol && *v <= u + tol);
+        in_box && p.constraints().iter().all(|c| c.is_satisfied(values, tol))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// With every variable integer, `fix_and_complete` accepts the
         /// rounded point without an LP. It must return what the
         /// completion LP returned for that point, warm from the node's
-        /// basis or cold: the same candidate and score, or none.
+        /// state or cold: the same candidate and score, or none.
         #[test]
         fn direct_completion_matches_completion_lp(case in random_node()) {
             let p = case.problem();
@@ -1176,12 +1187,11 @@ mod tests {
             };
             let bounds = case.bounds();
             let mut stats = SolveStats::default();
-            let node = solve_relaxation(&p, &model, &bounds, None, &mut stats).unwrap();
-            let LpOutcome::Optimal(mut lp) = node else {
+            let (node, state) = solve_relaxation(&p, &model, &bounds, None, &mut stats).unwrap();
+            let LpOutcome::Optimal(lp) = node else {
                 // An infeasible node is never expanded; draw another.
                 return Err(TestCaseError::Reject);
             };
-            let basis = lp.take_basis();
 
             let solver = MilpSolver::new();
             let mut search = Search {
@@ -1197,12 +1207,12 @@ mod tests {
                 stats: SolveStats::default(),
             };
             let direct = search
-                .fix_and_complete(&bounds, &lp.values, basis.as_ref())
+                .fix_and_complete(&bounds, &lp.values, state.as_ref())
                 .unwrap();
             prop_assert_eq!(search.stats.lp_solves, 0, "the direct path solved an LP");
 
             let fixed = fix_integers(&bounds, &lp.values, &int_vars);
-            for warm in [basis.as_ref(), None] {
+            for warm in [state.as_ref(), None] {
                 let by_lp = complete_by_lp(&p, &model, &fixed, &int_vars, warm, &mut stats)
                     .unwrap()
                     .filter(|vals| p.is_feasible(vals, 1e-6))
@@ -1210,7 +1220,69 @@ mod tests {
                         let score = sense_sign * p.objective_value(&vals);
                         (vals, score)
                     });
-                prop_assert_eq!(&direct, &by_lp, "warm basis: {}", warm.is_some());
+                prop_assert_eq!(&direct, &by_lp, "warm state: {}", warm.is_some());
+            }
+        }
+
+        /// A relaxation re-solved from its parent's carried state under
+        /// tightened bounds ends as a cold solve under those bounds does:
+        /// the same status and, at an optimum, the same objective. The
+        /// children are the random node's box, then each branch of the
+        /// box's most fractional variable, each resuming from its parent.
+        #[test]
+        fn carried_state_resolves_like_a_cold_solve(case in random_node()) {
+            let p = case.problem();
+            let BuildOutcome::Model(model) = SparseModel::build(&p) else {
+                unreachable!("every row has variable terms");
+            };
+            let int_vars: Vec<usize> = (0..p.num_vars()).collect();
+            let mut stats = SolveStats::default();
+            let root_bounds: Vec<(f64, f64)> =
+                p.vars.iter().map(|v| (v.lower, v.upper)).collect();
+            let (_, root) = solve_relaxation(&p, &model, &root_bounds, None, &mut stats).unwrap();
+            let Some(root) = root else {
+                // Only an optimum leaves a state to carry; draw another.
+                return Err(TestCaseError::Reject);
+            };
+            // Re-solves `bounds` warm from `parent` and cold; returns the
+            // warm optimum's point and state.
+            let mut check = |bounds: &[(f64, f64)], parent: &NodeState| {
+                let mut warm_stats = SolveStats::default();
+                let (warm, state) = solve_relaxation(
+                    &p,
+                    &model,
+                    bounds,
+                    Some(WarmStart::State(parent)),
+                    &mut warm_stats,
+                )
+                .unwrap();
+                let (cold, _) = solve_relaxation(&p, &model, bounds, None, &mut stats).unwrap();
+                let same = match (&warm, &cold) {
+                    (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
+                        (a.objective - b.objective).abs() <= 1e-6
+                            && relaxation_feasible(&p, &a.values, bounds)
+                    }
+                    (LpOutcome::Infeasible, LpOutcome::Infeasible) => true,
+                    _ => false,
+                };
+                let point = warm.optimal().map(|s| s.values.clone());
+                (same, format!("{bounds:?}: warm {warm:?} vs cold {cold:?}"), point.zip(state))
+            };
+
+            let child = case.bounds();
+            let (same, what, child_opt) = check(&child, &root);
+            prop_assert!(same, "child {}", what);
+            let Some((values, child_state)) = child_opt else {
+                return Ok(());
+            };
+            if let Some((var, val)) = most_fractional(&p, &values, &int_vars) {
+                let (lo, hi) = child[var];
+                for range in [(lo, val.floor()), (val.ceil(), hi)] {
+                    let mut grandchild = child.clone();
+                    grandchild[var] = range;
+                    let (same, what, _) = check(&grandchild, &child_state);
+                    prop_assert!(same, "grandchild {}", what);
+                }
             }
         }
     }

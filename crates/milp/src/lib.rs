@@ -34,16 +34,19 @@
 //!   [`LpOptions::warm_basis`] or [`MilpSolver::root_basis`] and the
 //!   bounded *dual simplex* repairs primal feasibility in a handful of
 //!   pivots instead of a cold two-phase solve. Branch and bound re-solves
-//!   every child node from its parent's basis the same way.
+//!   every child node the same way, but resumes from its parent's basis
+//!   inverse and reduced costs as they stand, so a child neither inverts
+//!   nor re-prices its basis before the dual simplex runs.
 //! * **One model per MILP solve** — [`MilpSolver::solve`] builds the
 //!   sparse constraint matrix once; the root and every node relaxation
 //!   read it, since branching moves only variable bounds. A standalone
 //!   [`solve_lp`] / [`solve_lp_opts`] call builds its own, so a
 //!   [`Problem`] edited between calls is always read afresh.
 //! * **One engine** — every relaxation runs on the revised simplex over
-//!   sparse columns with an LU-factored basis and eta updates. A dense
-//!   tableau is compiled into the unit tests only, as the oracle that
-//!   property tests check the sparse engine against.
+//!   sparse columns with an explicit dense basis inverse, updated in place
+//!   at each pivot and rebuilt every 64 updates. A dense tableau is
+//!   compiled into the unit tests only, as the oracle that property tests
+//!   check the sparse engine against.
 //!
 //! Warm starts are best-effort by construction: a basis that no longer
 //! fits (shape change, singular after edits, stalled dual) is dropped and

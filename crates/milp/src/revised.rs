@@ -1,26 +1,32 @@
-//! Sparse revised simplex with bounded variables and warm-basis re-solves.
+//! Sparse revised simplex with bounded variables and warm re-solves.
 //!
 //! Cold solves run the classic two phases (artificial-variable phase 1,
-//! then the true objective) but price against a factored basis instead of
-//! a dense tableau: reduced costs come from one BTRAN per iteration, the
-//! entering column from one FTRAN, and each pivot appends a product-form
-//! eta to the [`Factorization`] with periodic refactorization. Memory is
+//! then the true objective) but price against an explicit basis inverse
+//! instead of a dense tableau: reduced costs come from one BTRAN per
+//! iteration, the entering column from one FTRAN, and each pivot updates
+//! the [`BasisInverse`] in place, with a periodic rebuild. Memory is
 //! `O(nnz + m²)` instead of the dense tableau's `O(m·n)`.
 //!
-//! Warm solves re-install a [`Basis`] extracted from an earlier solution
-//! of the same-shaped problem. If the re-installed basis is still primal
-//! feasible (common when only the objective changed), phase 2 resumes
-//! directly; if bound or right-hand-side edits broke primal feasibility,
-//! the bounded *dual* simplex repairs it while preserving dual
-//! feasibility — typically a handful of pivots instead of a full phase 1.
-//! Any numerical or structural trouble falls back to a cold solve, so
-//! warm starts never compromise correctness.
+//! Every optimum leaves a [`NodeState`] behind: the optimal basis, its
+//! inverse and the reduced costs of the final pricing pass. A warm solve
+//! starts from one. Branch and bound hands a node's state to its children
+//! as it stands, so a child neither refactors nor re-prices; a [`Basis`]
+//! from an earlier solve, possibly of an edited problem, is rebuilt into
+//! a state by one inversion and one pricing pass. Either way the warm
+//! solve recomputes the basic values under its own bounds, flips boxed
+//! columns whose reduced cost points past their bound, and lets the
+//! bounded *dual* simplex repair primal feasibility, updating the reduced
+//! costs along each pivot row — typically a handful of pivots instead of
+//! a full phase 1. A primal pass on fresh multipliers ends every solve,
+//! so optimality is always checked on fresh numbers. Any numerical or
+//! structural trouble falls back to a cold solve, so warm starts never
+//! compromise correctness.
 
 use flexsp_telemetry as tel;
 
 use crate::basis::{Basis, NonBasicState};
 use crate::error::SolveError;
-use crate::lu::{Factorization, REFACTOR_INTERVAL};
+use crate::lu::{BasisInverse, REFACTOR_INTERVAL};
 use crate::problem::{ObjectiveSense, Problem};
 use crate::simplex::{LpOutcome, LpSolution, LpStats};
 use crate::sparse::SparseModel;
@@ -61,6 +67,33 @@ enum DualEnd {
     Infeasible,
 }
 
+/// What an optimal solve leaves for a warm re-solve of the same model: the
+/// optimal basis, its inverse and the reduced cost of every nonbasic
+/// column that the final pricing pass priced. Columns fixed by their
+/// bounds are never priced, so their entries may be stale; bounds only
+/// tighten within one branch-and-bound search, so they stay fixed.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeState {
+    pub basis: Basis,
+    inverse: BasisInverse,
+    reduced: Vec<f64>,
+}
+
+/// Where a warm solve starts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WarmStart<'s> {
+    /// Basis indices from an earlier solve, possibly of an edited problem:
+    /// inverted from the current coefficients and priced on install.
+    Basis(&'s Basis),
+    /// A state left by an earlier solve over the same model, installed as
+    /// it stands.
+    State(&'s NodeState),
+}
+
+/// An LP outcome, the solve's counters, and (for an optimum) the state a
+/// warm re-solve can start from.
+pub(crate) type Solved = (LpOutcome, LpStats, Option<NodeState>);
+
 pub(crate) struct Engine<'a> {
     model: &'a SparseModel,
     n: usize,
@@ -72,7 +105,10 @@ pub(crate) struct Engine<'a> {
     basis: Vec<usize>,
     barred: Vec<bool>,
     xb: Vec<f64>,
-    factors: Factorization,
+    inverse: BasisInverse,
+    /// Reduced costs `d_j = c_j − yᵀa_j` of the columns that take part in
+    /// pricing, as of the last pricing pass or dual pivot.
+    reduced: Vec<f64>,
     degenerate_streak: u32,
     iterations: u64,
     max_iters: u64,
@@ -82,8 +118,8 @@ pub(crate) struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Shared setup: effective bounds for every augmented column (slack
     /// bounds from the row comparison; artificial bounds are set by the
-    /// caller), all columns nonbasic at their lower bound, identity-free
-    /// placeholder factorization.
+    /// caller), all columns nonbasic at their lower bound, an empty
+    /// placeholder inverse.
     fn scaffold(model: &'a SparseModel, var_bounds: &dyn Fn(usize) -> (f64, f64)) -> Self {
         let (nv, m) = (model.nv, model.m);
         let n = model.n();
@@ -113,8 +149,8 @@ impl<'a> Engine<'a> {
             basis: Vec::new(),
             barred: vec![false; n],
             xb: Vec::new(),
-            // lint: allow(unwrap) the 0x0 factorization is trivially nonsingular
-            factors: Factorization::factor(0, Vec::new()).expect("empty basis"),
+            inverse: BasisInverse::identity(0),
+            reduced: vec![0.0; n],
             degenerate_streak: 0,
             iterations: 0,
             max_iters,
@@ -129,19 +165,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Rebuilds the LU factors from the current basis columns and
-    /// recomputes the basic values from scratch.
+    /// Rebuilds the inverse from the current basis columns and recomputes
+    /// the basic values from scratch.
     fn refactor(&mut self) -> Result<(), SolveError> {
         let m = self.model.m;
         let mut a = vec![0.0; m * m];
         for (i, &j) in self.basis.iter().enumerate() {
             for (r, v) in self.model.col(j) {
-                a[r * m + i] = v;
+                a[i * m + r] = v;
             }
         }
-        match Factorization::factor(m, a) {
-            Some(f) => {
-                self.factors = f;
+        match BasisInverse::invert(m, a) {
+            Some(inverse) => {
+                self.inverse = inverse;
                 self.stats.refactorizations += 1;
                 self.recompute_xb();
                 Ok(())
@@ -164,30 +200,43 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.factors.ftran(&mut rhs);
+        self.inverse.ftran(&mut rhs);
         self.xb = rhs;
     }
 
     /// Simplex multipliers for the current costs: `y = B⁻ᵀ c_B`.
     fn multipliers(&self) -> Vec<f64> {
         let mut y: Vec<f64> = self.basis.iter().map(|&j| self.cost[j]).collect();
-        self.factors.btran(&mut y);
+        self.inverse.btran(&mut y);
         y
+    }
+
+    /// Whether nonbasic column `j` takes part in pricing: neither barred
+    /// nor fixed by its bounds.
+    fn priced(&self, j: usize) -> bool {
+        !self.in_basis[j] && !self.barred[j] && self.upper[j] - self.lower[j] > FEAS_TOL
+    }
+
+    /// Prices every nonbasic column from fresh multipliers.
+    fn price(&mut self) {
+        let y = self.multipliers();
+        for j in 0..self.n {
+            if self.priced(j) {
+                self.reduced[j] = self.cost[j] - self.model.dot_col(&y, j);
+            }
+        }
     }
 
     /// `w = B⁻¹ a_j`.
     fn ftran_col(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.model.m];
-        self.model.scatter_col(j, &mut w);
-        self.factors.ftran(&mut w);
-        w
+        self.inverse.ftran_sparse(self.model.col(j))
     }
 
     fn record_update(&mut self, r: usize, w: &[f64]) -> Result<(), SolveError> {
-        if !self.factors.push_update(r, w) {
+        if !self.inverse.push_update(r, w) {
             return Err(SolveError::Numerical("degenerate basis update".into()));
         }
-        if self.factors.updates() >= REFACTOR_INTERVAL {
+        if self.inverse.updates() >= REFACTOR_INTERVAL {
             self.refactor()?;
         }
         Ok(())
@@ -210,13 +259,11 @@ impl<'a> Engine<'a> {
             // index) once degeneracy persists.
             let mut entering: Option<(usize, f64, f64)> = None; // (col, d, score)
             for j in 0..self.n {
-                if self.in_basis[j] || self.barred[j] {
-                    continue;
-                }
-                if self.upper[j] - self.lower[j] <= FEAS_TOL {
+                if !self.priced(j) {
                     continue;
                 }
                 let d = self.cost[j] - self.model.dot_col(&y, j);
+                self.reduced[j] = d;
                 let improving = match self.state[j] {
                     NonBasicState::AtLower => d < -COST_TOL,
                     NonBasicState::AtUpper => d > COST_TOL,
@@ -324,8 +371,10 @@ impl<'a> Engine<'a> {
 
     /// Bounded-variable dual simplex: restores primal feasibility while
     /// keeping reduced costs dual feasible. Requires the caller to have
-    /// repaired dual feasibility first.
+    /// repaired dual feasibility first. Each pivot updates the reduced
+    /// costs along its pivot row instead of re-pricing.
     fn dual(&mut self) -> Result<DualEnd, SolveError> {
+        let mut row: Vec<(usize, f64)> = Vec::new(); // (col, α_rj) of priced columns
         loop {
             // Leaving row: largest bound violation among basic variables.
             let mut leave: Option<(usize, f64, f64, bool)> = None; // (row, viol, target, below)
@@ -346,21 +395,19 @@ impl<'a> Engine<'a> {
                 return Ok(DualEnd::Feasible);
             };
             self.spend_iteration()?;
-            let mut rho = vec![0.0; self.model.m];
-            rho[r] = 1.0;
-            self.factors.btran(&mut rho);
-            let y = self.multipliers();
+            let rho = self.inverse.row(r);
             // Dual ratio test: entering column minimizing |d_j| / |α_j|
             // among columns whose pivot restores this row's feasibility.
-            let mut entering: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
+            let mut entering: Option<(usize, f64, f64)> = None; // (col, ratio, alpha)
+            row.clear();
             for j in 0..self.n {
-                if self.in_basis[j] || self.barred[j] {
-                    continue;
-                }
-                if self.upper[j] - self.lower[j] <= FEAS_TOL {
+                if !self.priced(j) {
                     continue;
                 }
                 let alpha = self.model.dot_col(&rho, j);
+                if alpha != 0.0 {
+                    row.push((j, alpha));
+                }
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -378,22 +425,31 @@ impl<'a> Engine<'a> {
                 if !eligible {
                     continue;
                 }
-                let d = self.cost[j] - self.model.dot_col(&y, j);
-                let ratio = d.abs() / alpha.abs();
+                let ratio = self.reduced[j].abs() / alpha.abs();
                 let better = match entering {
                     None => true,
                     Some((_, br, ba)) => {
-                        ratio < br - 1e-12 || ((ratio - br).abs() <= 1e-12 && alpha.abs() > ba)
+                        ratio < br - 1e-12
+                            || ((ratio - br).abs() <= 1e-12 && alpha.abs() > ba.abs())
                     }
                 };
                 if better {
-                    entering = Some((j, ratio, alpha.abs()));
+                    entering = Some((j, ratio, alpha));
                 }
             }
-            let Some((e, _, _)) = entering else {
+            let Some((e, _, alpha_re)) = entering else {
                 // Dual unbounded: no column can absorb the violation.
                 return Ok(DualEnd::Infeasible);
             };
+            // The multipliers move by θ_d·ρ_r, θ_d = d_e/α_re: every
+            // reduced cost drops by θ_d·α_rj, which zeroes d_e and leaves
+            // the leaving column at −θ_d.
+            let theta_d = self.reduced[e] / alpha_re;
+            for &(j, alpha) in &row {
+                self.reduced[j] -= theta_d * alpha;
+            }
+            self.reduced[e] = 0.0;
+            self.reduced[self.basis[r]] = -theta_d;
             let w = self.ftran_col(e);
             let alpha_e = w[r];
             if alpha_e.abs() <= PIVOT_TOL {
@@ -460,7 +516,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn extract(&self, problem: &Problem, var_bounds: &dyn Fn(usize) -> (f64, f64)) -> LpSolution {
+    /// The optimum: the structural values, and the state a warm re-solve
+    /// can start from.
+    fn extract(
+        self,
+        problem: &Problem,
+        var_bounds: &dyn Fn(usize) -> (f64, f64),
+    ) -> (LpSolution, NodeState) {
         let nv = self.model.nv;
         let mut values = vec![0.0; nv];
         for (j, val) in values.iter_mut().enumerate() {
@@ -477,13 +539,36 @@ impl<'a> Engine<'a> {
             *val = val.max(l).min(u);
         }
         let objective = problem.objective_value(&values);
-        LpSolution {
+        let solution = LpSolution {
             values,
             objective,
-            basis: Some(Basis {
-                basic: self.basis.clone(),
-                state: self.state.clone(),
-            }),
+            basis: None,
+        };
+        let state = NodeState {
+            basis: Basis {
+                basic: self.basis,
+                state: self.state,
+            },
+            inverse: self.inverse,
+            reduced: self.reduced,
+        };
+        (solution, state)
+    }
+
+    /// Packages the end of a solve whose last primal pass returned `end`.
+    fn finish(
+        self,
+        end: PrimalEnd,
+        problem: &Problem,
+        var_bounds: &dyn Fn(usize) -> (f64, f64),
+    ) -> Solved {
+        let stats = self.stats;
+        match end {
+            PrimalEnd::Optimal => {
+                let (solution, state) = self.extract(problem, var_bounds);
+                (LpOutcome::Optimal(solution), stats, Some(state))
+            }
+            PrimalEnd::Unbounded => (LpOutcome::Unbounded, stats, None),
         }
     }
 
@@ -492,7 +577,7 @@ impl<'a> Engine<'a> {
         problem: &Problem,
         model: &'a SparseModel,
         var_bounds: &dyn Fn(usize) -> (f64, f64),
-    ) -> Result<(LpOutcome, LpStats), SolveError> {
+    ) -> Result<Solved, SolveError> {
         let (nv, m) = (model.nv, model.m);
         let mut eng = Self::scaffold(model, var_bounds);
 
@@ -525,8 +610,7 @@ impl<'a> Engine<'a> {
         }
         eng.xb = residual;
         // B is the identity over the artificial columns.
-        // lint: allow(unwrap) the identity matrix is nonsingular by construction
-        eng.factors = Factorization::factor(m, identity(m)).expect("identity basis is nonsingular");
+        eng.inverse = BasisInverse::identity(m);
 
         if m > 0 {
             let _phase1_span = tel::span!(tel::Category::Solver, "lp.phase1", "rows" => m as u64);
@@ -546,40 +630,40 @@ impl<'a> Engine<'a> {
                 .map(|(r, &b)| phase1_cost[b] * eng.xb[r])
                 .sum();
             if infeas > 1e-6 {
-                return Ok((LpOutcome::Infeasible, eng.stats));
+                return Ok((LpOutcome::Infeasible, eng.stats, None));
             }
             eng.pin_artificials();
         }
 
         eng.load_objective(problem);
         eng.degenerate_streak = 0;
-        {
+        let end = {
             let _phase2_span = tel::span!(tel::Category::Solver, "lp.phase2", "rows" => m as u64);
-            match eng.primal()? {
-                PrimalEnd::Optimal => {}
-                PrimalEnd::Unbounded => return Ok((LpOutcome::Unbounded, eng.stats)),
-            }
-        }
-        let sol = eng.extract(problem, var_bounds);
-        Ok((LpOutcome::Optimal(sol), eng.stats))
+            eng.primal()?
+        };
+        Ok(eng.finish(end, problem, var_bounds))
     }
 
-    /// Warm solve from a previously extracted basis; `Err(WarmFail)` asks
-    /// the caller to fall back to a cold solve.
+    /// Warm solve from `warm`; `Err(WarmFail)` asks the caller to fall back
+    /// to a cold solve.
     pub fn solve_warm(
         problem: &Problem,
         model: &'a SparseModel,
         var_bounds: &dyn Fn(usize) -> (f64, f64),
-        warm: &Basis,
-    ) -> Result<(LpOutcome, LpStats), WarmFail> {
+        warm: WarmStart<'_>,
+    ) -> Result<Solved, WarmFail> {
         let (m, n) = (model.m, model.n());
-        if !warm.fits(m, n) {
+        let basis = match warm {
+            WarmStart::Basis(basis) => basis,
+            WarmStart::State(state) => &state.basis,
+        };
+        if !basis.fits(m, n) {
             return Err(WarmFail::NotInstallable);
         }
         let _warm_span = tel::span!(tel::Category::Solver, "lp.warm", "rows" => m as u64);
         let mut eng = Self::scaffold(model, var_bounds);
         eng.stats.warm_attempted = true;
-        eng.basis = warm.basic.clone();
+        eng.basis = basis.basic.clone();
         for &j in &eng.basis {
             if eng.in_basis[j] {
                 return Err(WarmFail::NotInstallable); // duplicate column
@@ -595,32 +679,39 @@ impl<'a> Engine<'a> {
             if eng.in_basis[j] {
                 continue;
             }
-            let want = warm.state[j];
-            eng.state[j] = match want {
+            eng.state[j] = match basis.state[j] {
                 NonBasicState::AtUpper if eng.upper[j].is_finite() => NonBasicState::AtUpper,
                 _ => NonBasicState::AtLower,
             };
         }
-        if eng.refactor().is_err() {
-            return Err(WarmFail::NotInstallable);
-        }
-        eng.stats.refactorizations = 0; // installation is not a re-factor
         eng.load_objective(problem);
+        match warm {
+            WarmStart::Basis(_) => {
+                // The coefficients may have changed since the basis was
+                // optimal: invert and price it afresh.
+                if eng.refactor().is_err() {
+                    return Err(WarmFail::NotInstallable);
+                }
+                eng.stats.refactorizations = 0; // installation is not a re-factor
+                eng.price();
+            }
+            WarmStart::State(state) => {
+                eng.inverse = state.inverse.clone();
+                eng.reduced.copy_from_slice(&state.reduced);
+                eng.recompute_xb();
+            }
+        }
 
         if eng.primal_infeasibility() > PRIMAL_TOL {
             // Repair dual feasibility by flipping nonbasic variables whose
             // reduced cost points past their current bound, then let the
             // dual simplex chase out the primal violations.
-            let y = eng.multipliers();
             let mut flipped = false;
             for j in 0..eng.n {
-                if eng.in_basis[j] || eng.barred[j] {
+                if !eng.priced(j) {
                     continue;
                 }
-                if eng.upper[j] - eng.lower[j] <= FEAS_TOL {
-                    continue;
-                }
-                let d = eng.cost[j] - eng.model.dot_col(&y, j);
+                let d = eng.reduced[j];
                 match eng.state[j] {
                     NonBasicState::AtLower if d < -COST_TOL => {
                         if eng.upper[j].is_finite() {
@@ -645,33 +736,18 @@ impl<'a> Engine<'a> {
                     Ok(DualEnd::Feasible) => {}
                     Ok(DualEnd::Infeasible) => {
                         eng.stats.warm_used = true;
-                        return Ok((LpOutcome::Infeasible, eng.stats));
+                        return Ok((LpOutcome::Infeasible, eng.stats, None));
                     }
                     Err(_) => return Err(WarmFail::Stalled),
                 }
             }
         }
-        // Primal phase-2 polish: verifies optimality (or finishes the few
-        // remaining pivots when only the objective moved).
+        // Primal phase-2 polish: verifies optimality on fresh multipliers
+        // (or finishes the few remaining pivots when only the objective
+        // moved), leaving fresh reduced costs for the next warm start.
         eng.degenerate_streak = 0;
-        match eng.primal() {
-            Ok(PrimalEnd::Optimal) => {}
-            Ok(PrimalEnd::Unbounded) => {
-                eng.stats.warm_used = true;
-                return Ok((LpOutcome::Unbounded, eng.stats));
-            }
-            Err(_) => return Err(WarmFail::Stalled),
-        }
+        let end = eng.primal().map_err(|_| WarmFail::Stalled)?;
         eng.stats.warm_used = true;
-        let sol = eng.extract(problem, var_bounds);
-        Ok((LpOutcome::Optimal(sol), eng.stats))
+        Ok(eng.finish(end, problem, var_bounds))
     }
-}
-
-fn identity(m: usize) -> Vec<f64> {
-    let mut a = vec![0.0; m * m];
-    for i in 0..m {
-        a[i * m + i] = 1.0;
-    }
-    a
 }

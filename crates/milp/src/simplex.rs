@@ -1,13 +1,13 @@
 //! LP entry points: warm starts and solve statistics.
 //!
 //! Every relaxation runs on one engine, the sparse revised simplex in
-//! [`crate::revised`]: bounded variables, sparse columns, an LU-factored
-//! basis with product-form eta updates, and periodic refactorization. A
-//! cold solve runs phase 1 then phase 2. A warm solve installs a [`Basis`]
-//! from a previous solution, and the bounded dual simplex repairs primal
-//! feasibility after RHS, bound, or coefficient edits instead of
-//! re-running phase 1. (Unit tests check it against the dense tableau in
-//! [`crate::dense`], which is compiled for tests only.)
+//! [`crate::revised`]: bounded variables, sparse columns, and an explicit
+//! basis inverse updated in place at each pivot and rebuilt periodically.
+//! A cold solve runs phase 1 then phase 2. A warm solve installs a
+//! [`Basis`] from a previous solution, and the bounded dual simplex
+//! repairs primal feasibility after RHS, bound, or coefficient edits
+//! instead of re-running phase 1. (Unit tests check it against the dense
+//! tableau in [`crate::dense`], which is compiled for tests only.)
 //!
 //! [`solve_lp`] keeps the original cold-start signature; [`solve_lp_opts`]
 //! exposes warm starts and per-solve [`LpStats`].
@@ -15,7 +15,7 @@
 use crate::basis::Basis;
 use crate::error::SolveError;
 use crate::problem::Problem;
-use crate::revised::Engine;
+use crate::revised::{Engine, Solved, WarmStart};
 use crate::sparse::{BuildOutcome, SparseModel};
 use crate::FEAS_TOL;
 
@@ -38,7 +38,8 @@ pub struct LpStats {
     pub dual_pivots: u64,
     /// Nonbasic bound flips.
     pub bound_flips: u64,
-    /// Basis refactorizations (beyond the initial factorization).
+    /// Rebuilds of the basis inverse from the basis columns (beyond the
+    /// one that installs a basis).
     pub refactorizations: u64,
     /// A warm basis was supplied and installation was attempted.
     pub warm_attempted: bool,
@@ -168,24 +169,34 @@ pub fn solve_lp_opts(
         return Ok((LpOutcome::Infeasible, LpStats::default()));
     };
     match SparseModel::build(problem) {
-        BuildOutcome::Model(model) => run_engine(problem, &model, &bound, opts.warm_basis),
+        BuildOutcome::Model(model) => {
+            let warm = opts.warm_basis.map(WarmStart::Basis);
+            let (mut outcome, stats, state) = run_engine(problem, &model, &bound, warm)?;
+            if let (LpOutcome::Optimal(sol), Some(state)) = (&mut outcome, state) {
+                sol.basis = Some(state.basis);
+            }
+            Ok((outcome, stats))
+        }
         BuildOutcome::TriviallyInfeasible => Ok((LpOutcome::Infeasible, LpStats::default())),
     }
 }
 
-/// [`solve_lp_opts`] over a `model` already built from `problem`. Branch
-/// and bound builds the model once per MILP solve and shares it across
-/// the root and every node relaxation; the problem must not change in
-/// between.
+/// Solves the relaxation of `problem` under `bounds` over a `model`
+/// already built from it, warm from `warm` when given, and returns the
+/// optimum's state for warm re-solves next to the outcome (the
+/// solution's own [`LpSolution::basis`] stays empty). Branch and bound
+/// builds the model once per MILP solve and shares it across the root and
+/// every node relaxation; the problem must not change in between.
 pub(crate) fn solve_lp_model(
     problem: &Problem,
     model: &SparseModel,
-    opts: &LpOptions<'_>,
-) -> Result<(LpOutcome, LpStats), SolveError> {
-    let Some(bound) = checked_bounds(problem, opts.bound_overrides)? else {
-        return Ok((LpOutcome::Infeasible, LpStats::default()));
+    bounds: &[(f64, f64)],
+    warm: Option<WarmStart<'_>>,
+) -> Result<Solved, SolveError> {
+    let Some(bound) = checked_bounds(problem, Some(bounds))? else {
+        return Ok((LpOutcome::Infeasible, LpStats::default(), None));
     };
-    run_engine(problem, model, &bound, opts.warm_basis)
+    run_engine(problem, model, &bound, warm)
 }
 
 /// The effective bound of each variable, or `None` when some range is
@@ -220,22 +231,22 @@ fn checked_bounds<'a>(
 }
 
 /// Runs the engine warm from `warm` when given, falling back to a cold
-/// solve when the basis cannot carry the solve.
+/// solve when the warm start cannot carry the solve.
 fn run_engine(
     problem: &Problem,
     model: &SparseModel,
     bound: &dyn Fn(usize) -> (f64, f64),
-    warm: Option<&Basis>,
-) -> Result<(LpOutcome, LpStats), SolveError> {
+    warm: Option<WarmStart<'_>>,
+) -> Result<Solved, SolveError> {
     if let Some(warm) = warm {
         match Engine::solve_warm(problem, model, bound, warm) {
             Ok(result) => return Ok(result),
             Err(_) => {
                 // Fall through to a cold solve, remembering the miss.
-                let (outcome, mut stats) = Engine::solve_cold(problem, model, bound)?;
+                let (outcome, mut stats, state) = Engine::solve_cold(problem, model, bound)?;
                 stats.warm_attempted = true;
                 stats.warm_used = false;
-                return Ok((outcome, stats));
+                return Ok((outcome, stats, state));
             }
         }
     }

@@ -158,12 +158,4 @@ impl SparseModel {
             y[j - self.nv - self.m]
         }
     }
-
-    /// Scatters column `j` into the dense vector `out` (assumed zeroed on
-    /// the column's rows beforehand).
-    pub fn scatter_col(&self, j: usize, out: &mut [f64]) {
-        for (r, v) in self.col(j) {
-            out[r] = v;
-        }
-    }
 }
