@@ -74,8 +74,8 @@ impl BasisInverse {
             for c in 0..m {
                 inv[c * m + k] /= pivot;
             }
-            let factors: Vec<f64> = a[k * m..(k + 1) * m].to_vec();
-            for (i, &f) in factors.iter().enumerate() {
+            for i in 0..m {
+                let f = a[k * m + i];
                 if i == k || f == 0.0 {
                     continue;
                 }

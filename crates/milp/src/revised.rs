@@ -72,7 +72,7 @@ enum DualEnd {
 /// column that the final pricing pass priced. Columns fixed by their
 /// bounds are never priced, so their entries may be stale; bounds only
 /// tighten within one branch-and-bound search, so they stay fixed.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct NodeState {
     pub basis: Basis,
     inverse: BasisInverse,
