@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flexsp_telemetry as tel;
 
@@ -127,7 +127,6 @@ fn bench_components(c: &mut Criterion) {
     ] {
         let cfg = PlannerConfig {
             formulation,
-            milp_time_limit: std::time::Duration::from_secs(2),
             milp_node_limit: 50_000,
             ..PlannerConfig::default()
         };
@@ -189,7 +188,6 @@ fn bench_trajectory(c: &mut Criterion) {
     let portfolio_s = portfolio_us.get("plan.heuristic").copied().unwrap_or(0) as f64 / 1e6;
 
     let ample = PlannerConfig {
-        milp_time_limit: Duration::from_secs(20),
         milp_node_limit: 100_000,
         ..PlannerConfig::default()
     };

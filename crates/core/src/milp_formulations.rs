@@ -102,7 +102,6 @@ pub(crate) fn plan_aggregated(
         stats.search_steps += 1;
         model.set_makespan(cost, buckets, &shapes, c);
         let mut solver = MilpSolver::new()
-            .time_limit(config.milp_time_limit)
             .node_limit(config.milp_node_limit)
             .relative_gap(0.02);
         if let Some(basis) = carried.clone() {
@@ -118,7 +117,7 @@ pub(crate) fn plan_aggregated(
                 if sol.status().has_solution() {
                     Some(model.extract(buckets, &sol))
                 } else {
-                    if milp.node_limit_stops + milp.time_limit_stops > 0 {
+                    if milp.node_limit_stops > 0 {
                         stats.undecided_steps += 1;
                     }
                     None
@@ -682,7 +681,6 @@ pub(crate) fn plan_per_group(
     let warm_values = warm_start_values(cost, buckets, &slots, warm);
 
     let mut solver = MilpSolver::new()
-        .time_limit(config.milp_time_limit)
         .node_limit(config.milp_node_limit)
         .relative_gap(config.search_rel_tol);
     if let Some(ws) = warm_values {
@@ -697,7 +695,7 @@ pub(crate) fn plan_per_group(
     let milp = sol.stats();
     stats.milp.absorb(&milp);
     if !sol.status().has_solution() {
-        if milp.node_limit_stops + milp.time_limit_stops > 0 {
+        if milp.node_limit_stops > 0 {
             stats.undecided_steps += 1;
         }
         return (None, stats);
@@ -791,7 +789,6 @@ fn warm_start_values(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     use flexsp_model::{ActivationPolicy, ModelConfig};
     use flexsp_sim::ClusterSpec;
@@ -896,9 +893,7 @@ mod tests {
             .chain(std::iter::repeat_n(4096, 24))
             .chain(std::iter::repeat_n(2048, 24))
             .collect();
-        let mut config = SolverConfig::fast();
-        config.planner.milp_time_limit = Duration::from_secs(3600);
-        let solved = FlexSpSolver::new(cost.clone(), config)
+        let solved = FlexSpSolver::new(cost.clone(), SolverConfig::fast())
             .solve_iteration(&seqs(&lens))
             .expect("the batch fits the cluster");
         let long = &solved.plan.micro_batches[1];

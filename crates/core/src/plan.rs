@@ -32,10 +32,11 @@ pub struct PlanStats {
     pub model_builds: u32,
     /// Makespan binary-search steps (feasibility MILP solves).
     pub search_steps: u32,
-    /// Steps whose MILP stopped on its node or time budget without an
-    /// incumbent. The step neither proved its makespan infeasible nor
-    /// found a plan for it, yet the binary search treats it as
-    /// infeasible.
+    /// Steps whose MILP spent its node budget without an incumbent. The
+    /// step neither proved its makespan infeasible nor found a plan for
+    /// it, yet the binary search treats it as infeasible. The budget
+    /// counts nodes, not time, so the same inputs give the same count on
+    /// any host.
     pub undecided_steps: u32,
     /// Feasible MILP points that no split into concrete groups (or no
     /// placement of those groups) could realize.

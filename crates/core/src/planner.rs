@@ -31,8 +31,6 @@
 //! [`DeviceGroup`](flexsp_sim::DeviceGroup)s and the *realized* shapes,
 //! and its predicted time is computed from those shapes.
 
-use std::time::Duration;
-
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
 use flexsp_sim::{GroupShape, NodeSlots};
@@ -59,9 +57,9 @@ pub enum Formulation {
 pub struct PlannerConfig {
     /// Optimization strategy.
     pub formulation: Formulation,
-    /// Wall-clock budget per MILP solve.
-    pub milp_time_limit: Duration,
-    /// Node budget per MILP solve.
+    /// Node budget per MILP solve, the only limit on its search: no
+    /// planner setting reads a clock, so a plan depends on its inputs
+    /// alone.
     pub milp_node_limit: u64,
     /// Binary-search iterations over the makespan (aggregated form).
     pub search_iters: usize,
@@ -73,7 +71,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
             formulation: Formulation::Aggregated,
-            milp_time_limit: Duration::from_millis(250),
             milp_node_limit: 4_000,
             search_iters: 14,
             search_rel_tol: 0.01,
@@ -85,7 +82,6 @@ impl PlannerConfig {
     /// Experiment-throughput settings: shorter MILP budgets.
     pub fn fast() -> Self {
         Self {
-            milp_time_limit: Duration::from_millis(40),
             milp_node_limit: 400,
             search_iters: 9,
             search_rel_tol: 0.02,
@@ -161,7 +157,7 @@ pub fn plan_micro_batch_within(
     }
 
     // Candidate portfolio: greedy heuristic and the best homogeneous plan
-    // (both inside the MILP's search space, but a short time budget may
+    // (both inside the MILP's search space, but a small node budget may
     // miss them), then the MILP improvement seeded by the best candidate.
     // Near the memory wall the greedy can fail where the LPT-packed
     // homogeneous plans still fit, so neither failure alone is fatal.
@@ -861,11 +857,7 @@ mod tests {
         let batch = GlobalBatchLoader::new(LengthDistribution::common_crawl(), 512, 128 << 10, 1)
             .next_batch();
         let buckets = bucket_dp(&blast(&batch, 7, true)[2], 16);
-        let config = PlannerConfig {
-            milp_time_limit: Duration::from_secs(3600),
-            ..PlannerConfig::fast()
-        };
-        let s = plan_micro_batch(&cost, &buckets, 64, &config)
+        let s = plan_micro_batch(&cost, &buckets, 64, &PlannerConfig::fast())
             .unwrap()
             .stats;
         assert!(s.search_steps > 0, "{s:?}");
@@ -1067,7 +1059,6 @@ mod tests {
         let buckets = bucket_dp(&input, 6);
         let cfg = PlannerConfig {
             formulation: Formulation::PerGroup,
-            milp_time_limit: Duration::from_secs(2),
             milp_node_limit: 50_000,
             ..PlannerConfig::default()
         };
@@ -1088,7 +1079,6 @@ mod tests {
         let buckets = bucket_dp(&input, 6);
         let exact_cfg = PlannerConfig {
             formulation: Formulation::PerGroup,
-            milp_time_limit: Duration::from_secs(2),
             milp_node_limit: 50_000,
             ..PlannerConfig::default()
         };

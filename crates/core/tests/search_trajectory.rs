@@ -3,14 +3,12 @@
 //! The instance is the `solver_components` bench trajectory: twelve
 //! sequences of `1024·(1 + i % 16)` tokens, GPT-7B at a 384K context on
 //! 8×8 A100s, bucketed to 16, planned with the default configuration
-//! under a budget loose enough (20 s, 100 000 nodes) that no limit binds.
-//! Every binary-search step therefore drains or closes its gap, and the
-//! search is a pure function of the model: the same node order, LP
-//! solves, pivots and incumbents on every host. Any change to the
+//! under a node budget loose enough (100 000 nodes) that it never binds.
+//! Every binary-search step therefore drains or closes its gap. The search
+//! is a pure function of the model, as every search is: the same node
+//! order, LP solves, pivots and incumbents on every host. Any change to the
 //! branch-and-bound loop, the LP engine or the warm-start plumbing that
 //! alters the search shows up here as a counter mismatch.
-
-use std::time::Duration;
 
 use flexsp_core::bucketing::bucket_dp;
 use flexsp_core::{plan_micro_batch, PlannerConfig};
@@ -29,7 +27,6 @@ fn default_planner_search_trajectory_is_pinned() {
         .collect();
     let buckets = bucket_dp(&input, 16);
     let ample = PlannerConfig {
-        milp_time_limit: Duration::from_secs(20),
         milp_node_limit: 100_000,
         ..PlannerConfig::default()
     };

@@ -12,8 +12,8 @@
 //! 2. **lock-free** — functions marked `// lint: lock-free` never reach
 //!    `.lock()`/`.write()`, even transitively through crate-local calls.
 //! 3. **clock-containment** — `std::time::{Instant, SystemTime}` only in
-//!    the explicit allowlist (the `Clock` impls, telemetry, bench, and
-//!    branch-and-bound's deadline site).
+//!    the explicit allowlist (the `Clock` impls, telemetry and bench), so
+//!    no clock reaches the MILP search.
 //! 4. **telemetry-hygiene** — `cfg(feature = "telemetry")` is illegal
 //!    outside `crates/telemetry`.
 //! 5. **unwrap-ban** — `.unwrap()`/`.expect()` are forbidden in the

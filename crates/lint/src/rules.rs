@@ -620,11 +620,10 @@ fn rule_telemetry_hygiene(files: &[ScannedFile], out: &mut Vec<Violation>) {
     }
 }
 
-/// Files where wall-clock types are legal: the `Clock` abstraction itself,
-/// the telemetry/bench measurement layers, and B&B's deadline site.
+/// Files where wall-clock types are legal: the `Clock` abstraction itself
+/// and the telemetry/bench measurement layers.
 fn clock_allowlisted(rel: &str) -> bool {
     rel == "crates/arbiter/src/clock.rs"
-        || rel == "crates/milp/src/branch_bound.rs"
         || rel.starts_with("crates/telemetry/")
         || rel.starts_with("crates/bench/")
 }

@@ -3,7 +3,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use flexsp_telemetry as tel;
 
@@ -40,12 +39,12 @@ pub struct SolveStats {
     /// Relaxations where a supplied basis or carried state had to be
     /// dropped for a cold start.
     pub basis_reuse_misses: u64,
-    /// Searches stopped by the node budget. When the node budget and the
-    /// time limit trip together, the stop counts here, so this count is
-    /// deterministic whenever the node budget binds.
+    /// Searches the node budget stopped before the gap closed or the heap
+    /// drained. Such a search returns [`MilpStatus::Feasible`] with its
+    /// best incumbent, or [`MilpStatus::Infeasible`] without proof when it
+    /// found none. The budget counts nodes, not time, so this count is the
+    /// same on every host.
     pub node_limit_stops: u64,
-    /// Searches stopped by the wall-clock limit with node budget to spare.
-    pub time_limit_stops: u64,
 }
 
 impl SolveStats {
@@ -76,7 +75,6 @@ impl SolveStats {
         self.basis_reuse_hits += other.basis_reuse_hits;
         self.basis_reuse_misses += other.basis_reuse_misses;
         self.node_limit_stops += other.node_limit_stops;
-        self.time_limit_stops += other.time_limit_stops;
     }
 
     fn absorb_lp(&mut self, lp: &LpStats) {
@@ -98,17 +96,20 @@ impl SolveStats {
 /// The solver is a *good-incumbent-fast* design matching how the FlexSP
 /// paper uses SCIP: it accepts a warm-start incumbent, hunts for feasible
 /// solutions with a fix-and-complete rounding heuristic, and stops at a
-/// time, node, or relative-gap limit, reporting [`MilpStatus::Feasible`]
-/// when optimality was not proven. The heuristic rounds the integer
-/// variables of each fractional node's LP point and fixes them; if
-/// continuous variables remain, one more LP completes them, otherwise the
-/// rounded point is the candidate as it stands. [`SolveStats`] counts why
-/// a search stopped at a limit.
+/// node or relative-gap limit, reporting [`MilpStatus::Feasible`] when
+/// optimality was not proven. The heuristic rounds the integer variables
+/// of each fractional node's LP point and fixes them; if continuous
+/// variables remain, one more LP completes them, otherwise the rounded
+/// point is the candidate as it stands. [`SolveStats::node_limit_stops`]
+/// counts the searches the node budget stopped.
+///
+/// No limit reads a clock: the node budget bounds the search and the
+/// simplex's pivot limit bounds each relaxation, so the result depends on
+/// the problem and the options alone, never on how fast the host runs.
 ///
 /// # Example
 ///
 /// ```
-/// use std::time::Duration;
 /// use flexsp_milp::{LinExpr, MilpSolver, Problem, VarKind};
 /// # fn main() -> Result<(), flexsp_milp::SolveError> {
 /// // 0/1 knapsack: max 10a + 13b + 7c, 5a + 7b + 4c <= 9.
@@ -118,16 +119,13 @@ impl SolveStats {
 /// let c = p.add_binary("c");
 /// p.add_le(LinExpr::from_terms([(a, 5.0), (b, 7.0), (c, 4.0)]), 9.0);
 /// p.set_objective(LinExpr::from_terms([(a, 10.0), (b, 13.0), (c, 7.0)]));
-/// let sol = MilpSolver::new()
-///     .time_limit(Duration::from_secs(5))
-///     .solve(&p)?;
+/// let sol = MilpSolver::new().node_limit(1_000).solve(&p)?;
 /// assert!((sol.objective() - 17.0).abs() < 1e-6); // a + c
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct MilpSolver {
-    time_limit: Duration,
     node_limit: u64,
     relative_gap: f64,
     warm_start: Option<Vec<f64>>,
@@ -141,11 +139,9 @@ impl Default for MilpSolver {
 }
 
 impl MilpSolver {
-    /// Creates a solver with defaults: 30 s time limit, 200 000 nodes,
-    /// 10⁻⁶ relative gap.
+    /// Creates a solver with defaults: 200 000 nodes, 10⁻⁶ relative gap.
     pub fn new() -> Self {
         Self {
-            time_limit: Duration::from_secs(30),
             node_limit: 200_000,
             relative_gap: 1e-6,
             warm_start: None,
@@ -153,14 +149,8 @@ impl MilpSolver {
         }
     }
 
-    /// Sets the wall-clock budget. When exhausted, the best incumbent is
-    /// returned with [`MilpStatus::Feasible`].
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = limit;
-        self
-    }
-
-    /// Sets the node budget.
+    /// Sets the node budget: the search expands at most this many nodes,
+    /// then returns its best incumbent with [`MilpStatus::Feasible`].
     pub fn node_limit(mut self, limit: u64) -> Self {
         self.node_limit = limit;
         self
@@ -194,22 +184,21 @@ impl MilpSolver {
     /// After the root relaxation, one best-first loop runs on the calling
     /// thread. Each round drops the open-node heap if its best node cannot
     /// improve the incumbent, then stops if the relative gap is closed, if
-    /// the heap is drained, or if the node budget or the time limit is
-    /// spent, in that order. Otherwise it pops the best node and expands
-    /// it: it re-solves the node's LP warm from its parent's basis inverse
-    /// and reduced costs, prunes against the incumbent, runs the rounding
-    /// heuristic and branches on the most fractional variable among those
-    /// of the highest [branching priority](Problem::set_branch_priority).
+    /// the heap is drained, or if the node budget is spent, in that order.
+    /// Otherwise it pops the best node and expands it: it re-solves the
+    /// node's LP warm from its parent's basis inverse and reduced costs,
+    /// prunes against the incumbent, runs the rounding heuristic and
+    /// branches on the most fractional variable among those of the highest
+    /// [branching priority](Problem::set_branch_priority).
     ///
     /// The same problem and options always give the same incumbent, bound
-    /// and [`SolveStats`], unless the time limit stops the search.
+    /// and [`SolveStats`].
     ///
     /// # Errors
     ///
     /// Propagates [`SolveError`] from the underlying simplex (iteration
     /// limits / numerical breakdown).
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, SolveError> {
-        let start = Instant::now();
         let _solve_span =
             tel::span!(tel::Category::Solver, "milp.solve", "vars" => problem.num_vars() as u64);
         let mut stats = SolveStats::default();
@@ -245,7 +234,6 @@ impl MilpSolver {
                 sense_sign * f64::NEG_INFINITY,
                 MilpStatus::Infeasible,
                 stats,
-                start,
                 None,
             ));
         };
@@ -267,7 +255,6 @@ impl MilpSolver {
                     sense_sign * f64::NEG_INFINITY,
                     MilpStatus::Infeasible,
                     stats,
-                    start,
                     None,
                 ));
             }
@@ -281,7 +268,6 @@ impl MilpSolver {
                     sense_sign * f64::NEG_INFINITY,
                     MilpStatus::Unbounded,
                     stats,
-                    start,
                     None,
                 ));
             }
@@ -299,7 +285,6 @@ impl MilpSolver {
             model: &model,
             int_vars: &int_vars,
             sense_sign,
-            start,
             heap: BinaryHeap::new(),
             next_seq: 0,
             incumbent,
@@ -320,7 +305,6 @@ impl MilpSolver {
             sense_sign * best_bound,
             status,
             search.stats,
-            start,
             root_basis,
         ))
     }
@@ -338,7 +322,6 @@ fn finish(
     best_bound: f64,
     status: MilpStatus,
     stats: SolveStats,
-    start: Instant,
     root_basis: Option<Basis>,
 ) -> MilpSolution {
     let (status, values, objective) = match incumbent {
@@ -354,7 +337,6 @@ fn finish(
         values,
         objective,
         best_bound,
-        solve_time_secs: start.elapsed().as_secs_f64(),
         stats,
         root_basis,
     }
@@ -472,7 +454,6 @@ struct Search<'a> {
     model: &'a SparseModel,
     int_vars: &'a [usize],
     sense_sign: f64,
-    start: Instant,
     heap: BinaryHeap<OpenNode>,
     /// Sequence number of the next pushed node.
     next_seq: u64,
@@ -516,9 +497,9 @@ impl Search<'_> {
     }
 
     /// Expands the best open node until the gap closes, the heap drains,
-    /// or a budget stops the search. Returns [`MilpStatus::Optimal`] for
-    /// the first two and [`MilpStatus::Feasible`] for a budget stop, which
-    /// it counts by reason.
+    /// or the node budget stops the search. Returns [`MilpStatus::Optimal`]
+    /// for the first two and [`MilpStatus::Feasible`] for a budget stop,
+    /// which it counts.
     fn run(&mut self) -> Result<MilpStatus, SolveError> {
         loop {
             if let Some(&(_, inc)) = self.incumbent.as_ref() {
@@ -534,14 +515,8 @@ impl Search<'_> {
             if self.heap.is_empty() {
                 return Ok(MilpStatus::Optimal);
             }
-            // The node budget is checked before the deadline, so a search
-            // past both counts as a node stop.
             if self.stats.nodes >= self.solver.node_limit {
                 self.stats.node_limit_stops += 1;
-                return Ok(MilpStatus::Feasible);
-            }
-            if self.start.elapsed() > self.solver.time_limit {
-                self.stats.time_limit_stops += 1;
                 return Ok(MilpStatus::Feasible);
             }
             // lint: allow(unwrap) the drained check above saw a non-empty heap
@@ -962,7 +937,6 @@ mod tests {
                 model: &model,
                 int_vars: &[0, 1],
                 sense_sign: -1.0,
-                start: Instant::now(),
                 heap: BinaryHeap::new(),
                 next_seq: 0,
                 incumbent: None,
@@ -1027,26 +1001,16 @@ mod tests {
     #[test]
     fn limit_stops_are_counted_by_reason() {
         let (p, _) = wide_knapsack();
-        let stops = |solver: MilpSolver| {
-            let s = solver.solve(&p).unwrap().stats();
-            (s.node_limit_stops, s.time_limit_stops)
-        };
-        assert_eq!(stops(MilpSolver::new()), (0, 0), "drained");
-        assert_eq!(stops(MilpSolver::new().node_limit(1)), (1, 0));
-        assert_eq!(stops(MilpSolver::new().time_limit(Duration::ZERO)), (0, 1));
-        // Both limits hold before the first node: a node stop, so the
-        // count does not depend on how fast the host ran.
-        let both = MilpSolver::new().node_limit(0).time_limit(Duration::ZERO);
-        assert_eq!(stops(both), (1, 0));
+        let stops = |solver: MilpSolver| solver.solve(&p).unwrap().stats().node_limit_stops;
+        assert_eq!(stops(MilpSolver::new()), 0, "drained");
+        assert_eq!(stops(MilpSolver::new().node_limit(1)), 1);
+        assert_eq!(stops(MilpSolver::new().node_limit(0)), 1);
 
         let mut total = SolveStats::default();
-        for solver in [
-            MilpSolver::new().node_limit(1),
-            MilpSolver::new().time_limit(Duration::ZERO),
-        ] {
+        for solver in [MilpSolver::new().node_limit(1), MilpSolver::new()] {
             total.absorb(&solver.solve(&p).unwrap().stats());
         }
-        assert_eq!((total.node_limit_stops, total.time_limit_stops), (1, 1));
+        assert_eq!(total.node_limit_stops, 1);
     }
 
     /// `wide_knapsack` plus the variable-free row `0 ≤ −1`, which no
@@ -1200,7 +1164,6 @@ mod tests {
                 model: &model,
                 int_vars: &int_vars,
                 sense_sign,
-                start: Instant::now(),
                 heap: BinaryHeap::new(),
                 next_seq: 0,
                 incumbent: None,

@@ -9,13 +9,14 @@
 //! for that dependency: a sparse revised simplex with bounded variables
 //! for linear relaxations ([`solve_lp`]) and a sequential best-first
 //! branch-and-bound loop with warm starts, a rounding heuristic and
-//! time/node/gap limits ([`MilpSolver`]).
+//! node/gap limits ([`MilpSolver`]).
 //!
 //! The solver is deliberately engineered for the planner's regime —
 //! problems with a few hundred rows and a few hundred to a couple of
-//! thousand variables, solved under a wall-clock budget (the paper reports
-//! 5–15 s per solve) where a good *feasible* plan matters more than a proven
-//! optimum.
+//! thousand variables, solved under a node budget (the paper reports
+//! 5–15 s per SCIP solve) where a good *feasible* plan matters more than
+//! a proven optimum. No limit reads a clock, so a solve is a function of
+//! its problem and options on every host.
 //!
 //! # Incremental solving: `Basis` and the mutation API
 //!

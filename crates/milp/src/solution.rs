@@ -9,8 +9,8 @@ use crate::expr::VarId;
 pub enum MilpStatus {
     /// The incumbent is optimal within the configured gap tolerance.
     Optimal,
-    /// A feasible incumbent was found, but the search hit a time or node
-    /// limit before proving (near-)optimality.
+    /// A feasible incumbent was found, but the search spent its node
+    /// budget before proving (near-)optimality.
     Feasible,
     /// The problem has no feasible point.
     Infeasible,
@@ -32,7 +32,6 @@ pub struct MilpSolution {
     pub(crate) values: Vec<f64>,
     pub(crate) objective: f64,
     pub(crate) best_bound: f64,
-    pub(crate) solve_time_secs: f64,
     pub(crate) stats: SolveStats,
     pub(crate) root_basis: Option<Basis>,
 }
@@ -77,11 +76,6 @@ impl MilpSolution {
     /// Relative optimality gap `|objective − bound| / max(1, |objective|)`.
     pub fn gap(&self) -> f64 {
         (self.objective - self.best_bound).abs() / self.objective.abs().max(1.0)
-    }
-
-    /// Wall-clock solve time in seconds.
-    pub fn solve_time_secs(&self) -> f64 {
-        self.solve_time_secs
     }
 
     /// Detailed search counters.

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use flexsp_arbiter::{
     AdmissionPolicy, ArbiterStats, ClusterArbiter, JobId, Lease, LeaseEvent, LogicalClock,
@@ -29,16 +28,6 @@ use flexsp_telemetry as tel;
 use flexsp_telemetry::{Histogram, HistogramSnapshot, MetricsSnapshot};
 
 use crate::gen::{Trace, TraceOp};
-
-/// The configuration every sampled job plans with: the fast experiment
-/// settings with the per-solve MILP wall-clock limit lifted, so the node
-/// budget always binds first. A plan is then a function of its inputs
-/// alone, and so is the replay log, however loaded the host is.
-fn replay_solver_config() -> SolverConfig {
-    let mut config = SolverConfig::fast();
-    config.planner.milp_time_limit = Duration::from_secs(3600);
-    config
-}
 
 /// Replay parameters (the trace itself carries the workload).
 #[derive(Debug, Clone)]
@@ -202,7 +191,6 @@ impl ReplayReport {
                 ("flexsp.milp.refactorizations", m.refactorizations),
                 ("flexsp.milp.solves", u64::from(p.search_steps)),
                 ("flexsp.milp.split_failures", u64::from(p.split_failures)),
-                ("flexsp.milp.time_limit_stops", m.time_limit_stops),
                 ("flexsp.milp.undecided_steps", u64::from(p.undecided_steps)),
                 (
                     "flexsp.milp.unwitnessed_steps",
@@ -363,7 +351,7 @@ impl Engine<'_> {
         let sampled = self.cfg.plan_every > 0 && job.is_multiple_of(self.cfg.plan_every);
         let service = match (&self.cost, sampled) {
             (Some(cost), true) => {
-                let solver = lease.bind(FlexSpSolver::new(cost.clone(), replay_solver_config()));
+                let solver = lease.bind(FlexSpSolver::new(cost.clone(), SolverConfig::fast()));
                 Some(SolverService::spawn(solver, 1))
             }
             _ => None,
@@ -456,7 +444,7 @@ impl Engine<'_> {
                 let slot = &mut self.held[i];
                 let solver = slot.lease.bind(FlexSpSolver::new(
                     self.cost.clone().expect("planned slot has a cost model"),
-                    replay_solver_config(),
+                    SolverConfig::fast(),
                 ));
                 slot.service.as_ref().expect("checked").rebind(solver);
                 slot.replans += 1;
