@@ -237,25 +237,6 @@ impl CostModel {
         }
     }
 
-    /// Builds a cost model from explicit parts (tests, what-if studies);
-    /// `compute` becomes the fit of every SKU class the topology carries.
-    pub fn from_parts(
-        compute: ComputeFit,
-        comm: BTreeMap<GroupShape, CommFit>,
-        memory: MemoryModel,
-        topo: Topology,
-    ) -> Self {
-        let compute = topo.skus().into_iter().map(|s| (s, compute)).collect();
-        Self {
-            compute,
-            comm,
-            memory,
-            topo,
-            zero_raw_s: 0.0,
-            zero_overlap: 0.0,
-        }
-    }
-
     /// Cluster size this model was fitted for.
     pub fn num_gpus(&self) -> u32 {
         self.topo.num_gpus()
@@ -388,8 +369,7 @@ impl CostModel {
     /// Exposed (non-overlapped) ZeRO-3 traffic seconds for a group whose
     /// compute takes `compute_s` — the same `max(raw − overlap·compute, 0)`
     /// shape the executor's simulator charges. Zero when the model was
-    /// fitted without ZeRO accounting ([`CostModel::fit_from_points`] /
-    /// [`CostModel::from_parts`]).
+    /// fitted without ZeRO accounting ([`CostModel::fit_from_points`]).
     pub fn zero_exposed_s(&self, compute_s: f64) -> f64 {
         (self.zero_raw_s - self.zero_overlap * compute_s).max(0.0)
     }

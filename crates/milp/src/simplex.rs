@@ -89,19 +89,13 @@ pub struct LpSolution {
 }
 
 impl LpSolution {
-    /// The optimal basis (`None` once taken with
-    /// [`LpSolution::take_basis`]). Feed it back through
+    /// The optimal basis. Feed it back through
     /// [`LpOptions::warm_basis`] (or
     /// [`MilpSolver::root_basis`](crate::MilpSolver::root_basis)) after
     /// mutating the problem's RHS, bounds, or coefficients to re-solve
     /// incrementally.
     pub fn basis(&self) -> Option<&Basis> {
         self.basis.as_ref()
-    }
-
-    /// Extracts the basis, leaving `None` behind.
-    pub fn take_basis(&mut self) -> Option<Basis> {
-        self.basis.take()
     }
 }
 

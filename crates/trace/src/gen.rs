@@ -86,11 +86,6 @@ impl TraceConfig {
     pub fn quick(seed: u64) -> Self {
         Self::new(40, 4, seed)
     }
-
-    /// The flagship load: 1000 jobs on 16×8 GPUs over simulated hours.
-    pub fn standard(seed: u64) -> Self {
-        Self::new(1000, 16, seed)
-    }
 }
 
 /// What happens to a job at one event.
