@@ -150,7 +150,8 @@ impl MilpSolver {
     }
 
     /// Sets the node budget: the search expands at most this many nodes,
-    /// then returns its best incumbent with [`MilpStatus::Feasible`].
+    /// then returns its best incumbent with [`MilpStatus::Feasible`], or
+    /// [`MilpStatus::Infeasible`] if it found none.
     pub fn node_limit(mut self, limit: u64) -> Self {
         self.node_limit = limit;
         self

@@ -12,7 +12,9 @@ pub enum MilpStatus {
     /// A feasible incumbent was found, but the search spent its node
     /// budget before proving (near-)optimality.
     Feasible,
-    /// The problem has no feasible point.
+    /// No feasible point was found: the problem has none, or the search
+    /// spent its node budget before finding one (then
+    /// [`SolveStats::node_limit_stops`] is 1).
     Infeasible,
     /// The relaxation is unbounded in the optimization direction.
     Unbounded,
