@@ -8,10 +8,10 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use flexsp_sim::{ClusterSpec, GpuId, NodeSlots, Topology};
+use flexsp_sim::{ClusterSpec, GpuId, NodeSlots, SkuId, Topology};
 use flexsp_telemetry as tel;
 use flexsp_telemetry::Counter;
 use parking_lot::{Mutex, MutexGuard};
@@ -63,8 +63,7 @@ impl std::ops::DerefMut for ShardGuard<'_> {
 }
 
 /// Every shard's guard (ascending order) plus their rank tokens. Derefs
-/// to the guard vector so the `_locked` helpers keep taking plain
-/// `&mut [MutexGuard<'_, ShardState>]` slices.
+/// to the guard vector.
 pub(crate) struct ShardGuards<'a> {
     guards: Vec<MutexGuard<'a, ShardState>>,
     _ranks: Vec<rank::RankToken>,
@@ -295,12 +294,10 @@ pub(crate) struct Inner {
     /// Grace window, in ticks, between a shrink demand and its forced
     /// execution.
     pub(crate) grace: AtomicU64,
-    /// Gauges mirroring queue/ledger sizes for lock-free reads and for
-    /// skipping settles and demand scans with nothing to do; exact
-    /// whenever no mutation is mid-flight.
+    /// Queue depth, for lock-free reads and for skipping settles with
+    /// nothing to admit; stored whenever a [`LedgerGuard`] drops. (The
+    /// ledger's gauges live in its shards; see [`Inner::publish`].)
     pub(crate) pending_count: AtomicUsize,
-    pub(crate) live_count: AtomicUsize,
-    pub(crate) demanded_count: AtomicUsize,
     /// Bumped by every shard publication *after* its snapshot is stored
     /// — the `MaintenancePump`'s rescan gate. The epoch cannot serve:
     /// mutations bump it before they publish, and demand changes
@@ -350,16 +347,6 @@ impl Inner {
         }
     }
 
-    /// A cluster-wide free ledger assembled from the locked shards (for
-    /// spanning draws and admission passes).
-    pub(crate) fn merged_free(&self, guards: &[MutexGuard<'_, ShardState>]) -> NodeSlots {
-        let mut all: Vec<GpuId> = Vec::with_capacity(self.topo.num_gpus() as usize);
-        for g in guards {
-            all.extend(g.free.free_gpus());
-        }
-        NodeSlots::restricted_to(&self.topo, &all)
-    }
-
     /// Bumps the global epoch, returning the new value.
     pub(crate) fn bump_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::SeqCst) + 1
@@ -373,67 +360,31 @@ impl Inner {
         f(map.entry(job).or_default())
     }
 
-    /// Sum of the per-shard free gauges (lock-free; exact when no
-    /// mutation is mid-flight).
-    pub(crate) fn free_gauge(&self) -> u32 {
-        self.shards.iter().map(|s| s.free_count.load(GAUGE)).sum()
+    /// One per-shard gauge summed over the shards (lock-free; exact when
+    /// no mutation is mid-flight).
+    pub(crate) fn summed(&self, gauge: impl Fn(&Shard) -> &AtomicU32) -> u32 {
+        self.shards.iter().map(|s| gauge(s).load(GAUGE)).sum()
     }
 
-    /// Publishes shard `idx`'s snapshot and free gauge from its locked
-    /// state. Must run before the shard lock is released after **every**
+    /// Publishes shard `idx`'s snapshot and gauges from its locked state.
+    /// Must run before the shard lock is released after **every**
     /// mutation — the read path depends on it.
     pub(crate) fn publish(&self, idx: usize, state: &ShardState) {
-        self.shards[idx]
-            .free_count
-            .store(state.free.total_free(), GAUGE);
-        self.shards[idx].snap.store(Arc::new(ShardSnapshot {
+        let shard = &self.shards[idx];
+        shard.free_count.store(state.free.total_free(), GAUGE);
+        shard.live_count.store(state.live().len() as u32, GAUGE);
+        shard.demanded_count.store(state.demanded(), GAUGE);
+        shard.snap.store(Arc::new(ShardSnapshot {
             epoch: self.epoch.load(Ordering::SeqCst),
             free: state.free.clone(),
-            live: state.live.clone(),
+            live: state.live().clone(),
         }));
         self.publish_seq.fetch_add(1, Ordering::Release);
     }
 
-    /// Publishes every shard marked dirty.
-    pub(crate) fn publish_dirty(&self, guards: &[MutexGuard<'_, ShardState>], dirty: &[bool]) {
-        for (i, g) in guards.iter().enumerate() {
-            if dirty[i] {
-                self.publish(i, g);
-            }
-        }
-    }
-
-    /// Removes `gpus` from their owning shards' free ledgers.
-    pub(crate) fn claim_into(
-        &self,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        dirty: &mut [bool],
-        gpus: &[GpuId],
-    ) {
-        for &g in gpus {
-            let s = self.shard_of(g);
-            guards[s].free.claim(std::slice::from_ref(&g));
-            dirty[s] = true;
-        }
-    }
-
-    /// Returns `gpus` to their owning shards' free ledgers.
-    pub(crate) fn release_into(
-        &self,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        dirty: &mut [bool],
-        gpus: &[GpuId],
-    ) {
-        for &g in gpus {
-            let s = self.shard_of(g);
-            guards[s].free.release(std::slice::from_ref(&g));
-            dirty[s] = true;
-        }
-    }
-
     /// Registers a freshly drawn grant in `state` (the home shard's):
     /// assigns the lease id, bumps the epoch, inserts the live view, and
-    /// bumps gauges and fairness counters. `gpus` are the drawn slots.
+    /// bumps the grant counters. `gpus` are the drawn slots.
     fn register(
         &self,
         state: &mut ShardState,
@@ -445,9 +396,9 @@ impl Inner {
         gpus.sort_unstable();
         let id = self.next_lease.fetch_add(1, Ordering::Relaxed);
         let epoch = self.bump_epoch();
-        state.live.insert(
+        state.put(
             id,
-            Arc::new(LeaseView {
+            LeaseView {
                 gpus: gpus.clone(),
                 job: request.job,
                 priority: request.priority,
@@ -455,9 +406,8 @@ impl Inner {
                 expires_at: request.term.map(|t| now + t),
                 demand: None,
                 stamp: epoch,
-            }),
+            },
         );
-        self.live_count.fetch_add(1, GAUGE);
         self.stat_grants.inc();
         self.with_counters(request.job, |c| {
             c.granted += 1;
@@ -487,30 +437,143 @@ impl Inner {
         let gpus = group.gpus().to_vec();
         Some(self.register(state, idx, request, now, gpus))
     }
+}
 
-    /// Draws `request` from the merged cluster-wide ledger (caller
-    /// checked it fits) and commits the claim into the owning shards.
-    pub(crate) fn grant_locked(
-        &self,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        dirty: &mut [bool],
-        merged: &mut NodeSlots,
-        request: &SlotRequest,
-        now: u64,
-    ) -> GrantOut {
-        let group = match request.prefer {
-            Some(sku) => merged.take_packed_for(request.gpus, sku),
-            None => merged.take_packed(request.gpus),
+/// The whole ledger, locked for one multi-shard change: the queue lock,
+/// then every shard lock ascending, plus the cluster-wide free pool
+/// merged from the shards once at [`LedgerGuard::lock`]. Every change
+/// goes through its methods, which keep the merged pool in step with
+/// the shards and note which shards they touched. Dropping the guard
+/// publishes exactly those shards and the queue depth, before any lock
+/// is released.
+pub(crate) struct LedgerGuard<'a> {
+    inner: &'a Inner,
+    // Field order is drop order: the shard locks go before the queue's.
+    shards: ShardGuards<'a>,
+    pub(crate) q: QueueGuard<'a>,
+    merged: NodeSlots,
+    touched: Vec<bool>,
+}
+
+impl<'a> LedgerGuard<'a> {
+    /// Takes the queue lock, then every shard lock ascending, and merges
+    /// the shards' free ledgers.
+    pub(crate) fn lock(inner: &'a Inner) -> LedgerGuard<'a> {
+        let q = inner.lock_queue();
+        let shards = inner.lock_shards();
+        let mut all: Vec<GpuId> = Vec::with_capacity(inner.topo.num_gpus() as usize);
+        for g in shards.iter() {
+            all.extend(g.free.free_gpus());
         }
-        // lint: allow(unwrap) admit/grow paths verify `fits` against this same merged pool under the same locks
-        .expect("caller checked the request fits");
+        LedgerGuard {
+            inner,
+            touched: vec![false; shards.len()],
+            shards,
+            q,
+            merged: NodeSlots::restricted_to(&inner.topo, &all),
+        }
+    }
+
+    /// GPUs free cluster-wide.
+    pub(crate) fn free(&self) -> u32 {
+        self.merged.total_free()
+    }
+
+    /// Lease `id`'s record in shard `home`, if it is still live.
+    pub(crate) fn record(&self, home: usize, id: u64) -> Option<Arc<LeaseView>> {
+        self.shards[home].live().get(&id).cloned()
+    }
+
+    /// Shard `s`, marked for publication when the guard drops.
+    fn touch(&mut self, s: usize) -> &mut ShardState {
+        self.touched[s] = true;
+        &mut self.shards[s]
+    }
+
+    /// Inserts or replaces lease `id`'s record in shard `home`.
+    pub(crate) fn put(&mut self, home: usize, id: u64, view: LeaseView) {
+        self.touch(home).put(id, view);
+    }
+
+    /// Takes `count` GPUs from the merged pool (packed, SKU `prefer`
+    /// first) and claims them out of their shards. Returns them
+    /// ascending, or `None` (nothing taken) if fewer are free.
+    pub(crate) fn draw(&mut self, count: u32, prefer: Option<SkuId>) -> Option<Vec<GpuId>> {
+        let group = match prefer {
+            Some(sku) => self.merged.take_packed_for(count, sku),
+            None => self.merged.take_packed(count),
+        }?;
         let mut gpus = group.gpus().to_vec();
         gpus.sort_unstable();
-        self.claim_into(guards, dirty, &gpus);
-        let home = self.shard_of(gpus[0]);
-        let out = self.register(&mut guards[home], home, request, now, gpus);
-        dirty[home] = true;
+        for &g in &gpus {
+            let s = self.inner.shard_of(g);
+            self.touch(s).free.claim(std::slice::from_ref(&g));
+        }
+        Some(gpus)
+    }
+
+    /// Returns `gpus` to their shards and to the merged pool.
+    pub(crate) fn release(&mut self, gpus: &[GpuId]) {
+        for &g in gpus {
+            let s = self.inner.shard_of(g);
+            self.touch(s).free.release(std::slice::from_ref(&g));
+        }
+        self.merged.release(gpus);
+    }
+
+    /// Removes lease `id` from shard `home` whole: its GPUs go back to
+    /// the pool and the epoch is bumped. `None` if it is already gone.
+    pub(crate) fn retire(&mut self, home: usize, id: u64) -> Option<Arc<LeaseView>> {
+        let view = self.shards[home].take(id)?;
+        self.touched[home] = true;
+        self.release(&view.gpus);
+        self.inner.bump_epoch();
+        Some(view)
+    }
+
+    /// Draws `request` from the merged pool (the caller checked it fits)
+    /// and registers the grant in the home shard of its lowest GPU.
+    pub(crate) fn grant(&mut self, request: &SlotRequest, now: u64) -> GrantOut {
+        let gpus = self
+            .draw(request.gpus, request.prefer)
+            // lint: allow(unwrap) every caller checks the request against this same merged pool under the same locks
+            .expect("caller checked the request fits");
+        let home = self.inner.shard_of(gpus[0]);
+        let inner = self.inner;
+        inner.register(self.touch(home), home, request, now, gpus)
+    }
+
+    /// `(shard, id)` of every live lease whose record satisfies `pred`,
+    /// by lease id (a deterministic order).
+    fn leases_where(&self, pred: impl Fn(&LeaseView) -> bool) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        for (s, g) in self.shards.iter().enumerate() {
+            for (&id, v) in g.live() {
+                if pred(v) {
+                    out.push((s, id));
+                }
+            }
+        }
+        out.sort_unstable_by_key(|&(_, id)| id);
         out
+    }
+
+    /// Fully reclaims lease `id` by force (term reaping or a whole-lease
+    /// revocation): its slots return to the pool, the tenant's counters
+    /// record the GPUs as moved, any unclaimed grant of the lease is
+    /// dropped. Returns `(job, gpus reclaimed)`.
+    fn reclaim_all(&mut self, home: usize, id: u64) -> (JobId, u32) {
+        let view = self
+            .retire(home, id)
+            // lint: allow(unwrap) both callers (reap, revoke) collected the id from these same locked shards
+            .expect("caller checked liveness");
+        let n = view.gpus.len() as u32;
+        self.inner.stat_reaps.inc();
+        self.inner.stat_gpus_moved.add(n as u64);
+        self.inner
+            .with_counters(view.job, |c| c.gpus_moved += n as u64);
+        self.q.granted.retain(|_, (_, lid, _)| *lid != id);
+        (view.job, n)
     }
 
     /// Grants queued requests until nothing (more) fits. FIFO admits a
@@ -521,57 +584,56 @@ impl Inner {
     /// re-scores after every grant (its rank depends on the ledger), so
     /// it keeps the pick loop. Losers accumulate a wait round per grant
     /// they sat through.
-    fn pump_locked(
-        &self,
-        q: &mut QueueState,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        dirty: &mut [bool],
-        merged: &mut NodeSlots,
-        now: u64,
-    ) {
-        match q.policy {
+    fn pump(&mut self, now: u64) {
+        let inner = self.inner;
+        match self.q.policy {
             AdmissionPolicy::Fifo => {
-                let mut order: Vec<usize> = (0..q.pending.len()).collect();
+                let mut order: Vec<usize> = (0..self.q.pending.len()).collect();
                 order.sort_unstable_by_key(|&i| {
-                    (std::cmp::Reverse(q.pending[i].request.priority), i)
+                    (std::cmp::Reverse(self.q.pending[i].request.priority), i)
                 });
-                let mut granted = vec![false; q.pending.len()];
+                let mut granted = vec![false; self.q.pending.len()];
                 for &i in &order {
-                    let p = q.pending[i];
-                    if p.request.gpus > merged.total_free() {
+                    let p = self.q.pending[i];
+                    if p.request.gpus > self.free() {
                         break; // head-of-line blocking: the front must go first
                     }
-                    let out = self.grant_locked(guards, dirty, merged, &p.request, now);
+                    let out = self.grant(&p.request, now);
                     granted[i] = true;
-                    q.granted.insert(p.ticket, (p.request, out.id, out.home));
-                    for (j, waiting) in q.pending.iter().enumerate() {
+                    self.q
+                        .granted
+                        .insert(p.ticket, (p.request, out.id, out.home));
+                    for (j, waiting) in self.q.pending.iter().enumerate() {
                         if !granted[j] {
-                            self.with_counters(waiting.request.job, |c| c.wait_rounds += 1);
+                            inner.with_counters(waiting.request.job, |c| c.wait_rounds += 1);
                         }
                     }
                 }
                 if granted.iter().any(|&g| g) {
-                    let kept: VecDeque<Pending> = q
+                    let kept: VecDeque<Pending> = self
+                        .q
                         .pending
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| !granted[*i])
                         .map(|(_, p)| *p)
                         .collect();
-                    q.pending = kept;
+                    self.q.pending = kept;
                 }
             }
             AdmissionPolicy::BestFitSkuClass => loop {
-                let queue: Vec<Pending> = q.pending.iter().copied().collect();
-                let Some(idx) = q.policy.pick(&queue, merged) else {
+                let queue: Vec<Pending> = self.q.pending.iter().copied().collect();
+                let Some(idx) = self.q.policy.pick(&queue, &self.merged) else {
                     break;
                 };
                 // lint: allow(unwrap) `pick` returns an index into the queue snapshot taken two lines up
-                let p = q.pending.remove(idx).expect("index from the queue");
-                let out = self.grant_locked(guards, dirty, merged, &p.request, now);
-                q.granted.insert(p.ticket, (p.request, out.id, out.home));
-                for waiting in &q.pending {
-                    self.with_counters(waiting.request.job, |c| c.wait_rounds += 1);
+                let p = self.q.pending.remove(idx).expect("index from the queue");
+                let out = self.grant(&p.request, now);
+                self.q
+                    .granted
+                    .insert(p.ticket, (p.request, out.id, out.home));
+                for waiting in &self.q.pending {
+                    inner.with_counters(waiting.request.job, |c| c.wait_rounds += 1);
                 }
             },
         }
@@ -585,27 +647,21 @@ impl Inner {
     /// never thrash tenants without admitting anyone. Demands no longer
     /// justified are withdrawn; persisting demands keep their original
     /// deadline. Returns the freshly issued demands.
-    fn enforce_locked(
-        &self,
-        q: &QueueState,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        dirty: &mut [bool],
-        free_total: u32,
-        now: u64,
-    ) -> Vec<(JobId, u32)> {
+    fn enforce(&mut self, now: u64) -> Vec<(JobId, u32)> {
         let mut wanted: HashMap<u64, u32> = HashMap::new();
-        if let Some(target) = q
+        if let Some(target) = self
+            .q
             .pending
             .iter()
             .enumerate()
             .max_by_key(|(i, p)| (p.request.priority, std::cmp::Reverse(*i)))
             .map(|(_, p)| p.request)
         {
-            let shortfall = target.gpus.saturating_sub(free_total);
+            let shortfall = target.gpus.saturating_sub(self.free());
             if shortfall > 0 {
                 let mut donors: Vec<(u64, Priority, u32)> = Vec::new();
-                for g in guards.iter() {
-                    for (id, v) in g.live.iter() {
+                for g in self.shards.iter() {
+                    for (id, v) in g.live() {
                         if v.priority < target.priority {
                             donors.push((*id, v.priority, v.gpus.len() as u32));
                         }
@@ -629,62 +685,42 @@ impl Inner {
         // Amortized scan: when nothing is wanted and no demand stands,
         // there is nothing to issue or withdraw — skip the live scan
         // entirely (the common case on every quiet pass).
-        if wanted.is_empty() && self.demanded_count.load(GAUGE) == 0 {
+        if wanted.is_empty() && self.shards.iter().all(|g| g.demanded() == 0) {
             return Vec::new();
         }
-        let grace = self.grace.load(Ordering::Relaxed);
+        let grace = self.inner.grace.load(Ordering::Relaxed);
         let mut fresh: Vec<(JobId, u32)> = Vec::new();
-        for (s, g) in guards.iter_mut().enumerate() {
-            let ids: Vec<u64> = g.live.keys().copied().collect();
-            for id in ids {
-                let (cur, job) = {
-                    let v = &g.live[&id];
-                    (v.demand, v.job)
-                };
-                match wanted.get(&id) {
-                    Some(&gpus) => {
-                        // A standing demand keeps its deadline — re-issuing
-                        // must not let the donor outrun the grace window —
-                        // unless the ask *grew*, in which case the increment
-                        // deserves its own notice and the window restarts.
-                        let next = match cur {
-                            Some(d) => ShrinkDemand {
-                                gpus,
-                                deadline: if gpus > d.gpus {
-                                    now + grace
-                                } else {
-                                    d.deadline
-                                },
-                            },
-                            None => {
-                                fresh.push((job, gpus));
-                                ShrinkDemand {
-                                    gpus,
-                                    deadline: now + grace,
-                                }
-                            }
-                        };
-                        if cur != Some(next) {
-                            if cur.is_none() {
-                                self.demanded_count.fetch_add(1, GAUGE);
-                            }
-                            let mut nv = (*g.live[&id]).clone();
-                            nv.demand = Some(next);
-                            g.live.insert(id, Arc::new(nv));
-                            dirty[s] = true;
+        let mut changed: Vec<(usize, u64, Option<ShrinkDemand>)> = Vec::new();
+        for (s, g) in self.shards.iter().enumerate() {
+            for (&id, v) in g.live() {
+                // A standing demand keeps its deadline — re-issuing must
+                // not let the donor outrun the grace window — unless the
+                // ask *grew*, in which case the increment deserves its
+                // own notice and the window restarts.
+                let next = wanted.get(&id).map(|&gpus| match v.demand {
+                    Some(d) if gpus <= d.gpus => ShrinkDemand {
+                        gpus,
+                        deadline: d.deadline,
+                    },
+                    cur => {
+                        if cur.is_none() {
+                            fresh.push((v.job, gpus));
+                        }
+                        ShrinkDemand {
+                            gpus,
+                            deadline: now + grace,
                         }
                     }
-                    None => {
-                        if cur.is_some() {
-                            let mut nv = (*g.live[&id]).clone();
-                            nv.demand = None;
-                            g.live.insert(id, Arc::new(nv));
-                            self.demanded_count.fetch_sub(1, GAUGE);
-                            dirty[s] = true;
-                        }
-                    }
+                });
+                if next != v.demand {
+                    changed.push((s, id, next));
                 }
             }
+        }
+        for (s, id, demand) in changed {
+            let mut nv = (*self.shards[s].live()[&id]).clone();
+            nv.demand = demand;
+            self.put(s, id, nv);
         }
         fresh.sort_unstable_by_key(|&(j, _)| j);
         fresh
@@ -692,61 +728,20 @@ impl Inner {
 
     /// Pump + enforce: grant what fits, then (re)issue shrink demands
     /// for what does not. Every mutation path ends here.
-    pub(crate) fn settle_locked(
-        &self,
-        q: &mut QueueState,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        dirty: &mut [bool],
-        merged: &mut NodeSlots,
-        now: u64,
-    ) -> Vec<(JobId, u32)> {
-        self.pump_locked(q, guards, dirty, merged, now);
-        let fresh = self.enforce_locked(q, guards, dirty, merged.total_free(), now);
-        self.pending_count.store(q.pending.len(), GAUGE);
-        fresh
+    pub(crate) fn settle(&mut self, now: u64) -> Vec<(JobId, u32)> {
+        self.pump(now);
+        self.enforce(now)
     }
+}
 
-    /// Fully reclaims lease `id` by force (term reaping or a whole-lease
-    /// revocation): slots return to their shards (and `merged`, when the
-    /// caller is mid-pass), the tenant's counters record the GPUs as
-    /// moved, any unclaimed grant of the lease is dropped. Returns
-    /// `(job, gpus reclaimed)`.
-    pub(crate) fn reclaim_all_locked(
-        &self,
-        q: &mut QueueState,
-        guards: &mut [MutexGuard<'_, ShardState>],
-        dirty: &mut [bool],
-        merged: Option<&mut NodeSlots>,
-        home: usize,
-        id: u64,
-    ) -> (JobId, u32) {
-        let view = guards[home]
-            .live
-            .remove(&id)
-            // lint: allow(unwrap) both callers (reap, revoke) looked the id up in this map under these same guards
-            .expect("caller checked liveness");
-        dirty[home] = true;
-        let n = view.gpus.len() as u32;
-        self.release_into(guards, dirty, &view.gpus);
-        if let Some(m) = merged {
-            m.release(&view.gpus);
+impl Drop for LedgerGuard<'_> {
+    fn drop(&mut self) {
+        for (i, g) in self.shards.iter().enumerate() {
+            if self.touched[i] {
+                self.inner.publish(i, g);
+            }
         }
-        self.bump_epoch();
-        self.live_count.fetch_sub(1, GAUGE);
-        if view.demand.is_some() {
-            self.demanded_count.fetch_sub(1, GAUGE);
-        }
-        self.stat_reaps.inc();
-        self.stat_gpus_moved.add(n as u64);
-        self.with_counters(view.job, |c| c.gpus_moved += n as u64);
-        q.granted.retain(|_, (_, lid, _)| *lid != id);
-        (view.job, n)
-    }
-
-    /// Records a forced partial move for stats (the fairness counter is
-    /// bumped at the call site, which knows the job).
-    pub(crate) fn note_moved(&self, gpus: u32) {
-        self.stat_gpus_moved.add(gpus as u64);
+        self.inner.pending_count.store(self.q.pending.len(), GAUGE);
     }
 }
 
@@ -890,8 +885,6 @@ impl ClusterArbiter {
                 next_lease: AtomicU64::new(0),
                 grace: AtomicU64::new(DEFAULT_GRACE_TICKS),
                 pending_count: AtomicUsize::new(0),
-                live_count: AtomicUsize::new(0),
-                demanded_count: AtomicUsize::new(0),
                 publish_seq: AtomicU64::new(0),
                 stat_grants: Counter::new(),
                 stat_denials: Counter::new(),
@@ -918,7 +911,7 @@ impl ClusterArbiter {
     pub fn with_shards(self, shards: u32) -> Self {
         assert!(
             self.inner.epoch.load(Ordering::SeqCst) == 0
-                && self.inner.live_count.load(GAUGE) == 0
+                && self.inner.summed(|s| &s.live_count) == 0
                 && self.inner.pending_count.load(GAUGE) == 0,
             "with_shards requires a pristine arbiter (no grants or queued requests yet)"
         );
@@ -977,35 +970,17 @@ impl ClusterArbiter {
         let inner = &*self.inner;
         let _maintain_span = tel::span!(tel::Category::Arbiter, "arbiter.maintain");
         let now = self.now();
-        let mut q = inner.lock_queue();
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let mut merged = inner.merged_free(&guards);
+        let mut ledger = LedgerGuard::lock(inner);
         let mut report = TickReport::default();
 
         // 1. Reap expired leases (deterministic order: lease id).
-        let mut expired: Vec<(usize, u64)> = Vec::new();
-        for (s, g) in guards.iter().enumerate() {
-            for (id, v) in g.live.iter() {
-                if v.expires_at.is_some_and(|e| e <= now) {
-                    expired.push((s, *id));
-                }
-            }
-        }
-        expired.sort_unstable_by_key(|&(_, id)| id);
+        let expired = ledger.leases_where(|v| v.expires_at.is_some_and(|e| e <= now));
         {
             let _reap_span = tel::span!(
                 tel::Category::Arbiter, "arbiter.reap", "expired" => expired.len() as u64
             );
             for (s, id) in expired {
-                report.expired.push(inner.reclaim_all_locked(
-                    &mut q,
-                    &mut guards,
-                    &mut dirty,
-                    Some(&mut merged),
-                    s,
-                    id,
-                ));
+                report.expired.push(ledger.reclaim_all(s, id));
             }
         }
 
@@ -1013,54 +988,36 @@ impl ClusterArbiter {
         //    request a standing demand was issued for, and enforce then
         //    withdraws the demand — donors never pay for capacity the
         //    pool already got back another way.
-        report.demanded = inner.settle_locked(&mut q, &mut guards, &mut dirty, &mut merged, now);
+        report.demanded = ledger.settle(now);
 
         // 3. Force-execute demands whose grace window lapsed.
-        let mut due: Vec<(usize, u64)> = Vec::new();
-        for (s, g) in guards.iter().enumerate() {
-            for (id, v) in g.live.iter() {
-                if v.demand.is_some_and(|d| d.deadline <= now) {
-                    due.push((s, *id));
-                }
-            }
-        }
-        due.sort_unstable_by_key(|&(_, id)| id);
+        let due = ledger.leases_where(|v| v.demand.is_some_and(|d| d.deadline <= now));
         let preempt_span =
             tel::span!(tel::Category::Arbiter, "arbiter.preempt", "due" => due.len() as u64);
         for (s, id) in due {
             // lint: allow(unwrap) `due` ids were collected from these same locked maps, filtered on demand
-            let view = Arc::clone(guards[s].live.get(&id).expect("collected from live"));
+            let view = ledger.record(s, id).expect("collected from live");
             // lint: allow(unwrap) `due` ids were collected from these same locked maps, filtered on demand
             let demand = view.demand.expect("filtered on demand");
             let held = view.gpus.len() as u32;
             let take = demand.gpus.min(held);
-            let unclaimed = q.granted.values().any(|(_, lid, _)| *lid == id);
+            let unclaimed = ledger.q.granted.values().any(|(_, lid, _)| *lid == id);
             if take >= held || unclaimed {
                 // Whole-lease revocation. An unclaimed grant is always
                 // taken whole even under a partial demand: its tenant
                 // never saw the grant, and a later claim must return
                 // `None` rather than an under-sized lease that violates
                 // the request's size contract.
-                report.reclaimed.push(inner.reclaim_all_locked(
-                    &mut q,
-                    &mut guards,
-                    &mut dirty,
-                    Some(&mut merged),
-                    s,
-                    id,
-                ));
+                report.reclaimed.push(ledger.reclaim_all(s, id));
             } else {
                 let victims = select_victims(&inner.topo, &view.gpus, take);
                 let mut nv = (*view).clone();
                 nv.gpus.retain(|g| !victims.contains(g));
                 nv.demand = None;
                 nv.stamp = inner.bump_epoch();
-                guards[s].live.insert(id, Arc::new(nv));
-                dirty[s] = true;
-                inner.demanded_count.fetch_sub(1, GAUGE);
-                inner.release_into(&mut guards, &mut dirty, &victims);
-                merged.release(&victims);
-                inner.note_moved(take);
+                ledger.put(s, id, nv);
+                ledger.release(&victims);
+                inner.stat_gpus_moved.add(take as u64);
                 inner.with_counters(view.job, |c| c.gpus_moved += take as u64);
                 report.reclaimed.push((view.job, take));
             }
@@ -1068,14 +1025,7 @@ impl ClusterArbiter {
         drop(preempt_span);
 
         // 4. Hand reclaimed capacity to the queue; re-evaluate demands.
-        report.demanded.extend(inner.settle_locked(
-            &mut q,
-            &mut guards,
-            &mut dirty,
-            &mut merged,
-            now,
-        ));
-        inner.publish_dirty(&guards, &dirty);
+        report.demanded.extend(ledger.settle(now));
         report
     }
 
@@ -1095,8 +1045,8 @@ impl ClusterArbiter {
     ///
     /// A request that fits a single shard takes exactly one shard lock
     /// (candidates picked fullest-first from the lock-free gauges and
-    /// re-verified under the lock); only a spanning request takes the
-    /// ordered multi-shard path.
+    /// re-verified under the lock); only a spanning request locks the
+    /// whole ledger (the queue, then every shard).
     ///
     /// # Errors
     ///
@@ -1116,7 +1066,7 @@ impl ClusterArbiter {
             inner.stat_denials.inc();
             return Err(LeaseError::Busy {
                 requested: request.gpus,
-                free: inner.free_gauge(),
+                free: inner.summed(|s| &s.free_count),
             });
         }
         // Single-shard fast path: fullest candidate first (the packing
@@ -1155,22 +1105,20 @@ impl ClusterArbiter {
                 }
             }
         }
-        // Spanning path: ordered multi-shard locks, merged draw.
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let mut merged = inner.merged_free(&guards);
-        if request.gpus > merged.total_free() {
-            drop(guards);
+        // Spanning path: the whole ledger, merged draw.
+        let mut ledger = LedgerGuard::lock(inner);
+        let free = ledger.free();
+        if request.gpus > free {
+            drop(ledger);
             inner.with_counters(request.job, |c| c.denied += 1);
             inner.stat_denials.inc();
             return Err(LeaseError::Busy {
                 requested: request.gpus,
-                free: merged.total_free(),
+                free,
             });
         }
-        let out = inner.grant_locked(&mut guards, &mut dirty, &mut merged, &request, now);
-        inner.publish_dirty(&guards, &dirty);
-        drop(guards);
+        let out = ledger.grant(&request, now);
+        drop(ledger);
         Ok(Lease::new(
             self.clone(),
             out.id,
@@ -1193,19 +1141,14 @@ impl ClusterArbiter {
         let now = self.now();
         let inner = &*self.inner;
         inner.with_counters(request.job, |c| c.requested += 1);
-        let mut q = inner.lock_queue();
-        let id = q.next_ticket;
-        q.next_ticket += 1;
-        q.pending.push_back(Pending {
+        let mut ledger = LedgerGuard::lock(inner);
+        let id = ledger.q.next_ticket;
+        ledger.q.next_ticket += 1;
+        ledger.q.pending.push_back(Pending {
             ticket: id,
             request,
         });
-        inner.pending_count.store(q.pending.len(), GAUGE);
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let mut merged = inner.merged_free(&guards);
-        inner.settle_locked(&mut q, &mut guards, &mut dirty, &mut merged, now);
-        inner.publish_dirty(&guards, &dirty);
+        ledger.settle(now);
         Ok(Ticket {
             id,
             job: request.job,
@@ -1219,18 +1162,16 @@ impl ClusterArbiter {
         let _span = tel::span!(tel::Category::Arbiter, "arbiter.claim", "ticket" => ticket.id);
         let now = self.now();
         let inner = &*self.inner;
-        let mut q = inner.lock_queue();
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let mut merged = inner.merged_free(&guards);
-        inner.settle_locked(&mut q, &mut guards, &mut dirty, &mut merged, now);
-        let claimed = q
+        let mut ledger = LedgerGuard::lock(inner);
+        ledger.settle(now);
+        let claimed = ledger
+            .q
             .granted
             .remove(&ticket.id)
             .and_then(|(request, id, home)| {
                 // The grant may have been reaped (term lapsed) or revoked
                 // whole (preemption donor) before the claim.
-                let view = guards[home].live.get(&id)?;
+                let view = ledger.record(home, id)?;
                 debug_assert_eq!(
                     view.gpus.len(),
                     request.gpus as usize,
@@ -1238,9 +1179,7 @@ impl ClusterArbiter {
                 );
                 Some((request, id, home, view.gpus.clone()))
             });
-        inner.publish_dirty(&guards, &dirty);
-        drop(guards);
-        drop(q);
+        drop(ledger);
         claimed.map(|(request, id, home, gpus)| {
             let epoch = inner.epoch.load(Ordering::SeqCst);
             Lease::new(self.clone(), id, request.job, gpus, epoch, home)
@@ -1252,50 +1191,32 @@ impl ClusterArbiter {
     pub fn cancel(&self, ticket: &Ticket) {
         let now = self.now();
         let inner = &*self.inner;
-        let mut q = inner.lock_queue();
-        q.pending.retain(|p| p.ticket != ticket.id);
-        inner.pending_count.store(q.pending.len(), GAUGE);
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let mut merged = inner.merged_free(&guards);
-        if let Some((request, id, home)) = q.granted.remove(&ticket.id) {
-            if let Some(view) = guards[home].live.remove(&id) {
-                dirty[home] = true;
-                inner.release_into(&mut guards, &mut dirty, &view.gpus);
-                merged.release(&view.gpus);
-                inner.bump_epoch();
-                inner.live_count.fetch_sub(1, GAUGE);
-                if view.demand.is_some() {
-                    inner.demanded_count.fetch_sub(1, GAUGE);
-                }
+        let mut ledger = LedgerGuard::lock(inner);
+        ledger.q.pending.retain(|p| p.ticket != ticket.id);
+        if let Some((request, id, home)) = ledger.q.granted.remove(&ticket.id) {
+            if let Some(view) = ledger.retire(home, id) {
                 inner.with_counters(request.job, |c| {
                     c.released += 1;
                     c.gpus_released += view.gpus.len() as u64;
                 });
             }
         }
-        inner.settle_locked(&mut q, &mut guards, &mut dirty, &mut merged, now);
-        inner.publish_dirty(&guards, &dirty);
+        ledger.settle(now);
     }
 
     /// Settles the queue against the current ledger (pump + enforce).
-    /// Used by paths that returned capacity outside the full-lock path.
+    /// Used by the home-shard drop, which frees capacity under one shard
+    /// lock.
     pub(crate) fn settle_now(&self) {
         let now = self.now();
-        let inner = &*self.inner;
-        let mut q = inner.lock_queue();
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let mut merged = inner.merged_free(&guards);
-        inner.settle_locked(&mut q, &mut guards, &mut dirty, &mut merged, now);
-        inner.publish_dirty(&guards, &dirty);
+        LedgerGuard::lock(&self.inner).settle(now);
     }
 
     /// GPUs currently free (not held by any lease or unclaimed grant).
     /// Lock-free: served from the per-shard gauges.
     // lint: lock-free
     pub fn free_gpus(&self) -> u32 {
-        self.inner.free_gauge()
+        self.inner.summed(|s| &s.free_count)
     }
 
     /// The current ledger epoch (bumped on every mutation). Lock-free.
@@ -1308,7 +1229,7 @@ impl ClusterArbiter {
     /// grants. Lock-free.
     // lint: lock-free
     pub fn live_leases(&self) -> usize {
-        self.inner.live_count.load(GAUGE)
+        self.inner.summed(|s| &s.live_count) as usize
     }
 
     /// Queued requests not yet granted. Lock-free.
@@ -1376,8 +1297,8 @@ impl ClusterArbiter {
             reaps: inner.stat_reaps.get(),
             gpus_moved: inner.stat_gpus_moved.get(),
             queue_depth: inner.pending_count.load(GAUGE),
-            live_leases: inner.live_count.load(GAUGE),
-            free_gpus: inner.free_gauge(),
+            live_leases: inner.summed(|s| &s.live_count) as usize,
+            free_gpus: inner.summed(|s| &s.free_count),
             epoch: inner.epoch.load(Ordering::SeqCst),
         }
     }
@@ -1408,9 +1329,9 @@ impl ClusterArbiter {
     }
 
     /// Audits the ledger: every GPU is either free or held by exactly one
-    /// live lease/grant, shard ledgers stay inside their node ranges, the
-    /// lock-free gauges and published snapshots agree with the locked
-    /// state, and every job's fairness counters obey the conservation law
+    /// live lease/grant, shard ledgers stay inside their node ranges, each
+    /// shard's demand count, gauges and published snapshot agree with its
+    /// records, and every job's fairness counters obey the conservation law
     /// (`gpus_granted − gpus_released − gpus_moved` == GPUs currently
     /// held). Returns a description of the first violation.
     ///
@@ -1434,53 +1355,55 @@ impl ClusterArbiter {
                 seen.insert(gpu, "free");
             }
         }
-        let mut live_total = 0usize;
-        let mut demanded = 0usize;
+        let mut held: BTreeMap<JobId, u64> = BTreeMap::new();
         for g in guards.iter() {
-            for (id, v) in g.live.iter() {
-                live_total += 1;
-                demanded += usize::from(v.demand.is_some());
+            for (id, v) in g.live() {
                 for gpu in &v.gpus {
                     if let Some(prev) = seen.insert(*gpu, "leased") {
                         return Err(format!("{gpu} held by lease {id} is also {prev}"));
                     }
                 }
+                *held.entry(v.job).or_default() += v.gpus.len() as u64;
             }
         }
         let total = inner.topo.num_gpus() as usize;
         if seen.len() != total {
             return Err(format!("{} of {total} GPUs accounted for", seen.len()));
         }
-        // Lock-free gauges must agree with the locked state.
+        // Each shard's demand count, gauges and snapshot must agree with
+        // its records.
         for (i, g) in guards.iter().enumerate() {
-            let gauge = inner.shards[i].free_count.load(GAUGE);
-            if gauge != g.free.total_free() {
-                return Err(format!(
-                    "shard {i} free gauge {gauge} != {}",
-                    g.free.total_free()
-                ));
+            let shard = &inner.shards[i];
+            let demanded = g.live().values().filter(|v| v.demand.is_some()).count() as u32;
+            for (label, value, actual) in [
+                ("demand count", g.demanded(), demanded),
+                (
+                    "free gauge",
+                    shard.free_count.load(GAUGE),
+                    g.free.total_free(),
+                ),
+                (
+                    "live gauge",
+                    shard.live_count.load(GAUGE),
+                    g.live().len() as u32,
+                ),
+                ("demand gauge", shard.demanded_count.load(GAUGE), demanded),
+            ] {
+                if value != actual {
+                    return Err(format!("shard {i} {label} {value} != {actual}"));
+                }
             }
-            let snap = inner.shards[i].snap.load();
-            if snap.free.fingerprint() != g.free.fingerprint() || snap.live.len() != g.live.len() {
+            let snap = shard.snap.load();
+            if snap.free.fingerprint() != g.free.fingerprint() || snap.live.len() != g.live().len()
+            {
                 return Err(format!("shard {i} snapshot is stale"));
             }
         }
-        for (label, gauge, actual) in [
-            ("live", inner.live_count.load(GAUGE), live_total),
-            ("pending", inner.pending_count.load(GAUGE), q.pending.len()),
-            ("demanded", inner.demanded_count.load(GAUGE), demanded),
-        ] {
-            if gauge != actual {
-                return Err(format!("{label} gauge {gauge} != {actual}"));
-            }
+        let pending = inner.pending_count.load(GAUGE);
+        if pending != q.pending.len() {
+            return Err(format!("pending gauge {pending} != {}", q.pending.len()));
         }
         // Conservation: counters must reconcile with actual holdings.
-        let mut held: BTreeMap<JobId, u64> = BTreeMap::new();
-        for g in guards.iter() {
-            for v in g.live.values() {
-                *held.entry(v.job).or_default() += v.gpus.len() as u64;
-            }
-        }
         for (job, c) in self.fairness_all() {
             let lhs = c
                 .gpus_granted

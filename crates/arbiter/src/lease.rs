@@ -7,7 +7,7 @@ use flexsp_core::FlexSpSolver;
 use flexsp_sim::{GpuId, NodeSlots};
 use flexsp_telemetry as tel;
 
-use crate::arbiter::{select_victims, ClusterArbiter, LeaseError, ShrinkDemand};
+use crate::arbiter::{select_victims, ClusterArbiter, LeaseError, LedgerGuard, ShrinkDemand};
 use crate::policy::JobId;
 use crate::shard::{LeaseView, GAUGE};
 
@@ -238,7 +238,7 @@ impl Lease {
         let now = self.arbiter.now();
         let inner = Arc::clone(&self.arbiter.inner);
         let mut state = inner.lock_shard(self.home);
-        let Some(view) = state.live.get(&self.id).cloned() else {
+        let Some(view) = state.live().get(&self.id).cloned() else {
             self.gpus.clear();
             return Err(LeaseError::Lapsed);
         };
@@ -250,7 +250,7 @@ impl Lease {
         }
         self.gpus = nv.gpus.clone();
         self.epoch = epoch;
-        state.live.insert(self.id, Arc::new(nv));
+        state.put(self.id, nv);
         inner.publish(self.home, &state);
         Ok(())
     }
@@ -278,43 +278,33 @@ impl Lease {
     ) -> Result<(), LeaseError> {
         let inner = Arc::clone(&self.arbiter.inner);
         // A grow must see the whole pool (the draw may span shards) and
-        // the queue (it may not jump waiting tenants): queue lock, then
-        // every shard lock ascending.
-        let q = inner.lock_queue();
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let Some(view) = guards[self.home].live.get(&self.id).cloned() else {
+        // the queue (it may not jump waiting tenants).
+        let mut ledger = LedgerGuard::lock(&inner);
+        let Some(view) = ledger.record(self.home, self.id) else {
             self.gpus.clear();
             return Err(LeaseError::Lapsed);
         };
         if extra == 0 {
             return Ok(());
         }
-        let mut merged = inner.merged_free(&guards);
-        if extra > merged.total_free() || !q.pending.is_empty() {
+        if extra > ledger.free() || !ledger.q.pending.is_empty() {
             return Err(LeaseError::Busy {
                 requested: extra,
-                free: merged.total_free(),
+                free: ledger.free(),
             });
         }
-        let group = match prefer {
-            Some(sku) => merged.take_packed_for(extra, sku),
-            None => merged.take_packed(extra),
-        }
-        // lint: allow(unwrap) `extra <= merged.total_free()` checked above under the same locks
-        .expect("free count checked above");
-        let grown = group.gpus().to_vec();
-        inner.claim_into(&mut guards, &mut dirty, &grown);
+        let grown = ledger
+            .draw(extra, prefer)
+            // lint: allow(unwrap) `extra <= ledger.free()` checked above under the same locks
+            .expect("free count checked above");
         let mut nv = (*view).clone();
         nv.gpus.extend(grown);
         nv.gpus.sort_unstable();
         nv.stamp = inner.bump_epoch();
         self.gpus = nv.gpus.clone();
         self.epoch = nv.stamp;
-        guards[self.home].live.insert(self.id, Arc::new(nv));
-        dirty[self.home] = true;
+        ledger.put(self.home, self.id, nv);
         inner.with_counters(self.job, |c| c.gpus_granted += extra as u64);
-        inner.publish_dirty(&guards, &dirty);
         Ok(())
     }
 
@@ -348,11 +338,9 @@ impl Lease {
         let topo = self.arbiter.topology().clone();
         let inner = Arc::clone(&self.arbiter.inner);
         // The freed slots may belong to any shard and the queue must be
-        // pumped with them: queue lock, then every shard lock ascending.
-        let mut q = inner.lock_queue();
-        let mut guards = inner.lock_shards();
-        let mut dirty = vec![false; guards.len()];
-        let Some(view) = guards[self.home].live.get(&self.id).cloned() else {
+        // pumped with them.
+        let mut ledger = LedgerGuard::lock(&inner);
+        let Some(view) = ledger.record(self.home, self.id) else {
             self.gpus.clear();
             return Err(LeaseError::Lapsed);
         };
@@ -382,26 +370,19 @@ impl Lease {
             "shrink widened the survivor's span"
         );
         // A voluntary shrink satisfies (part of) a pending demand.
-        match nv.demand {
-            Some(d) if release >= d.gpus => {
-                nv.demand = None;
-                inner.demanded_count.fetch_sub(1, GAUGE);
-            }
-            Some(mut d) => {
-                d.gpus -= release;
-                nv.demand = Some(d);
-            }
-            None => {}
-        }
+        nv.demand = match nv.demand {
+            Some(d) if release < d.gpus => Some(ShrinkDemand {
+                gpus: d.gpus - release,
+                ..d
+            }),
+            _ => None,
+        };
         self.gpus = nv.gpus.clone();
         self.epoch = nv.stamp;
-        guards[self.home].live.insert(self.id, Arc::new(nv));
-        dirty[self.home] = true;
-        inner.release_into(&mut guards, &mut dirty, &victims);
+        ledger.put(self.home, self.id, nv);
+        ledger.release(&victims);
         inner.with_counters(self.job, |c| c.gpus_released += victims.len() as u64);
-        let mut merged = inner.merged_free(&guards);
-        inner.settle_locked(&mut q, &mut guards, &mut dirty, &mut merged, now);
-        inner.publish_dirty(&guards, &dirty);
+        ledger.settle(now);
         Ok(())
     }
 }
@@ -431,7 +412,7 @@ impl Drop for Lease {
             // Fast path: the lease lives entirely in its home shard, so
             // the release touches one lock and one snapshot publish.
             let mut state = inner.lock_shard(self.home);
-            let Some(view) = state.live.remove(&self.id) else {
+            let Some(view) = state.take(self.id) else {
                 return; // raced with a reap under the lock
             };
             debug_assert!(
@@ -440,10 +421,6 @@ impl Drop for Lease {
             );
             state.free.release(&view.gpus);
             inner.bump_epoch();
-            inner.live_count.fetch_sub(1, GAUGE);
-            if view.demand.is_some() {
-                inner.demanded_count.fetch_sub(1, GAUGE);
-            }
             inner.with_counters(self.job, |c| {
                 c.released += 1;
                 c.gpus_released += view.gpus.len() as u64;
@@ -452,33 +429,22 @@ impl Drop for Lease {
             drop(state);
             // Freed capacity only matters to waiters and standing
             // demands; with neither, the settle would be a no-op.
-            if inner.pending_count.load(GAUGE) > 0 || inner.demanded_count.load(GAUGE) > 0 {
+            if inner.pending_count.load(GAUGE) > 0 || inner.summed(|s| &s.demanded_count) > 0 {
                 self.arbiter.settle_now();
             }
         } else {
             // Spanning lease: its slots return to several shards and the
             // queue pumps against the merged pool.
             let now = self.arbiter.now();
-            let mut q = inner.lock_queue();
-            let mut guards = inner.lock_shards();
-            let mut dirty = vec![false; guards.len()];
-            let Some(view) = guards[self.home].live.remove(&self.id) else {
+            let mut ledger = LedgerGuard::lock(&inner);
+            let Some(view) = ledger.retire(self.home, self.id) else {
                 return;
             };
-            dirty[self.home] = true;
-            inner.release_into(&mut guards, &mut dirty, &view.gpus);
-            inner.bump_epoch();
-            inner.live_count.fetch_sub(1, GAUGE);
-            if view.demand.is_some() {
-                inner.demanded_count.fetch_sub(1, GAUGE);
-            }
             inner.with_counters(self.job, |c| {
                 c.released += 1;
                 c.gpus_released += view.gpus.len() as u64;
             });
-            let mut merged = inner.merged_free(&guards);
-            inner.settle_locked(&mut q, &mut guards, &mut dirty, &mut merged, now);
-            inner.publish_dirty(&guards, &dirty);
+            ledger.settle(now);
         }
     }
 }

@@ -13,9 +13,18 @@
 //! 3. a **fairness stripe** lock (held only for one counter bump),
 //! 4. a snapshot **publish slot** (held only for one pointer swap).
 //!
-//! Single-shard fast paths take exactly one shard lock; spanning grants
-//! and admission passes take the queue lock plus every shard lock in
-//! index order, which is deadlock-free by construction.
+//! Single-shard fast paths take exactly one shard lock. Every other
+//! ledger change runs under one `LedgerGuard` (in `arbiter.rs`): the
+//! queue lock plus every shard lock in index order, which is
+//! deadlock-free by construction.
+//!
+//! # Derived state
+//!
+//! [`ShardState::put`] and [`ShardState::take`] are the only writers of a
+//! shard's lease records, and they keep its demand count exact. The
+//! shard's gauges (free GPUs, live leases, standing demands) are stored
+//! only by `Inner::publish`, with the snapshot, so no operation
+//! maintains a gauge by hand.
 //!
 //! This order is *machine-enforced*, not just documented: `flexsp-lint`'s
 //! `lock-order` rule statically checks every acquisition site in this
@@ -102,7 +111,36 @@ pub(crate) struct ShardState {
     /// Free slots of this shard's nodes (cluster-global ids).
     pub(crate) free: NodeSlots,
     /// Live leases homed in this shard, by lease id.
-    pub(crate) live: HashMap<u64, Arc<LeaseView>>,
+    live: HashMap<u64, Arc<LeaseView>>,
+    /// How many of `live` carry a shrink demand.
+    demanded: u32,
+}
+
+impl ShardState {
+    /// The live leases homed here, by lease id.
+    pub(crate) fn live(&self) -> &HashMap<u64, Arc<LeaseView>> {
+        &self.live
+    }
+
+    /// How many live leases carry a shrink demand (exact).
+    pub(crate) fn demanded(&self) -> u32 {
+        self.demanded
+    }
+
+    /// Inserts lease `id`'s record, or replaces it (copy-on-write).
+    pub(crate) fn put(&mut self, id: u64, view: LeaseView) {
+        self.demanded += u32::from(view.demand.is_some());
+        if let Some(old) = self.live.insert(id, Arc::new(view)) {
+            self.demanded -= u32::from(old.demand.is_some());
+        }
+    }
+
+    /// Removes lease `id`'s record, if it is still live.
+    pub(crate) fn take(&mut self, id: u64) -> Option<Arc<LeaseView>> {
+        let old = self.live.remove(&id)?;
+        self.demanded -= u32::from(old.demand.is_some());
+        Some(old)
+    }
 }
 
 /// The lock-free read-side image of one shard, republished (pointer
@@ -119,7 +157,9 @@ pub(crate) struct ShardSnapshot {
 }
 
 /// One ledger shard: a contiguous node range, its lock, its published
-/// snapshot, and a free-GPU gauge for lock-free candidate selection.
+/// snapshot, and the gauges published with it. The gauges serve
+/// lock-free reads and let writers skip work with nothing to do; summed
+/// over shards they are exact whenever no mutation is mid-flight.
 #[derive(Debug)]
 pub(crate) struct Shard {
     /// The nodes this shard owns.
@@ -129,6 +169,10 @@ pub(crate) struct Shard {
     /// Free GPUs in this shard — a hint for picking a grant candidate
     /// without touching any lock; the shard lock re-verifies.
     pub(crate) free_count: AtomicU32,
+    /// Live leases homed here.
+    pub(crate) live_count: AtomicU32,
+    /// Live leases homed here that carry a shrink demand.
+    pub(crate) demanded_count: AtomicU32,
 }
 
 impl Shard {
@@ -145,8 +189,11 @@ impl Shard {
             state: Mutex::new(ShardState {
                 free,
                 live: HashMap::new(),
+                demanded: 0,
             }),
             free_count: AtomicU32::new(count),
+            live_count: AtomicU32::new(0),
+            demanded_count: AtomicU32::new(0),
         }
     }
 }
