@@ -184,14 +184,17 @@ fn balanced_boundaries_search(seqs: &[Sequence], m: usize) -> Vec<usize> {
             lo = mid + 1;
         }
     }
-    // Emit boundaries greedily at the optimal cap, but never leave fewer
-    // sequences than remaining chunks.
+    // Emit boundaries greedily at the optimal cap, and also cut once the
+    // sequences left only just fill the chunks still to open, so exactly
+    // `m` chunks come out. Cutting early never raises a chunk's total,
+    // so the min-max value stays optimal.
     let cap = lo;
     let mut bounds = Vec::with_capacity(m);
     let mut acc = 0u64;
     let mut start = 0usize;
     for (i, s) in seqs.iter().enumerate() {
-        if acc + s.len > cap && i > start {
+        let only_enough_left = seqs.len() - i + bounds.len() + 1 == m;
+        if i > start && (acc + s.len > cap || only_enough_left) {
             bounds.push(i);
             start = i;
             acc = 0;
@@ -199,7 +202,7 @@ fn balanced_boundaries_search(seqs: &[Sequence], m: usize) -> Vec<usize> {
         acc += s.len;
     }
     bounds.push(seqs.len());
-    debug_assert!(bounds.len() <= m);
+    debug_assert_eq!(bounds.len(), m);
     bounds
 }
 
@@ -366,6 +369,23 @@ mod tests {
     fn more_chunks_than_sequences_collapses() {
         let micro = blast(&seqs(&[5, 6]), 10, true);
         assert_eq!(micro.len(), 2);
+    }
+
+    #[test]
+    fn search_path_returns_exactly_m_chunks() {
+        // Above 2048 sequences the search path chunks greedily at the
+        // optimal cap (3000 here), which alone would close only two
+        // chunks: all the one-token sequences, then the long one.
+        let mut lens = vec![1u64; 2048];
+        lens.push(3000);
+        for m in [2, 3, 5] {
+            let micro = blast(&seqs(&lens), m, true);
+            assert_eq!(micro.len(), m);
+            assert_eq!(max_chunk_tokens(&micro), 3000);
+            assert!(micro.iter().all(|c| !c.is_empty()));
+        }
+        // One sequence fewer takes the DP path, which agrees.
+        assert_eq!(blast(&seqs(&lens[1..]), 3, true).len(), 3);
     }
 
     #[test]
