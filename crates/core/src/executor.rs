@@ -275,7 +275,7 @@ mod tests {
     }
 
     fn ga(degree: u32, lens: &[u64]) -> GroupAssignment {
-        GroupAssignment::new(GroupShape::packed(degree, 8), seqs(lens))
+        GroupAssignment::new(GroupShape::new(degree, degree.div_ceil(8)), seqs(lens))
     }
 
     /// A placed iteration plan over the 64-GPU test cluster.
@@ -424,10 +424,11 @@ mod tests {
         // node-spanning placement pays NIC All-to-All.
         let (ex, _) = setup();
         let intra = placed(vec![ga(8, &[32 * 1024])]);
-        let spanning_group = DeviceGroup::for_shape(GroupShape::new(8, 2), 8, 0);
-        let plan =
-            IterationPlan::new(vec![MicroBatchPlan::new(vec![ga(8, &[32 * 1024])
-                .with_placement(spanning_group, &flexsp_sim::Topology::new(8, 8))])]);
+        let topo = flexsp_sim::Topology::new(8, 8);
+        let spanning_group = DeviceGroup::for_shape_on(GroupShape::new(8, 2), &topo, 0);
+        let plan = IterationPlan::new(vec![MicroBatchPlan::new(vec![
+            ga(8, &[32 * 1024]).with_placement(spanning_group, &topo)
+        ])]);
         let fast = ex.execute(&intra).unwrap();
         let slow = ex.execute(&plan).unwrap();
         assert!(

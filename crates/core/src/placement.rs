@@ -86,9 +86,9 @@ impl std::error::Error for PlaceError {}
 /// // groups stay intra-node on the remaining slots.
 /// let topo = Topology::new(4, 6);
 /// let groups = place_degrees(&topo, &[8, 8, 4, 4]).unwrap();
-/// assert_eq!(groups[0].nodes_spanned(6), 2);
-/// assert!(groups[2].is_intra_node(6));
-/// assert!(groups[3].is_intra_node(6));
+/// assert_eq!(groups[0].nodes_spanned_on(&topo), 2);
+/// assert!(groups[2].is_intra_node_on(&topo));
+/// assert!(groups[3].is_intra_node_on(&topo));
 /// ```
 pub fn place_degrees(topo: &Topology, degrees: &[u32]) -> Result<Vec<DeviceGroup>, PlaceError> {
     place_degrees_within(&NodeSlots::new(topo), degrees)
@@ -221,7 +221,10 @@ mod tests {
         // 2 nodes × 8: [8, 4, 4] packs all-intra.
         let topo = Topology::new(2, 8);
         let groups = place_degrees(&topo, &[4, 8, 4]).unwrap();
-        assert!(groups.iter().all(|g| g.is_intra_node(8)), "{groups:?}");
+        assert!(
+            groups.iter().all(|g| g.is_intra_node_on(&topo)),
+            "{groups:?}"
+        );
     }
 
     #[test]
@@ -229,7 +232,7 @@ mod tests {
         // 2 nodes × 6: [4, 4, 4] — the third group has 2 + 2 left.
         let topo = Topology::new(2, 6);
         let groups = place_degrees(&topo, &[4, 4, 4]).unwrap();
-        let spanning = groups.iter().filter(|g| !g.is_intra_node(6)).count();
+        let spanning = groups.iter().filter(|g| !g.is_intra_node_on(&topo)).count();
         assert_eq!(spanning, 1);
     }
 
@@ -250,7 +253,7 @@ mod tests {
     fn whole_cluster_group_spans_everything() {
         let topo = Topology::new(4, 8);
         let groups = place_degrees(&topo, &[32]).unwrap();
-        assert_eq!(groups[0].nodes_spanned(8), 4);
+        assert_eq!(groups[0].nodes_spanned_on(&topo), 4);
         assert_eq!(GroupShape::of(&groups[0], &topo), GroupShape::new(32, 4));
     }
 

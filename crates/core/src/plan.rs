@@ -395,7 +395,7 @@ mod tests {
     }
 
     fn ga(degree: u32, lens: &[u64]) -> GroupAssignment {
-        GroupAssignment::new(GroupShape::packed(degree, 8), seqs(lens))
+        GroupAssignment::new(GroupShape::new(degree, degree.div_ceil(8)), seqs(lens))
     }
 
     #[test]

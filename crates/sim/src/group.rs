@@ -10,14 +10,6 @@ use crate::shape::{SkuId, Topology};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GpuId(pub u32);
 
-impl GpuId {
-    /// The node hosting this GPU for a given *uniform* node width.
-    /// Heterogeneous callers use [`Topology::node_of`].
-    pub fn node(self, gpus_per_node: u32) -> u32 {
-        self.0 / gpus_per_node
-    }
-}
-
 impl fmt::Display for GpuId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "gpu{}", self.0)
@@ -71,14 +63,6 @@ impl DeviceGroup {
         self.gpus.len() as u32
     }
 
-    /// Number of distinct nodes the group touches (*uniform* node width;
-    /// heterogeneous callers use [`DeviceGroup::nodes_spanned_on`]).
-    pub fn nodes_spanned(&self, gpus_per_node: u32) -> u32 {
-        let mut nodes: Vec<u32> = self.gpus.iter().map(|g| g.node(gpus_per_node)).collect();
-        nodes.dedup();
-        nodes.len() as u32
-    }
-
     /// Number of distinct nodes of `topo` the group touches.
     pub fn nodes_spanned_on(&self, topo: &Topology) -> u32 {
         self.nodes_touched(topo).len() as u32
@@ -89,11 +73,6 @@ impl DeviceGroup {
         let mut nodes: Vec<u32> = self.gpus.iter().map(|&g| topo.node_of(g)).collect();
         nodes.dedup();
         nodes
-    }
-
-    /// True if every member lives on one node (*uniform* node width).
-    pub fn is_intra_node(&self, gpus_per_node: u32) -> bool {
-        self.nodes_spanned(gpus_per_node) == 1
     }
 
     /// True if every member lives on one node of `topo`.
@@ -123,23 +102,11 @@ impl DeviceGroup {
     }
 
     /// For uniform all-to-all traffic, the fraction of each GPU's egress
-    /// that crosses a node boundary: with `g` co-located peers out of
-    /// `d − 1`, the off-node share is `(d − g) / (d − 1)`.
-    /// (*Uniform* node width; heterogeneous callers use
-    /// [`DeviceGroup::inter_node_fraction_on`].)
+    /// that crosses a node boundary of `topo`: with `g` co-located peers
+    /// out of `d − 1`, the off-node share is `(d − g) / (d − 1)`.
     ///
     /// Returns 0 for single-GPU or single-node groups.
-    pub fn inter_node_fraction(&self, gpus_per_node: u32) -> f64 {
-        self.inter_fraction_by(|g| g.node(gpus_per_node))
-    }
-
-    /// [`DeviceGroup::inter_node_fraction`] against the node boundaries
-    /// of `topo` (per-node widths respected).
     pub fn inter_node_fraction_on(&self, topo: &Topology) -> f64 {
-        self.inter_fraction_by(|g| topo.node_of(g))
-    }
-
-    fn inter_fraction_by(&self, node_of: impl Fn(GpuId) -> u32) -> f64 {
         let d = self.degree() as f64;
         if self.degree() <= 1 {
             return 0.0;
@@ -148,14 +115,14 @@ impl DeviceGroup {
         // node; compute exactly for irregular groups).
         let mut per_node = std::collections::HashMap::new();
         for &g in &self.gpus {
-            *per_node.entry(node_of(g)).or_insert(0u32) += 1;
+            *per_node.entry(topo.node_of(g)).or_insert(0u32) += 1;
         }
         if per_node.len() <= 1 {
             return 0.0;
         }
         let mut frac = 0.0;
         for &g in &self.gpus {
-            let local = per_node[&node_of(g)] as f64;
+            let local = per_node[&topo.node_of(g)] as f64;
             frac += (d - local) / (d - 1.0);
         }
         frac / d
@@ -186,30 +153,34 @@ mod tests {
 
     #[test]
     fn node_spanning() {
-        assert!(DeviceGroup::aligned(0, 8).is_intra_node(8));
-        assert!(!DeviceGroup::aligned(0, 16).is_intra_node(8));
-        assert_eq!(DeviceGroup::aligned(0, 16).nodes_spanned(8), 2);
-        assert_eq!(DeviceGroup::aligned(4, 8).nodes_spanned(8), 2); // misaligned straddles
+        let topo = Topology::new(4, 8);
+        assert!(DeviceGroup::aligned(0, 8).is_intra_node_on(&topo));
+        assert!(!DeviceGroup::aligned(0, 16).is_intra_node_on(&topo));
+        assert_eq!(DeviceGroup::aligned(0, 16).nodes_spanned_on(&topo), 2);
+        assert_eq!(DeviceGroup::aligned(4, 8).nodes_spanned_on(&topo), 2); // misaligned straddles
     }
 
     #[test]
     fn inter_fraction_matches_formula() {
-        let gpn = 8;
-        assert_eq!(DeviceGroup::aligned(0, 8).inter_node_fraction(gpn), 0.0);
+        let topo = Topology::new(8, 8);
+        assert_eq!(
+            DeviceGroup::aligned(0, 8).inter_node_fraction_on(&topo),
+            0.0
+        );
         // d = 16 over 2 full nodes: (16 − 8) / 15.
-        let f = DeviceGroup::aligned(0, 16).inter_node_fraction(gpn);
+        let f = DeviceGroup::aligned(0, 16).inter_node_fraction_on(&topo);
         assert!((f - 8.0 / 15.0).abs() < 1e-12);
         // d = 64 over 8 nodes: 56/63.
-        let f = DeviceGroup::aligned(0, 64).inter_node_fraction(gpn);
+        let f = DeviceGroup::aligned(0, 64).inter_node_fraction_on(&topo);
         assert!((f - 56.0 / 63.0).abs() < 1e-12);
     }
 
     #[test]
     fn inter_fraction_grows_with_degree() {
-        let gpn = 8;
+        let topo = Topology::new(8, 8);
         let mut prev = 0.0;
         for d in [8u32, 16, 32, 64] {
-            let f = DeviceGroup::aligned(0, d).inter_node_fraction(gpn);
+            let f = DeviceGroup::aligned(0, d).inter_node_fraction_on(&topo);
             assert!(f >= prev);
             prev = f;
         }

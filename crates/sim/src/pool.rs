@@ -105,16 +105,6 @@ pub struct PoolStats {
     pub creations: u64,
     /// Total simulated seconds spent creating communicators.
     pub creation_time_s: f64,
-    /// Communicators retired by the LRU cap (each retirement means a
-    /// future reuse of that group pays the creation cost again).
-    pub retirements: u64,
-    /// The most communicators ever resident at once (high-water mark).
-    pub high_water: usize,
-    /// Epochs started via [`GroupPool::begin_epoch`] (an epoch is one
-    /// iteration / plan switch in a training campaign).
-    pub epochs: u64,
-    /// Distinct communicators fetched in the current epoch.
-    pub epoch_groups: u64,
 }
 
 /// Result of a pool lookup.
@@ -150,133 +140,49 @@ pub struct PoolFetch {
 #[derive(Debug)]
 pub struct GroupPool {
     creation_cost_s: f64,
-    /// Most communicators allowed to stay resident; `None` = unbounded.
-    max_comms: Option<usize>,
     inner: Mutex<PoolInner>,
 }
 
 #[derive(Debug, Default)]
 struct PoolInner {
-    /// Resident communicators: id plus last-use tick (for LRU).
-    comms: HashMap<Vec<GpuId>, CommEntry>,
-    /// Monotonic use counter driving the LRU order.
-    tick: u64,
-    /// Communicator ids fetched in the current epoch (distinct).
-    epoch_seen: std::collections::HashSet<u64>,
+    /// Resident communicators, by member GPUs.
+    comms: HashMap<Vec<GpuId>, u64>,
     next_id: u64,
     stats: PoolStats,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CommEntry {
-    id: u64,
-    last_used: u64,
-}
-
-impl PoolInner {
-    fn note_epoch_use(&mut self, id: u64) {
-        if self.epoch_seen.insert(id) {
-            self.stats.epoch_groups += 1;
-        }
-    }
 }
 
 impl GroupPool {
     /// Creates a pool where each new communicator costs `creation_cost_s`
     /// simulated seconds (the paper reports ≈10 s for the first-iteration
-    /// creation of all six groups on 64 GPUs, i.e. ~1.5 s each). The pool
-    /// is unbounded; long multi-job campaigns that churn many
-    /// differently-fragmented placements should use
-    /// [`GroupPool::with_capacity`].
+    /// creation of all six groups on 64 GPUs, i.e. ~1.5 s each).
     pub fn new(creation_cost_s: f64) -> Self {
         Self {
             creation_cost_s,
-            max_comms: None,
             inner: Mutex::new(PoolInner::default()),
         }
     }
 
-    /// Creates a pool that retires the least-recently-used communicator
-    /// whenever more than `max_comms` are resident. The paper's
-    /// `log₂N + 1` per-GPU bound assumes aligned power-of-two blocks;
-    /// node-packed multi-job placements can fragment past it, and the cap
-    /// turns that unbounded growth into bounded re-creation cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_comms == 0`.
-    pub fn with_capacity(creation_cost_s: f64, max_comms: usize) -> Self {
-        assert!(max_comms > 0, "the pool needs room for at least one group");
-        Self {
-            creation_cost_s,
-            max_comms: Some(max_comms),
-            inner: Mutex::new(PoolInner::default()),
-        }
-    }
-
-    /// Fetches (or creates) the communicator for `group`, retiring the
-    /// least-recently-used resident communicator first when a capacity
-    /// cap would be exceeded.
+    /// Fetches (or creates) the communicator for `group`.
     pub fn get_or_create(&self, group: &DeviceGroup) -> PoolFetch {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.comms.get_mut(group.gpus()) {
-            entry.last_used = tick;
-            let id = entry.id;
+        if let Some(&id) = inner.comms.get(group.gpus()) {
             inner.stats.hits += 1;
-            inner.note_epoch_use(id);
             return PoolFetch {
                 comm: id,
                 newly_created: false,
                 setup_cost_s: 0.0,
             };
         }
-        // Retire LRU entries until the newcomer fits the cap.
-        if let Some(cap) = self.max_comms {
-            while inner.comms.len() >= cap {
-                let Some(coldest) = inner
-                    .comms
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                inner.comms.remove(&coldest);
-                inner.stats.retirements += 1;
-            }
-        }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.comms.insert(
-            group.gpus().to_vec(),
-            CommEntry {
-                id,
-                last_used: tick,
-            },
-        );
+        inner.comms.insert(group.gpus().to_vec(), id);
         inner.stats.creations += 1;
         inner.stats.creation_time_s += self.creation_cost_s;
-        let resident = inner.comms.len();
-        inner.stats.high_water = inner.stats.high_water.max(resident);
-        inner.note_epoch_use(id);
         PoolFetch {
             comm: id,
             newly_created: true,
             setup_cost_s: self.creation_cost_s,
         }
-    }
-
-    /// Marks an epoch boundary (one training iteration / plan switch):
-    /// resets the per-epoch distinct-group counter and bumps the epoch
-    /// count, so campaigns can watch how many groups each iteration
-    /// actually touches versus how many the pool has accumulated.
-    pub fn begin_epoch(&self) {
-        let mut inner = self.inner.lock();
-        inner.stats.epochs += 1;
-        inner.stats.epoch_groups = 0;
-        inner.epoch_seen.clear();
     }
 
     /// Number of communicators currently resident.
@@ -368,84 +274,6 @@ mod tests {
         }
         assert_eq!(pool.stats().creations, before);
         assert!(pool.stats().hits >= 8);
-    }
-
-    #[test]
-    fn growth_tracking_counts_high_water_and_epochs() {
-        let pool = GroupPool::new(1.0);
-        pool.begin_epoch();
-        pool.get_or_create(&DeviceGroup::aligned(0, 8));
-        pool.get_or_create(&DeviceGroup::aligned(8, 8));
-        pool.get_or_create(&DeviceGroup::aligned(0, 8)); // hit, same epoch
-        let s = pool.stats();
-        assert_eq!(s.epochs, 1);
-        assert_eq!(s.epoch_groups, 2, "distinct groups this epoch");
-        assert_eq!(s.high_water, 2);
-        pool.begin_epoch();
-        pool.get_or_create(&DeviceGroup::aligned(0, 16));
-        let s = pool.stats();
-        assert_eq!(s.epochs, 2);
-        assert_eq!(s.epoch_groups, 1);
-        assert_eq!(s.high_water, 3);
-        assert_eq!(pool.len(), 3);
-    }
-
-    #[test]
-    fn lru_cap_retires_the_coldest_communicator() {
-        let pool = GroupPool::with_capacity(1.0, 2);
-        let a = DeviceGroup::aligned(0, 8);
-        let b = DeviceGroup::aligned(8, 8);
-        let c = DeviceGroup::aligned(16, 8);
-        pool.get_or_create(&a);
-        pool.get_or_create(&b);
-        pool.get_or_create(&a); // refresh a: b is now coldest
-        pool.get_or_create(&c); // evicts b
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.stats().retirements, 1);
-        assert!(!pool.get_or_create(&a).newly_created, "a survived");
-        assert!(pool.get_or_create(&b).newly_created, "b was retired");
-        // High-water never exceeded the cap.
-        assert_eq!(pool.stats().high_water, 2);
-    }
-
-    #[test]
-    fn capped_campaign_stays_under_paper_bound_times_constant() {
-        // A long multi-job campaign on 64 GPUs: every epoch places a
-        // different fragmented mix (simulating differently-restricted
-        // leases), which would grow an unbounded pool far past the
-        // paper's aligned-placement bound. With the cap at
-        // 2 × (log₂ 64 + 1) groups per GPU's worth of communicators the
-        // per-GPU count stays within a small constant of the bound.
-        let n: u32 = 64;
-        let bound = (64f64.log2() as usize) + 1; // 7
-        let cap = 4 * bound; // 28 resident communicators
-        let pool = GroupPool::with_capacity(0.1, cap);
-        let mut offset = 0u32;
-        for epoch in 0..200 {
-            pool.begin_epoch();
-            // Shifting unaligned starts emulate node-packed multi-job
-            // placements: each epoch's groups start 1 GPU later.
-            offset = (offset + 1) % 8;
-            for d in [4u32, 8, 16] {
-                let mut start = offset;
-                while start + d <= n {
-                    pool.get_or_create(&DeviceGroup::from_gpus(
-                        (start..start + d).map(GpuId).collect(),
-                    ));
-                    start += d + (epoch % 3);
-                }
-            }
-            assert!(pool.len() <= cap, "epoch {epoch}: {} resident", pool.len());
-            assert!(
-                pool.max_groups_per_gpu() <= 4 * bound,
-                "epoch {epoch}: {} groups on one GPU (bound {bound})",
-                pool.max_groups_per_gpu()
-            );
-        }
-        let s = pool.stats();
-        assert!(s.retirements > 0, "the cap must have engaged: {s:?}");
-        assert_eq!(s.epochs, 200);
-        assert!(s.high_water <= cap);
     }
 
     #[test]

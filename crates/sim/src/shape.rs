@@ -161,12 +161,6 @@ impl Topology {
         self.nodes.iter().map(|n| n.width).max().expect("non-empty")
     }
 
-    /// The common node width, or `None` if widths differ.
-    pub fn uniform_width(&self) -> Option<u32> {
-        let w = self.nodes[0].width;
-        self.nodes.iter().all(|n| n.width == w).then_some(w)
-    }
-
     /// The distinct SKU classes present, ascending (fastest first).
     pub fn skus(&self) -> Vec<SkuId> {
         let mut out: Vec<SkuId> = self.nodes.iter().map(|n| n.sku).collect();
@@ -215,11 +209,6 @@ impl Topology {
             self.nodes.iter().filter(|n| n.sku == sku).map(|n| n.width),
             degree,
         )
-    }
-
-    /// The most intra-node groups of `degree` GPUs the cluster can host.
-    pub fn intra_capacity(&self, degree: u32) -> u32 {
-        self.nodes.iter().map(|n| n.width / degree.max(1)).sum()
     }
 
     /// The number of distinct nodes the given GPUs touch — the realized
@@ -335,14 +324,6 @@ impl GroupShape {
     /// An intra-node shape (SKU class 0).
     pub fn intra(degree: u32) -> Self {
         Self::new(degree, 1)
-    }
-
-    /// The tightest shape for `degree` on *uniform* nodes of
-    /// `gpus_per_node` GPUs (spans the minimum number of nodes; SKU
-    /// class 0). Heterogeneous portfolios come from [`enumerate_shapes`].
-    pub fn packed(degree: u32, gpus_per_node: u32) -> Self {
-        assert!(gpus_per_node > 0, "nodes need at least one GPU");
-        Self::new(degree, degree.div_ceil(gpus_per_node))
     }
 
     /// The placement class a concrete device group realizes on `topo`:
@@ -479,32 +460,6 @@ pub fn enumerate_shapes(topo: &Topology, degrees: &[u32]) -> Vec<GroupShape> {
 }
 
 impl DeviceGroup {
-    /// A concrete group realizing `shape` on *uniform* nodes of
-    /// `gpus_per_node` GPUs, members spread as evenly as possible over
-    /// nodes `start_node .. start_node + span` (each node contributes its
-    /// lowest-indexed GPUs). Heterogeneous layouts come from
-    /// [`DeviceGroup::for_shape_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the balanced per-node share exceeds `gpus_per_node`.
-    pub fn for_shape(shape: GroupShape, gpus_per_node: u32, start_node: u32) -> Self {
-        let k = shape.nodes_spanned;
-        let base = shape.degree / k;
-        let extra = shape.degree % k;
-        let mut gpus = Vec::with_capacity(shape.degree as usize);
-        for i in 0..k {
-            let count = base + u32::from(i < extra);
-            assert!(
-                count <= gpus_per_node,
-                "{shape} needs {count} GPUs on one node but nodes have {gpus_per_node}"
-            );
-            let node_base = (start_node + i) * gpus_per_node;
-            gpus.extend((node_base..node_base + count).map(GpuId));
-        }
-        DeviceGroup::from_gpus(gpus)
-    }
-
     /// A concrete group realizing `shape` on `topo`: members spread as
     /// evenly as the node widths allow over `shape.nodes_spanned`
     /// consecutive candidate nodes, starting at the `start_index`-th
@@ -701,12 +656,6 @@ impl NodeSlots {
             .sum()
     }
 
-    /// The fewest nodes a degree-`degree` group can span on the *free*
-    /// slots, or `None` if fewer than `degree` GPUs are free.
-    pub fn min_span_free(&self, degree: u32) -> Option<u32> {
-        min_span_over((0..self.topo.num_nodes()).map(|n| self.free_on(n)), degree)
-    }
-
     /// The fewest SKU-`sku` nodes a degree-`degree` group can span on the
     /// free slots, or `None` if the class's free pool falls short.
     pub fn min_span_free_sku(&self, degree: u32, sku: SkuId) -> Option<u32> {
@@ -801,15 +750,6 @@ impl NodeSlots {
         nodes
     }
 
-    /// The span a [`take_packed`](NodeSlots::take_packed) draw of
-    /// `degree` GPUs would realize right now, without committing it —
-    /// `None` if fewer than `degree` GPUs are free. Planners use this to
-    /// price a prospective group at the placement class it would actually
-    /// get.
-    pub fn span_if_packed(&self, degree: u32) -> Option<u32> {
-        self.class_if_packed(degree, None).map(|s| s.nodes_spanned)
-    }
-
     /// The full placement class — span *and* slowest-member SKU — a
     /// [`take_packed_for`](NodeSlots::take_packed_for) draw of `degree`
     /// GPUs preferring SKU `prefer` would realize, without committing it.
@@ -888,17 +828,20 @@ mod tests {
 
     #[test]
     fn packed_shapes_span_minimally() {
-        assert_eq!(GroupShape::packed(8, 8), GroupShape::intra(8));
-        assert_eq!(GroupShape::packed(16, 8).nodes_spanned, 2);
-        assert_eq!(GroupShape::packed(8, 6).nodes_spanned, 2);
-        assert_eq!(GroupShape::packed(8, 3).nodes_spanned, 3);
-        assert!(GroupShape::packed(64, 8).max_gpus_per_node() == 8);
+        let packed = |degree: u32, width: u32| {
+            GroupShape::new(degree, Topology::new(16, width).min_span(degree))
+        };
+        assert_eq!(packed(8, 8), GroupShape::intra(8));
+        assert_eq!(packed(16, 8).nodes_spanned, 2);
+        assert_eq!(packed(8, 6).nodes_spanned, 2);
+        assert_eq!(packed(8, 3).nodes_spanned, 3);
+        assert!(packed(64, 8).max_gpus_per_node() == 8);
     }
 
     #[test]
     fn shape_of_concrete_groups() {
         let topo = Topology::new(2, 8);
-        let g = DeviceGroup::for_shape(GroupShape::new(8, 2), 8, 0);
+        let g = DeviceGroup::for_shape_on(GroupShape::new(8, 2), &topo, 0);
         assert_eq!(GroupShape::of(&g, &topo), GroupShape::new(8, 2));
         assert_eq!(g.gpus().len(), 8);
         // Balanced 4 + 4 split across nodes 0 and 1.
@@ -1007,29 +950,36 @@ mod tests {
 
     #[test]
     fn node_slots_pack_greedily() {
-        let mut slots = NodeSlots::new(&Topology::new(2, 8));
+        let topo = Topology::new(2, 8);
+        let mut slots = NodeSlots::new(&topo);
         let a = slots.take_packed(8).unwrap();
-        assert!(a.is_intra_node(8));
+        assert!(a.is_intra_node_on(&topo));
         let b = slots.take_packed(4).unwrap();
-        assert!(b.is_intra_node(8));
+        assert!(b.is_intra_node_on(&topo));
         let c = slots.take_packed(4).unwrap();
-        assert!(c.is_intra_node(8));
+        assert!(c.is_intra_node_on(&topo));
         assert_eq!(slots.total_free(), 0);
         assert!(slots.take_packed(1).is_none());
     }
 
     #[test]
     fn node_slots_span_when_fragmented() {
-        let mut slots = NodeSlots::new(&Topology::new(2, 6));
+        let topo = Topology::new(2, 6);
+        let mut slots = NodeSlots::new(&topo);
         slots.take_packed(4).unwrap();
         slots.take_packed(4).unwrap();
         // 2 + 2 GPUs left on two nodes: a degree-4 group must span, and
         // the preview agrees with the committed draw.
-        assert_eq!(slots.span_if_packed(4), Some(2));
-        assert_eq!(slots.span_if_packed(2), Some(1));
-        assert_eq!(slots.span_if_packed(8), None);
+        let span = |d: u32| {
+            slots
+                .class_if_packed_for(d, SkuId(0))
+                .map(|s| s.nodes_spanned)
+        };
+        assert_eq!(span(4), Some(2));
+        assert_eq!(span(2), Some(1));
+        assert_eq!(span(8), None);
         let g = slots.take_packed(4).unwrap();
-        assert_eq!(g.nodes_spanned(6), 2);
+        assert_eq!(g.nodes_spanned_on(&topo), 2);
     }
 
     #[test]
@@ -1078,8 +1028,6 @@ mod tests {
         assert_eq!(slots.free_gpus(), owned);
         assert!(slots.is_free(GpuId(0)) && !slots.is_free(GpuId(8)));
         // Free-slot analogues of the topology queries.
-        assert_eq!(slots.min_span_free(12), Some(2));
-        assert_eq!(slots.min_span_free(13), None);
         assert_eq!(slots.min_span_free_sku(8, SkuId(0)), Some(1));
         assert_eq!(slots.min_span_free_sku(8, SkuId(1)), None);
         assert_eq!(slots.intra_capacity_free(4), 3);
@@ -1173,8 +1121,9 @@ mod tests {
         let topo = Topology::new(4, 6);
         assert_eq!(topo.min_span(4), 1);
         assert_eq!(topo.min_span(8), 2);
-        assert_eq!(topo.intra_capacity(4), 4);
-        assert_eq!(topo.intra_capacity(2), 12);
+        let slots = NodeSlots::new(&topo);
+        assert_eq!(slots.intra_capacity_free(4), 4);
+        assert_eq!(slots.intra_capacity_free(2), 12);
         assert_eq!(topo.num_gpus(), 24);
     }
 
@@ -1192,7 +1141,7 @@ mod tests {
         assert_eq!(topo.node_of(GpuId(11)), 1);
         assert_eq!(topo.node_of(GpuId(12)), 2);
         assert_eq!(topo.node_of(GpuId(19)), 2);
-        assert_eq!(topo.uniform_width(), None);
+        assert_eq!(topo.node_width(1), 4);
         assert_eq!(topo.max_width(), 8);
         assert_eq!(topo.min_span(12), 2, "two widest nodes cover 12");
         assert_eq!(topo.min_span_sku(12, SkuId(0)), Some(2));

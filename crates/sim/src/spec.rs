@@ -663,7 +663,7 @@ mod tests {
     fn custom_node_width_preset() {
         let c = ClusterSpec::a100_nodes_of(4, 6);
         assert_eq!(c.num_gpus(), 24);
-        assert_eq!(c.topology().uniform_width(), Some(6));
+        assert!((0..4).all(|n| c.topology().node_width(n) == 6));
     }
 
     #[test]
