@@ -1,57 +1,9 @@
-//! Offline drop-in subset of `crossbeam`: scoped threads (over
-//! `std::thread::scope`) and an unbounded MPMC channel (the `std` mpsc
-//! receiver is single-consumer, so the channel is reimplemented on a
-//! mutex + condvar). Only the surface the workspace uses is provided.
+//! Offline drop-in subset of `crossbeam`: an unbounded MPMC channel (the
+//! `std` mpsc receiver is single-consumer, so the channel is
+//! reimplemented on a mutex + condvar). Only the surface the workspace
+//! uses is provided.
 
 #![forbid(unsafe_code)]
-
-/// Scoped threads compatible with `crossbeam::thread::scope` call sites.
-pub mod thread {
-    use std::any::Any;
-
-    /// Handle to a spawned scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread to finish, returning its result or the
-        /// panic payload.
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    /// A thread scope. The spawn closure receives a unit placeholder where
-    /// `crossbeam` passes the scope itself (every call site here ignores
-    /// the argument).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread inside the scope.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(()) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(())),
-            }
-        }
-    }
-
-    /// Runs `f` with a scope whose spawned threads are joined before
-    /// `scope` returns. Always `Ok` (panics propagate, as the call sites
-    /// immediately `expect` the result anyway).
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
 
 /// Unbounded MPMC channel compatible with `crossbeam::channel` call sites.
 pub mod channel {
@@ -205,17 +157,6 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn scope_joins_and_returns() {
-        let data = [1, 2, 3];
-        let out = super::thread::scope(|s| {
-            let handles: Vec<_> = data.iter().map(|&x| s.spawn(move |_| x * 2)).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum::<i32>()
-        })
-        .unwrap();
-        assert_eq!(out, 12);
-    }
-
     #[test]
     fn channel_is_multi_consumer() {
         let (tx, rx) = super::channel::unbounded::<u32>();

@@ -236,10 +236,10 @@ impl FlexSpSolver {
                 plan_micro_batch_within(&self.cost, &buckets, slots, &self.config.planner)
             };
             let results: Vec<Result<_, PlanError>> = if micro_batches.len() > 1 {
-                crossbeam::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let handles: Vec<_> = micro_batches
                         .iter()
-                        .map(|mb| scope.spawn(move |_| solve_mb(mb)))
+                        .map(|mb| scope.spawn(move || solve_mb(mb)))
                         .collect();
                     handles
                         .into_iter()
@@ -247,8 +247,6 @@ impl FlexSpSolver {
                         .map(|h| h.join().expect("micro-batch planner panicked"))
                         .collect()
                 })
-                // lint: allow(unwrap) scope fails only on a child panic; re-raise it, don't swallow it
-                .expect("micro-batch scope panicked")
             } else {
                 micro_batches.iter().map(solve_mb).collect()
             };
@@ -264,10 +262,10 @@ impl FlexSpSolver {
 
         type TrialResult = (usize, Result<(IterationPlan, f64), PlanError>);
         let results: Vec<TrialResult> = if counts.len() > 1 {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = counts
                     .iter()
-                    .map(|&m| scope.spawn(move |_| (m, solve_one(m))))
+                    .map(|&m| scope.spawn(move || (m, solve_one(m))))
                     .collect();
                 handles
                     .into_iter()
@@ -275,8 +273,6 @@ impl FlexSpSolver {
                     .map(|h| h.join().expect("solver thread panicked"))
                     .collect()
             })
-            // lint: allow(unwrap) scope fails only on a child panic; re-raise it, don't swallow it
-            .expect("solver scope panicked")
         } else {
             counts.iter().map(|&m| (m, solve_one(m))).collect()
         };
