@@ -67,6 +67,43 @@ fn lock_order_silent_on_documented_order() {
 }
 
 #[test]
+fn lock_order_holds_the_ranks_of_a_guard_returning_helper() {
+    let f = scan(
+        "lock_order_guard_bad.rs",
+        "crates/arbiter/src/fixture_lock_order.rs",
+        "flexsp-arbiter",
+        include_str!("fixtures/lock_order_guard_bad.rs"),
+    );
+    assert_findings(
+        &[f],
+        &[("crates/arbiter/src/fixture_lock_order.rs", 29, "lock-order")],
+    );
+}
+
+#[test]
+fn lock_order_fires_on_an_unranked_arbiter_mutex() {
+    let src = include_str!("fixtures/lock_unranked_bad.rs");
+    let f = scan(
+        "lock_unranked_bad.rs",
+        "crates/arbiter/src/fixture_lock_order.rs",
+        "flexsp-arbiter",
+        src,
+    );
+    assert_findings(
+        &[f],
+        &[("crates/arbiter/src/fixture_lock_order.rs", 14, "lock-order")],
+    );
+    // The rank table only governs the arbiter crate.
+    let f = scan(
+        "lock_unranked_bad.rs",
+        "crates/core/src/fixture_lock_order.rs",
+        "flexsp-core",
+        src,
+    );
+    assert_findings(&[f], &[]);
+}
+
+#[test]
 fn lock_free_fires_through_a_helper() {
     let f = scan(
         "lock_free_bad.rs",
