@@ -19,6 +19,14 @@
 //! threads in debug mode) double as a lock-order race detector: any
 //! interleaving that reaches an out-of-order acquisition aborts the test
 //! with both ranks named, instead of deadlocking some later run.
+//!
+//! It sees what the static rule cannot: a lock taken inside a closure
+//! that runs under another lock (say, a shard lock inside a
+//! `with_counters` closure, which runs under a fairness stripe), and
+//! shards locked in descending order. It misses what no test runs, and
+//! any mutex locked without a rank token (a raw `queue.lock()`, a new
+//! unranked mutex), which only the static rule flags. A `LedgerGuard`
+//! holds the queue token and every shard token until it drops.
 
 /// Lock ranks as (major, minor) pairs ordered lexicographically. The
 /// minor component is only meaningful for shards, where it is the shard

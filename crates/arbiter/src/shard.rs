@@ -26,13 +26,17 @@
 //! only by `Inner::publish`, with the snapshot, so no operation
 //! maintains a gauge by hand.
 //!
-//! This order is *machine-enforced*, not just documented: `flexsp-lint`'s
-//! `lock-order` rule statically checks every acquisition site in this
-//! crate against the ranks above (with call summaries, so a helper that
-//! locks a shard propagates its rank to callers), and the
-//! `debug_assertions`-gated tracker in [`crate::rank`] panics at runtime
-//! on any out-of-order acquisition. See
-//! `docs/ARCHITECTURE.md#static-analysis--concurrency-contracts`.
+//! Two checks enforce this order, and each catches cases the other
+//! misses. `flexsp-lint`'s `lock-order` rule reads every acquisition
+//! site in this crate against the ranks above (with call summaries, so a
+//! helper that locks a shard propagates its rank to callers, and a
+//! helper returning a `*Guard` type holds its ranks while its result is
+//! bound). It catches raw or unranked locks and untested branches, but
+//! not a lock taken inside a closure that runs under another lock, nor
+//! the order of a loop's shard locks. The `debug_assertions`-gated
+//! tracker in [`crate::rank`] panics on those at runtime, but only on
+//! paths a test runs and only for locks taken through a ranked wrapper.
+//! See `docs/ARCHITECTURE.md#static-analysis--concurrency-contracts`.
 
 use std::collections::HashMap;
 use std::ops::Range;
