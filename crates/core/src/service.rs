@@ -16,24 +16,21 @@
 //! length multisets whose sequence ids differ — and for a recurring shape
 //! the cached [`SolvedIteration`] is rebound to the new ids instead of
 //! re-running the whole MILP workflow. [`SolverService::submit`] answers
-//! a hit on the caller's thread, under one shard's read lock and with no
-//! thread hop, and parks it in the reorder buffer; only misses reach the
-//! workers. Cache hits are delivered with `from_cache = true` and
-//! `solve_wall_s = 0`.
+//! a hit on the caller's thread, with no thread hop, and parks it in the
+//! reorder buffer; only misses reach the workers. Cache hits are
+//! delivered with `from_cache = true` and `solve_wall_s = 0`.
 //!
-//! The cache is **sharded** (16 `RwLock`ed shards hashed by key) so hits
-//! never funnel through one lock, and misses are **single-flighted**:
-//! N concurrent identical requests run exactly one solve while N−1
+//! The cache keeps its plans, their recency stamps and its in-flight
+//! solves behind **one lock**, and misses are **single-flighted**: N
+//! concurrent identical requests run exactly one solve while N−1
 //! waiters block on the leader's flight and rebind its plan — see
-//! [`ShardedPlanCache`] for the protocol.
+//! [`PlanCache`] for the protocol.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrd};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use flexsp_data::Sequence;
 use flexsp_telemetry as tel;
 use flexsp_telemetry::Counter;
@@ -85,213 +82,121 @@ impl CacheStats {
     }
 }
 
-/// Shard count for the plan cache. A power of two comfortably above the
-/// worker counts the service runs with, so concurrent lookups on
-/// different shapes almost never share a lock.
-const CACHE_SHARDS: usize = 16;
-
-#[derive(Debug)]
-struct CacheEntry {
-    value: SolvedIteration,
-    /// Global LRU stamp (larger = hotter), bumped with a relaxed atomic
-    /// store under the shard *read* lock so hits never serialize.
-    last_access: AtomicU64,
-}
-
-/// One in-flight solve other workers can wait on instead of duplicating
-/// it (single-flight miss coalescing).
+/// One in-flight solve other requests can wait on instead of
+/// duplicating it (single-flight miss coalescing).
 #[derive(Debug, Default)]
 struct Flight {
     done: Mutex<Option<Result<SolvedIteration, PlanError>>>,
     cv: Condvar,
 }
 
-/// Whether this worker runs the solve or waits for an identical one.
-enum FlightRole {
+impl Flight {
+    fn complete(&self, result: Result<SolvedIteration, PlanError>) {
+        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) -> Result<SolvedIteration, PlanError> {
+        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(result) = done.as_ref() {
+                return result.clone();
+            }
+            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// What a request found under the cache lock.
+enum Probe {
+    /// The cached plan, not yet rebound to the request's ids.
+    Hit(SolvedIteration),
+    /// Neither a plan nor a flight: the request registered its own
+    /// flight and runs the solve.
     Leader(Arc<Flight>),
+    /// An identical solve is in flight: wait for its plan.
     Waiter(Arc<Flight>),
 }
 
-/// A sharded LRU plan cache whose every read takes one shard's `RwLock`
-/// read lock.
+/// Everything behind the cache's one lock.
+#[derive(Debug, Default)]
+struct CacheState {
+    /// Cached plans, each with its recency stamp (larger = hotter).
+    plans: HashMap<CacheKey, (SolvedIteration, u64)>,
+    /// The recency clock: bumped when a probe finds a plan and when a
+    /// plan is inserted.
+    clock: u64,
+    /// In-flight solves by key (single-flight registry).
+    flights: HashMap<CacheKey, Arc<Flight>>,
+}
+
+impl CacheState {
+    /// The plan cached under `key`, stamped as the most recently used.
+    fn get(&mut self, key: &CacheKey) -> Option<SolvedIteration> {
+        let (plan, stamp) = self.plans.get_mut(key)?;
+        self.clock += 1;
+        *stamp = self.clock;
+        Some(plan.clone())
+    }
+}
+
+/// The LRU plan cache with single-flight misses. One `Mutex` guards its
+/// plans, their recency stamps and its in-flight solves, so each side of
+/// single-flight is one critical section: a request finds its plan,
+/// joins the identical solve in flight or registers its own flight in
+/// one, and a leader caches its plan and retires its flight in another.
+/// No request can therefore miss both the plan and the flight of an
+/// identical solve. The lock is never held across a solve or a rebind.
+/// One lock is enough because no caller probes from many threads at
+/// once: [`SolverService::submit`] answers every hit on its caller's
+/// thread, and workers reach the cache only for misses.
 ///
-/// Keys hash to one of [`CACHE_SHARDS`] independent `RwLock`ed maps, so
-/// the read path (the overwhelmingly common one for recurring batch
-/// shapes) takes a shared lock on 1/16th of the key space and never
-/// blocks readers of other shards — replacing the single global mutex
-/// every hit and miss used to funnel through. Recency is tracked with a
-/// global atomic clock stamped into each entry on access: eviction
-/// scans for the minimum stamp across shards, which keeps the *global*
-/// capacity bound and coldest-first order of the old LRU without any
-/// cross-shard lock.
-///
-/// Misses are **single-flighted**: the first worker to miss a key
-/// becomes the leader and solves; workers missing the same key while
-/// the solve is in flight become waiters, block on the flight's
-/// condvar, and rebind the leader's plan to their own sequence ids — N
-/// concurrent identical requests cost exactly one solve. Coalescing is
-/// independent of storage, so it stays active even at capacity 0.
+/// The leader is charged the miss; each waiter counts in `coalesced` and
+/// rebinds the leader's plan to its own sequence ids, so N concurrent
+/// identical requests cost one solve. Coalescing does not depend on
+/// storage, so it stays active at capacity 0.
 #[derive(Debug)]
-struct ShardedPlanCache {
+struct PlanCache {
     capacity: usize,
-    shards: Vec<RwLock<HashMap<CacheKey, CacheEntry>>>,
-    /// Monotonic access clock backing the approximate-LRU stamps.
-    clock: AtomicU64,
-    /// Total entries across shards (the capacity bound is global).
-    len: AtomicUsize,
+    state: Mutex<CacheState>,
     /// Per-instance counters behind [`CacheStats`].
     hits: Counter,
     misses: Counter,
     coalesced: Counter,
     evictions: Counter,
-    /// In-flight solves by key (single-flight registry).
-    flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
 }
 
-fn shard_index(key: &CacheKey) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % CACHE_SHARDS
-}
-
-impl ShardedPlanCache {
+impl PlanCache {
     fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            shards: (0..CACHE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            clock: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
+            state: Mutex::new(CacheState::default()),
             hits: Counter::new(),
             misses: Counter::new(),
             coalesced: Counter::new(),
             evictions: Counter::new(),
-            flights: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &RwLock<HashMap<CacheKey, CacheEntry>> {
-        &self.shards[shard_index(key)]
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The one hit path, shared by [`SolverService::submit`] and
-    /// [`serve`](Self::serve): a shared lock on one shard, a recency bump
-    /// via atomic store, then the cached plan rebound onto `batch`'s ids.
-    /// A hit is counted only once the rebind succeeds. Does *not* count
-    /// misses — a missing key proceeds to the flight registry, where
-    /// exactly one worker is charged the miss.
-    fn lookup(&self, key: &CacheKey, batch: &[Sequence]) -> Option<SolvedIteration> {
-        let cached = {
-            let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-            let entry = shard.get(key)?;
-            let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
-            entry.last_access.store(stamp, AtomicOrd::Relaxed);
-            entry.value.clone()
-        };
+    /// Rebinds a cached plan onto `batch`'s ids; the hit is counted only
+    /// once the rebind succeeds.
+    fn hit(&self, cached: SolvedIteration, batch: &[Sequence]) -> Option<SolvedIteration> {
         let hit = rebind(cached, batch)?;
         self.hits.inc();
         tel::instant!(tel::Category::Cache, "cache.hit");
         Some(hit)
     }
 
-    fn insert(&self, key: CacheKey, value: SolvedIteration) {
-        if self.capacity == 0 {
-            return;
-        }
-        let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
-        {
-            let mut shard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-            let fresh = shard
-                .insert(
-                    key,
-                    CacheEntry {
-                        value,
-                        last_access: AtomicU64::new(stamp),
-                    },
-                )
-                .is_none();
-            if fresh {
-                self.len.fetch_add(1, AtomicOrd::Relaxed);
-            }
-        }
-        while self.len.load(AtomicOrd::Relaxed) > self.capacity {
-            if !self.evict_coldest() {
-                break;
-            }
-        }
-    }
-
-    /// Evicts the entry with the globally minimal access stamp. Returns
-    /// `false` if the cache raced to empty (nothing left to evict).
-    fn evict_coldest(&self) -> bool {
-        let mut coldest: Option<(u64, usize, CacheKey)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
-            for (key, entry) in shard.iter() {
-                let stamp = entry.last_access.load(AtomicOrd::Relaxed);
-                if coldest.as_ref().is_none_or(|(s, _, _)| stamp < *s) {
-                    coldest = Some((stamp, i, key.clone()));
-                }
-            }
-        }
-        let Some((_, i, key)) = coldest else {
-            return false;
-        };
-        let mut shard = self.shards[i].write().unwrap_or_else(|e| e.into_inner());
-        if shard.remove(&key).is_some() {
-            self.len.fetch_sub(1, AtomicOrd::Relaxed);
-            self.evictions.inc();
-        }
-        // Removed (or another worker got there first) — either way the
-        // caller re-checks the capacity bound.
-        true
-    }
-
-    /// Registers interest in `key`'s solve: the first caller becomes the
-    /// leader (and is charged the miss), everyone else a waiter.
-    fn join_flight(&self, key: &CacheKey) -> FlightRole {
-        let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(f) = flights.get(key) {
-            self.coalesced.inc();
-            FlightRole::Waiter(Arc::clone(f))
-        } else {
-            self.misses.inc();
-            let f = Arc::new(Flight::default());
-            flights.insert(key.clone(), Arc::clone(&f));
-            FlightRole::Leader(f)
-        }
-    }
-
-    /// Publishes the leader's result: into the cache *first*, then the
-    /// flight registry entry is retired and waiters are woken — so no
-    /// request can ever miss both the cache and the flight.
-    fn finish_flight(
-        &self,
-        key: &CacheKey,
-        flight: &Flight,
-        result: Result<SolvedIteration, PlanError>,
-    ) {
-        if let Ok(plan) = &result {
-            self.insert(key.clone(), plan.clone());
-        }
-        self.flights
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(key);
-        let mut done = flight.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = Some(result);
-        flight.cv.notify_all();
-    }
-
-    fn wait_flight(flight: &Flight) -> Result<SolvedIteration, PlanError> {
-        let mut done = flight.done.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = done.as_ref() {
-                return result.clone();
-            }
-            done = flight.cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
+    /// The hit path of [`SolverService::submit`]. Does *not* count a
+    /// miss: a missing key goes to a worker, whose [`serve`](Self::serve)
+    /// charges exactly one request the miss.
+    fn lookup(&self, key: &CacheKey, batch: &[Sequence]) -> Option<SolvedIteration> {
+        let cached = self.lock().get(key)?;
+        self.hit(cached, batch)
     }
 
     /// Full cache path for one request: hit → rebind; miss → lead the
@@ -302,43 +207,89 @@ impl ShardedPlanCache {
         batch: &[Sequence],
         solve: impl FnOnce() -> Result<SolvedIteration, PlanError>,
     ) -> Result<SolvedIteration, PlanError> {
-        if let Some(hit) = self.lookup(key, batch) {
-            return Ok(hit);
-        }
-        match self.join_flight(key) {
-            FlightRole::Leader(flight) => {
-                let guard = FlightGuard {
+        let probe = {
+            let mut state = self.lock();
+            if let Some(plan) = state.get(key) {
+                Probe::Hit(plan)
+            } else if let Some(flight) = state.flights.get(key) {
+                self.coalesced.inc();
+                Probe::Waiter(Arc::clone(flight))
+            } else {
+                self.misses.inc();
+                let flight = Arc::new(Flight::default());
+                state.flights.insert(key.clone(), Arc::clone(&flight));
+                Probe::Leader(flight)
+            }
+        };
+        match probe {
+            Probe::Hit(plan) => {
+                if let Some(hit) = self.hit(plan, batch) {
+                    return Ok(hit);
+                }
+            }
+            Probe::Leader(flight) => {
+                let mut guard = FlightGuard {
                     cache: self,
                     key,
                     flight: &flight,
-                    armed: true,
+                    result: None,
                 };
                 let result = {
                     let _miss_span = tel::span!(tel::Category::Cache, "cache.miss.solve");
                     solve()
                 };
-                guard.complete(result.clone());
-                result
+                // Dropping the guard on return publishes this result.
+                guard.result = Some(result.clone());
+                return result;
             }
-            FlightRole::Waiter(flight) => {
+            Probe::Waiter(flight) => {
                 // Single-flight wait: time spent blocked on the
                 // leader's solve.
                 let _wait_span = tel::span!(tel::Category::Cache, "cache.flight_wait");
-                match Self::wait_flight(&flight) {
-                    Ok(plan) => match rebind(plan, batch) {
-                        Some(own) => Ok(own),
-                        // Defensive: identical keys imply identical length
-                        // multisets, so rebinding cannot fail — but if it
-                        // ever did, solve rather than deliver a wrong plan.
-                        None => {
-                            self.misses.inc();
-                            solve()
-                        }
-                    },
-                    Err(e) => Err(e),
+                if let Some(own) = rebind(flight.wait()?, batch) {
+                    return Ok(own);
                 }
             }
         }
+        // Defensive: identical keys imply identical length multisets, so
+        // rebinding cannot fail — but if it ever did, solve rather than
+        // deliver a wrong plan.
+        self.misses.inc();
+        solve()
+    }
+
+    /// Publishes the leader's result and retires its flight in one
+    /// critical section: the plan is cached (the least recently used
+    /// plans are evicted while over capacity) and the flight leaves the
+    /// registry. Then the waiters are woken.
+    fn finish_flight(
+        &self,
+        key: &CacheKey,
+        flight: &Flight,
+        result: Result<SolvedIteration, PlanError>,
+    ) {
+        {
+            let mut state = self.lock();
+            state.flights.remove(key);
+            if let (Ok(plan), true) = (&result, self.capacity > 0) {
+                state.clock += 1;
+                let stamp = state.clock;
+                state.plans.insert(key.clone(), (plan.clone(), stamp));
+                while state.plans.len() > self.capacity {
+                    let Some(coldest) = state
+                        .plans
+                        .iter()
+                        .min_by_key(|(_, (_, stamp))| *stamp)
+                        .map(|(key, _)| key.clone())
+                    else {
+                        break;
+                    };
+                    state.plans.remove(&coldest);
+                    self.evictions.inc();
+                }
+            }
+        }
+        flight.complete(result);
     }
 
     fn stats(&self) -> CacheStats {
@@ -347,38 +298,29 @@ impl ShardedPlanCache {
             misses: self.misses.get(),
             coalesced: self.coalesced.get(),
             evictions: self.evictions.get(),
-            entries: self.len.load(AtomicOrd::Relaxed),
+            entries: self.lock().plans.len(),
         }
     }
 }
 
-/// Completes the flight with an error if the leader's solve panics, so
+/// Finishes the leader's flight when dropped: with the leader's result
+/// once it is set, or with an error if the solve panicked first, so
 /// waiters never hang on a flight whose leader died.
 struct FlightGuard<'a> {
-    cache: &'a ShardedPlanCache,
+    cache: &'a PlanCache,
     key: &'a CacheKey,
-    flight: &'a Arc<Flight>,
-    armed: bool,
-}
-
-impl FlightGuard<'_> {
-    fn complete(mut self, result: Result<SolvedIteration, PlanError>) {
-        self.armed = false;
-        self.cache.finish_flight(self.key, self.flight, result);
-    }
+    flight: &'a Flight,
+    result: Option<Result<SolvedIteration, PlanError>>,
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.cache.finish_flight(
-                self.key,
-                self.flight,
-                Err(PlanError::Infeasible(
-                    "solver worker panicked mid-flight".into(),
-                )),
-            );
-        }
+        let result = self.result.take().unwrap_or_else(|| {
+            Err(PlanError::Infeasible(
+                "solver worker panicked mid-flight".into(),
+            ))
+        });
+        self.cache.finish_flight(self.key, self.flight, result);
     }
 }
 
@@ -399,7 +341,7 @@ impl Drop for FlightGuard<'_> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedPlanCache {
-    inner: Arc<ShardedPlanCache>,
+    inner: Arc<PlanCache>,
 }
 
 impl SharedPlanCache {
@@ -407,7 +349,7 @@ impl SharedPlanCache {
     /// caching; single-flight coalescing stays active).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Arc::new(ShardedPlanCache::new(capacity)),
+            inner: Arc::new(PlanCache::new(capacity)),
         }
     }
 
@@ -530,7 +472,7 @@ pub struct SolverService {
     jobs: Sender<Job>,
     results: Receiver<JobResult>,
     workers: Vec<JoinHandle<()>>,
-    cache: Arc<ShardedPlanCache>,
+    cache: Arc<PlanCache>,
     solver: Arc<Mutex<Arc<BoundSolver>>>,
     next_submit: std::cell::Cell<u64>,
     next_deliver: std::cell::Cell<u64>,
@@ -577,33 +519,39 @@ impl SolverService {
         shared: &SharedPlanCache,
     ) -> Self {
         assert!(workers > 0, "need at least one worker");
-        let (job_tx, job_rx) = unbounded::<Job>();
-        let (res_tx, res_rx) = unbounded::<JobResult>();
+        let (job_tx, job_rx) = channel::<Job>();
+        let (res_tx, res_rx) = channel::<JobResult>();
+        // The workers share one job receiver. A worker holds its lock
+        // only while it waits for the next job, never while it solves.
+        let job_rx = Arc::new(Mutex::new(job_rx));
         let cache = Arc::clone(&shared.inner);
         let bound = Arc::new(Mutex::new(Arc::new(BoundSolver::new(solver))));
         let handles = (0..workers)
             .map(|_| {
-                let rx = job_rx.clone();
+                let rx = Arc::clone(&job_rx);
                 let tx = res_tx.clone();
                 let bound = Arc::clone(&bound);
                 let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    while let Ok((idx, batch)) = rx.recv() {
-                        // Every batch here missed the cache at submit.
-                        // Read the solver at pick-up time, not spawn
-                        // time: a rebind swaps it for every *subsequent*
-                        // batch, and the fingerprint travels with it so
-                        // cache entries never cross the swap. `serve`
-                        // probes again first, since an identical solve
-                        // may have finished since. Cloning the Arc never
-                        // deep-copies the cost model per batch.
-                        let current = Arc::clone(&*bound.lock().unwrap_or_else(|e| e.into_inner()));
-                        let key = cache_key(&batch, current.n_gpus, current.config_fp);
-                        let result =
-                            cache.serve(&key, &batch, || current.solver.solve_iteration(&batch));
-                        if tx.send((idx, result)).is_err() {
-                            break;
-                        }
+                std::thread::spawn(move || loop {
+                    let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok((idx, batch)) = job else {
+                        break;
+                    };
+                    // Every batch here missed the cache at submit. Read
+                    // the solver at pick-up time, not spawn time: a
+                    // rebind swaps it for every *subsequent* batch, and
+                    // the fingerprint travels with it so cache entries
+                    // never cross the swap. `serve` probes again first,
+                    // since an identical solve may have finished since.
+                    // Cloning the Arc never deep-copies the cost model
+                    // per batch.
+                    let current =
+                        Arc::clone(&*bound.lock().unwrap_or_else(PoisonError::into_inner));
+                    let key = cache_key(&batch, current.n_gpus, current.config_fp);
+                    let result =
+                        cache.serve(&key, &batch, || current.solver.solve_iteration(&batch));
+                    if tx.send((idx, result)).is_err() {
+                        break;
                     }
                 })
             })
@@ -649,8 +597,8 @@ impl SolverService {
     /// Queues a batch for solving; returns its sequence number.
     ///
     /// A cache hit is answered here, on the caller's thread: the key is
-    /// computed from the solver bound *now*, one shard's read lock is
-    /// taken, and the cached plan is rebound to the batch's ids and
+    /// computed from the solver bound *now*, the cache lock is taken for
+    /// the probe, and the cached plan is rebound to the batch's ids and
     /// parked for [`recv_plan`](Self::recv_plan) under its sequence
     /// number — no worker is involved. Only a miss goes to a worker,
     /// which reads the solver bound when it picks the batch up, probes
@@ -668,7 +616,7 @@ impl SolverService {
         }
         self.jobs
             .send((idx, batch))
-            // lint: allow(unwrap) send fails only after every worker dropped, which Drop does after draining
+            // lint: allow(unwrap) send fails only once every worker has exited, which takes a panic in each while the service lives
             .expect("solver workers alive while the service exists");
         idx
     }
@@ -848,7 +796,7 @@ mod tests {
         // solving, so the other 7 must find its flight and wait on it.
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Barrier;
-        let cache = ShardedPlanCache::new(64);
+        let cache = PlanCache::new(64);
         let s = solver();
         let b = batch(11, 8);
         let key = cache_key(&b, s.cost().num_gpus(), config_fingerprint(&s));
@@ -876,6 +824,73 @@ mod tests {
     }
 
     #[test]
+    fn a_leader_that_panics_fails_its_flight_and_caches_nothing() {
+        // The leader's solve panics after a waiter has joined its flight.
+        // The flight guard must wake the waiter with an error, leave
+        // nothing cached, and retire the flight, so the next request
+        // leads a fresh solve. Every wait is bounded, so a regression
+        // fails here instead of hanging.
+        use std::sync::mpsc::channel;
+        use std::time::{Duration, Instant};
+        const WAIT: Duration = Duration::from_secs(10);
+        let cache = Arc::new(PlanCache::new(64));
+        let s = solver();
+        let b = batch(17, 8);
+        let key = cache_key(&b, s.cost().num_gpus(), config_fingerprint(&s));
+        let (started_tx, started_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let leader = {
+            let (cache, key, b) = (Arc::clone(&cache), key.clone(), b.clone());
+            std::thread::spawn(move || {
+                cache.serve(&key, &b, || {
+                    started_tx.send(()).expect("the test is listening");
+                    release_rx.recv_timeout(WAIT).expect("released in time");
+                    panic!("solver blew up");
+                })
+            })
+        };
+        started_rx
+            .recv_timeout(WAIT)
+            .expect("the leader started its solve");
+        let (waited_tx, waited_rx) = channel();
+        let waiter = {
+            let (cache, key, b) = (Arc::clone(&cache), key.clone(), b.clone());
+            std::thread::spawn(move || {
+                let result = cache.serve(&key, &b, || panic!("a waiter never solves"));
+                waited_tx.send(result).expect("the test is listening");
+            })
+        };
+        let deadline = Instant::now() + WAIT;
+        while cache.stats().coalesced < 1 {
+            assert!(
+                Instant::now() < deadline,
+                "the waiter never joined the flight"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release_tx.send(()).expect("the leader is waiting");
+        match waited_rx.recv_timeout(WAIT).expect("the waiter was woken") {
+            Err(PlanError::Infeasible(msg)) => assert!(msg.contains("mid-flight"), "{msg}"),
+            other => panic!("the waiter must receive the failed flight, got {other:?}"),
+        }
+        assert!(leader.join().is_err(), "the leader's solve panicked");
+        waiter.join().expect("the waiter returned");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.coalesced, stats.entries), (1, 1, 0));
+        assert!(
+            cache.lock().flights.is_empty(),
+            "the failed flight is retired"
+        );
+        // The next request leads a fresh solve and caches its plan.
+        let plan = cache
+            .serve(&key, &b, || s.solve_iteration(&b))
+            .expect("a fresh leader solves");
+        assert!(!plan.from_cache);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
+    }
+
+    #[test]
     fn eviction_under_many_tenant_fingerprints_never_replays_plans() {
         // Multi-tenant churn at the cache layer: 64 tenants whose
         // availability fingerprints all differ push the same batch shape
@@ -884,7 +899,7 @@ mod tests {
         // eviction, resident tenants must re-serve as hits, and an
         // evicted tenant must re-solve — never replay a survivor's plan.
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = ShardedPlanCache::new(8);
+        let cache = PlanCache::new(8);
         let s = solver();
         let b = batch(21, 8);
         let n_gpus = s.cost().num_gpus();
@@ -927,8 +942,10 @@ mod tests {
     fn concurrent_identical_service_requests_run_one_solve() {
         // End-to-end: 8 workers, 8 identical submissions. Whether a late
         // worker lands as a coalesced waiter or (post-insert) a cache hit
-        // is a scheduling race, but the solve count never exceeds one:
-        // the leader publishes to the cache *before* retiring its flight.
+        // is a scheduling race, but the solve count never exceeds one: a
+        // worker finds the plan, joins the flight or registers its own in
+        // one critical section, and the leader publishes its plan and
+        // retires its flight in another.
         let service = SolverService::spawn(solver(), 8);
         let b = batch(13, 24);
         for _ in 0..8 {
@@ -947,26 +964,6 @@ mod tests {
         assert_eq!(stats.hits + stats.coalesced, 7);
         assert_eq!(fresh, 1, "exactly one plan was freshly solved");
         service.shutdown();
-    }
-
-    #[test]
-    fn cache_keys_spread_across_shards() {
-        use std::collections::HashSet;
-        // 64 distinct batch shapes must not pile into a few shards, or
-        // the sharding buys no concurrency.
-        let mut shards = HashSet::new();
-        for n in 1..=64u64 {
-            let lens: Vec<u64> = (0..n).map(|i| 1024 * (1 + i % 16)).collect();
-            let key: CacheKey = (lens, 16, 0xfeed);
-            let idx = shard_index(&key);
-            assert!(idx < CACHE_SHARDS);
-            shards.insert(idx);
-        }
-        assert!(
-            shards.len() >= CACHE_SHARDS / 2,
-            "64 distinct shapes landed in only {} of {CACHE_SHARDS} shards",
-            shards.len()
-        );
     }
 
     #[test]
