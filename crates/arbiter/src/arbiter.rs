@@ -9,12 +9,11 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use flexsp_sim::{ClusterSpec, GpuId, NodeSlots, SkuId, Topology};
 use flexsp_telemetry as tel;
 use flexsp_telemetry::Counter;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::clock::{Clock, LogicalClock};
 use crate::lease::Lease;
@@ -319,7 +318,7 @@ impl Inner {
     pub(crate) fn lock_queue(&self) -> QueueGuard<'_> {
         let token = rank::acquire(rank::QUEUE);
         QueueGuard {
-            guard: self.queue.lock(),
+            guard: self.queue.lock().unwrap_or_else(PoisonError::into_inner),
             _rank: token,
         }
     }
@@ -328,7 +327,10 @@ impl Inner {
     pub(crate) fn lock_shard(&self, idx: usize) -> ShardGuard<'_> {
         let token = rank::acquire(rank::shard(idx));
         ShardGuard {
-            guard: self.shards[idx].state.lock(),
+            guard: self.shards[idx]
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
             _rank: token,
         }
     }
@@ -339,7 +341,7 @@ impl Inner {
         let mut ranks = Vec::with_capacity(self.shards.len());
         for (i, s) in self.shards.iter().enumerate() {
             ranks.push(rank::acquire(rank::shard(i)));
-            guards.push(s.state.lock());
+            guards.push(s.state.lock().unwrap_or_else(PoisonError::into_inner));
         }
         ShardGuards {
             guards,
@@ -356,7 +358,9 @@ impl Inner {
     /// (held only for the bump — last in the lock order).
     pub(crate) fn with_counters<R>(&self, job: JobId, f: impl FnOnce(&mut JobCounters) -> R) -> R {
         let _rank = rank::acquire(rank::STRIPE);
-        let mut map = self.fairness[(job.0 as usize) % FAIRNESS_STRIPES].lock();
+        let mut map = self.fairness[(job.0 as usize) % FAIRNESS_STRIPES]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         f(map.entry(job).or_default())
     }
 
@@ -1309,6 +1313,7 @@ impl ClusterArbiter {
         let _rank = rank::acquire(rank::STRIPE);
         self.inner.fairness[(job.0 as usize) % FAIRNESS_STRIPES]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&job)
             .copied()
             .unwrap_or_default()
@@ -1321,7 +1326,7 @@ impl ClusterArbiter {
             // Stripes are visited one at a time; the rank token scopes to
             // the iteration, so equal stripe ranks never overlap.
             let _rank = rank::acquire(rank::STRIPE);
-            for (j, c) in stripe.lock().iter() {
+            for (j, c) in stripe.lock().unwrap_or_else(PoisonError::into_inner).iter() {
                 all.insert(*j, *c);
             }
         }
@@ -2136,8 +2141,13 @@ mod tests {
         // watchdog window.
         let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo).with_shards(4);
         let mut lease = arb.try_lease(req(1, 4)).unwrap();
-        let q = arb.inner.queue.lock();
-        let guards: Vec<_> = arb.inner.shards.iter().map(|s| s.state.lock()).collect();
+        let q = arb.inner.queue.lock().unwrap();
+        let guards: Vec<_> = arb
+            .inner
+            .shards
+            .iter()
+            .map(|s| s.state.lock().unwrap())
+            .collect();
         let (tx, rx) = std::sync::mpsc::channel();
         let reader = {
             let arb = arb.clone();

@@ -41,10 +41,9 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use flexsp_sim::{GpuId, NodeSlots, Topology};
-use parking_lot::Mutex;
 
 use crate::arbiter::ShrinkDemand;
 use crate::policy::{JobId, Priority};
@@ -54,9 +53,10 @@ use crate::rank;
 /// while readers clone the current one. The internal mutex is held only
 /// for the pointer copy itself — never across ledger work — so a reader
 /// can always complete in nanoseconds even while a shard lock is held
-/// through an entire grant or maintenance pass. (The offline `parking_lot`
-/// shim has no `RwLock` and the crate forbids `unsafe`, so this is the
-/// `ArcSwap` idiom built from what the workspace has.)
+/// through an entire grant or maintenance pass. (This is the `ArcSwap`
+/// idiom built from `std`, since the crate forbids `unsafe`. An `RwLock`
+/// would buy nothing here: no holder keeps the lock past one pointer
+/// copy.)
 #[derive(Debug)]
 pub(crate) struct Published<T> {
     slot: Mutex<Arc<T>>,
@@ -74,14 +74,14 @@ impl<T> Published<T> {
     pub(crate) fn load(&self) -> Arc<T> {
         let _rank = rank::acquire(rank::PUBLISH);
         // lint: allow(lock) pointer-copy-only ArcSwap idiom; rank "publish slot"
-        Arc::clone(&self.slot.lock())
+        Arc::clone(&self.slot.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publishes a new snapshot.
     pub(crate) fn store(&self, value: Arc<T>) {
         let _rank = rank::acquire(rank::PUBLISH);
         // lint: allow(lock) pointer-swap-only ArcSwap idiom; rank "publish slot"
-        *self.slot.lock() = value;
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = value;
     }
 }
 

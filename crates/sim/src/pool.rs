@@ -2,8 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::group::{DeviceGroup, GpuId};
 
@@ -162,9 +161,15 @@ impl GroupPool {
         }
     }
 
+    /// The pool's state. A panic while the lock was held leaves only
+    /// counters behind, so a poisoned lock is recovered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fetches (or creates) the communicator for `group`.
     pub fn get_or_create(&self, group: &DeviceGroup) -> PoolFetch {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(&id) = inner.comms.get(group.gpus()) {
             inner.stats.hits += 1;
             return PoolFetch {
@@ -187,7 +192,7 @@ impl GroupPool {
 
     /// Number of communicators currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().comms.len()
+        self.lock().comms.len()
     }
 
     /// True if no communicator is resident.
@@ -197,13 +202,12 @@ impl GroupPool {
 
     /// Pool statistics so far.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 
     /// Number of cached communicators containing `gpu`.
     pub fn groups_of_gpu(&self, gpu: GpuId) -> usize {
-        self.inner
-            .lock()
+        self.lock()
             .comms
             .keys()
             .filter(|gpus| gpus.contains(&gpu))
@@ -213,7 +217,7 @@ impl GroupPool {
     /// The largest per-GPU communicator count (paper: ≤ log₂ N + 1 with
     /// aligned placement).
     pub fn max_groups_per_gpu(&self) -> usize {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let mut counts: HashMap<GpuId, usize> = HashMap::new();
         for gpus in inner.comms.keys() {
             for &g in gpus {
