@@ -12,10 +12,6 @@
 //! cargo run --release -p flexsp-bench --bin report -- table1 figure4
 //! ```
 //!
-//! Criterion benches under `benches/` wrap the same drivers (printing the
-//! full table once, then timing a representative unit), so `cargo bench`
-//! regenerates every artifact.
-//!
 //! | Paper artifact | Module |
 //! |---|---|
 //! | Table 1 (SP degree sweep + OOM) | [`table1`] |

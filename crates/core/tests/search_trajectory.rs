@@ -1,14 +1,16 @@
 //! Pins the exact branch-and-bound trajectory of one planner call.
 //!
-//! The instance is the `solver_components` bench trajectory: twelve
-//! sequences of `1024·(1 + i % 16)` tokens, GPT-7B at a 384K context on
-//! 8×8 A100s, bucketed to 16, planned with the default configuration
-//! under a node budget loose enough (100 000 nodes) that it never binds.
-//! Every binary-search step therefore drains or closes its gap. The search
-//! is a pure function of the model, as every search is: the same node
-//! order, LP solves, pivots and incumbents on every host. Any change to the
-//! branch-and-bound loop, the LP engine or the warm-start plumbing that
-//! alters the search shows up here as a counter mismatch.
+//! The instance is twelve sequences of `1024·(1 + i % 16)` tokens, GPT-7B
+//! at a 384K context on 8×8 A100s, bucketed to 16, planned with the
+//! default configuration under a node budget loose enough (100 000 nodes)
+//! that it never binds. Every binary-search step therefore drains or
+//! closes its gap. The search is a pure function of the model, as every
+//! search is: the same node order, LP solves, pivots and incumbents on
+//! every host. Any change to the branch-and-bound loop, the LP engine or
+//! the warm-start plumbing that alters the search shows up here as a
+//! counter mismatch. This file pins counts, not time: the planner's
+//! component timings are the `cost.*`, `core.*` and `milp.*` layer
+//! metrics of the benchmark's `train_fig6` workload run with `--trace 1`.
 
 use flexsp_core::bucketing::bucket_dp;
 use flexsp_core::{plan_micro_batch, PlannerConfig};

@@ -32,9 +32,11 @@
 //! [`milp::Basis`] with the dual simplex instead of a cold two-phase
 //! start — as do all branch-and-bound child nodes from their parents.
 //! [`core::PlanStats`] (model builds, search steps, pivots, basis-reuse
-//! hit rate) surfaces this through every plan, and
-//! `crates/bench/benches/solver_components.rs` tracks the resulting
-//! search counters and phase timings as JSON.
+//! hit rate) surfaces this through every plan.
+//! `crates/core/tests/search_trajectory.rs` pins those counters on one
+//! planner call, and the benchmark's `train_fig6` workload with
+//! `--trace 1` reports the cost-model, planner and MILP timings per
+//! layer.
 //!
 //! # Quickstart
 //!
