@@ -1,9 +1,15 @@
-//! Regenerates `BENCH_arbiter_churn.json` and optionally gates on it.
+//! Measures the `arbiter_churn` suite, prints it as JSON on stdout, and
+//! optionally gates on a baseline or writes the JSON to a file. Without
+//! `--out` it writes no file, so a smoke run never replaces the
+//! checked-in `BENCH_arbiter_churn.json`.
 //!
 //! ```text
-//! # Measure and write the JSON (repo root by default):
+//! # Measure and print the JSON:
 //! cargo run --release -p flexsp-bench --bin arbiter_churn
-//! cargo run --release -p flexsp-bench --bin arbiter_churn -- --out path.json
+//!
+//! # Also write it to a file (`scripts/check_bench.sh --refresh` rewrites
+//! # the baseline this way):
+//! cargo run --release -p flexsp-bench --bin arbiter_churn -- --out BENCH_arbiter_churn.json
 //!
 //! # CI gate: run fresh, compare against the checked-in baseline, exit 1
 //! # on a >20% grants/sec regression or a sharded speedup below 5x:
@@ -74,13 +80,13 @@ fn main() {
             }
             std::process::exit(1);
         }
-        return;
     }
 
-    let path = out.unwrap_or_else(|| "BENCH_arbiter_churn.json".into());
-    std::fs::write(&path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("wrote {path}");
+    if let Some(path) = out {
+        std::fs::write(&path, &json).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+        eprintln!("wrote {path}");
+    }
 }

@@ -1,9 +1,15 @@
-//! Regenerates `BENCH_plan_throughput.json` and optionally gates on it.
+//! Measures the `plan_throughput` suite, prints it as JSON on stdout, and
+//! optionally gates on a baseline or writes the JSON to a file. Without
+//! `--out` it writes no file, so a smoke run never replaces the
+//! checked-in `BENCH_plan_throughput.json`.
 //!
 //! ```text
-//! # Measure and write the JSON (repo root by default):
+//! # Measure and print the JSON:
 //! cargo run --release -p flexsp-bench --bin plan_throughput
-//! cargo run --release -p flexsp-bench --bin plan_throughput -- --out path.json
+//!
+//! # Also write it to a file (`scripts/check_bench.sh --refresh` rewrites
+//! # the baseline this way):
+//! cargo run --release -p flexsp-bench --bin plan_throughput -- --out BENCH_plan_throughput.json
 //!
 //! # CI gate: run fresh, compare against the checked-in baseline, exit 1
 //! # on a >20% plans/sec regression:
@@ -74,13 +80,13 @@ fn main() {
             }
             std::process::exit(1);
         }
-        return;
     }
 
-    let path = out.unwrap_or_else(|| "BENCH_plan_throughput.json".into());
-    std::fs::write(&path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("wrote {path}");
+    if let Some(path) = out {
+        std::fs::write(&path, &json).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+        eprintln!("wrote {path}");
+    }
 }
