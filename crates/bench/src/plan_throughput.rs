@@ -8,7 +8,7 @@
 //!   shapes — every request runs the full MILP workflow), *warm*
 //!   (recurring shape with caching disabled — the solver's own warm
 //!   paths, no rebinding), and *cache hit* (recurring shape through the
-//!   sharded plan cache — a rebind instead of a solve);
+//!   plan cache — a rebind instead of a solve);
 //! - **p50/p99 latency** under a multi-tenant mix: two services sharing
 //!   one [`SharedPlanCache`], with the request stream derived from a
 //!   generated job trace (`flexsp-trace`) — every `Arrive` event submits
@@ -60,7 +60,7 @@ pub struct Report {
     pub cold_plans_per_s: f64,
     /// Recurring shape, caching disabled (every request re-solves).
     pub warm_plans_per_s: f64,
-    /// Recurring shape through the sharded cache (rebind, no solve).
+    /// Recurring shape through the plan cache (rebind, no solve).
     pub hit_plans_per_s: f64,
     /// Multi-tenant mix: overall plans/sec.
     pub mixed_plans_per_s: f64,
@@ -184,7 +184,7 @@ pub fn run(quick: bool) -> Report {
         }
     };
 
-    // Hit: the same recurring shape with the sharded cache on — one
+    // Hit: the same recurring shape with the plan cache on — one
     // miss, then rebinds only. Each op is microseconds, so a single
     // pass is scheduler-noise dominated; take the best of three.
     let hit_svc = SolverService::spawn(service_solver(2), 2);

@@ -38,7 +38,7 @@
 pub enum Category {
     /// MILP / simplex / branch-and-bound solver internals.
     Solver = 0,
-    /// Sharded plan cache: hits, misses, single-flight waits.
+    /// Plan cache: hits, misses, single-flight waits.
     Cache = 1,
     /// Cluster arbiter: grants, preemptions, reaps, shard locks.
     Arbiter = 2,
@@ -585,7 +585,7 @@ pub use imp::{
 /// ```
 /// use flexsp_telemetry::{span, Category};
 /// let _span = span!(Category::Solver, "milp.solve");
-/// let _span2 = span!(Category::Cache, "cache.miss", "shard" => 3u64);
+/// let _span2 = span!(Category::Cache, "cache.miss", "seqs" => 3u64);
 /// ```
 ///
 /// With the `enabled` feature off this is a no-op; with it on but no
