@@ -100,7 +100,7 @@ impl DeepSpeedUlysses {
                 self.policy,
                 degree,
                 &p.segment_lengths(),
-                Some(zero.clone()),
+                Some(zero),
             );
             loads[idx].accumulate(simulate_sp_step(&self.cluster, &group, &spec));
         }

@@ -98,7 +98,7 @@ impl FlexCpSystem {
                     cp,
                     replica,
                     &g.lengths(),
-                    Some(zero.clone()),
+                    Some(zero),
                 );
                 if r.total_s() > worst.total_s() {
                     worst = r;
@@ -232,7 +232,7 @@ impl TrainingSystem for HomogeneousCp {
                 self.cp,
                 idx as u32 * replica,
                 &p.segment_lengths(),
-                Some(zero.clone()),
+                Some(zero),
             );
             loads[idx].accumulate(r);
         }

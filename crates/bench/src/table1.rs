@@ -82,7 +82,7 @@ pub fn simulate_cell(
     while remaining > 0 {
         let k = remaining.min(seqs_per_micro);
         let lens = vec![seq; k as usize];
-        let spec = sp_step_spec(model, policy, degree, &lens, Some(zero.clone()));
+        let spec = sp_step_spec(model, policy, degree, &lens, Some(zero));
         let r = simulate_sp_step(cluster, &group, &spec);
         total += r.total_s();
         alltoall += r.alltoall_s;

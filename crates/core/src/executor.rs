@@ -212,7 +212,7 @@ impl Executor {
                     self.policy,
                     g.degree(),
                     &g.lengths(),
-                    Some(zero.clone()),
+                    Some(zero),
                 );
                 times.push(simulate_sp_step(&self.cluster, device_group, &spec));
             }

@@ -38,6 +38,7 @@ pub fn evaluate_grid(
     cost: &CostModel,
     configs: &[(u64, usize, u32)],
 ) -> Vec<AccuracyPoint> {
+    let zero = ulysses_zero_spec(cluster, model);
     let mut out = Vec::new();
     for &(seq_len, num_seqs, degree) in configs {
         let seqs = vec![seq_len; num_seqs];
@@ -47,13 +48,7 @@ pub fn evaluate_grid(
         }
         // Ground truth matches the executor: ZeRO-3 traffic included and
         // the group placed at the shape's canonical balanced layout.
-        let spec = sp_step_spec(
-            model,
-            policy,
-            degree,
-            &seqs,
-            Some(ulysses_zero_spec(cluster, model)),
-        );
+        let spec = sp_step_spec(model, policy, degree, &seqs, Some(zero));
         let shape = cost.packed_shape(degree);
         let group = DeviceGroup::for_shape_on(shape, cluster.topology(), 0);
         let actual = simulate_sp_step(cluster, &group, &spec).total_s();

@@ -134,25 +134,10 @@ impl CostModel {
             capacity_bytes: cluster.min_mem_bytes() as f64,
         };
         let mut fitted = Self::fit_from_points(points, memory, cluster.topology().clone());
-        // ZeRO-3 exposure term, measured exactly as the executor charges
-        // it: a zero-compute probe step leaves the full un-overlapped
-        // parameter-gather / gradient-scatter time exposed.
+        // ZeRO-3 exposure term, priced exactly as the executor charges it.
         let zero = crate::workload::ulysses_zero_spec(cluster, model);
-        let overlap = zero.overlap;
-        let probe = flexsp_sim::SpStepSpec {
-            layers: model.num_layers,
-            flops_per_gpu: 0.0,
-            kernels: 0,
-            alltoall_bytes_per_gpu: 0,
-            fwd_rounds_per_layer: 0,
-            bwd_rounds_per_layer: 0,
-            zero: Some(zero),
-        };
-        let raw =
-            flexsp_sim::simulate_sp_step(cluster, &flexsp_sim::DeviceGroup::aligned(0, 1), &probe)
-                .zero_exposed_s;
-        fitted.zero_raw_s = raw;
-        fitted.zero_overlap = overlap;
+        fitted.zero_raw_s = zero.raw_s;
+        fitted.zero_overlap = zero.overlap;
         fitted
     }
 

@@ -154,11 +154,13 @@ pub fn cp_zero_spec(
     model: &ModelConfig,
     tp: u32,
 ) -> flexsp_sim::ZeroTrafficSpec {
-    flexsp_sim::ZeroTrafficSpec {
-        world: DeviceGroup::aligned(0, cluster.num_gpus()),
-        param_bytes_per_layer: model.params_per_layer() * BF16_BYTES / tp.max(1) as u64,
-        overlap: 0.9,
-    }
+    flexsp_sim::ZeroTrafficSpec::priced(
+        cluster,
+        &DeviceGroup::aligned(0, cluster.num_gpus()),
+        model.params_per_layer() * BF16_BYTES / tp.max(1) as u64,
+        model.num_layers,
+        0.9,
+    )
 }
 
 #[cfg(test)]

@@ -8,14 +8,15 @@ use flexsp_sim::{ClusterSpec, DeviceGroup, SpStepSpec, ZeroTrafficSpec};
 /// accounting.
 pub const KERNELS_PER_LAYER: u64 = 22;
 
-/// Builds the ZeRO-3 traffic description for `model` sharded over the whole
-/// `cluster`.
+/// Prices the ZeRO-3 traffic of `model` sharded over the whole `cluster`.
 pub fn ulysses_zero_spec(cluster: &ClusterSpec, model: &ModelConfig) -> ZeroTrafficSpec {
-    ZeroTrafficSpec {
-        world: DeviceGroup::aligned(0, cluster.num_gpus()),
-        param_bytes_per_layer: model.params_per_layer() * BF16_BYTES,
-        overlap: 0.9,
-    }
+    ZeroTrafficSpec::priced(
+        cluster,
+        &DeviceGroup::aligned(0, cluster.num_gpus()),
+        model.params_per_layer() * BF16_BYTES,
+        model.num_layers,
+        0.9,
+    )
 }
 
 /// Builds the simulator workload for one SP group of degree `d` processing
@@ -118,7 +119,17 @@ mod tests {
         let cluster = ClusterSpec::a100_cluster(8);
         let m = ModelConfig::gpt_7b(192 * 1024);
         let z = ulysses_zero_spec(&cluster, &m);
-        assert_eq!(z.world.degree(), 64);
-        assert_eq!(z.param_bytes_per_layer, m.params_per_layer() * 2);
+        let bytes = m.params_per_layer() * 2;
+        let over = |gpus| {
+            ZeroTrafficSpec::priced(
+                &cluster,
+                &DeviceGroup::aligned(0, gpus),
+                bytes,
+                m.num_layers,
+                0.9,
+            )
+        };
+        assert_eq!(z, over(64));
+        assert_ne!(z, over(8));
     }
 }

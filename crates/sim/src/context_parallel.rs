@@ -42,7 +42,7 @@ pub struct CpStepSpec {
     /// Minimum exposed fraction of ring traffic even under perfect
     /// overlap (launch/dependency overheads; ~0.15).
     pub ring_exposed_floor: f64,
-    /// Optional ZeRO traffic.
+    /// Optional ZeRO traffic, priced for the same `layers`.
     pub zero: Option<ZeroTrafficSpec>,
 }
 
@@ -111,24 +111,7 @@ pub fn simulate_cp_step(
     };
 
     // ZeRO traffic identical to the Ulysses path.
-    let zero_exposed_s = match &spec.zero {
-        None => 0.0,
-        Some(z) => {
-            let world = z.world.degree().max(1) as u64;
-            let shard = z.param_bytes_per_layer / world;
-            let per_layer =
-                2.0 * collective_time(
-                    cluster,
-                    &z.world,
-                    Collective::AllGather { shard_bytes: shard },
-                ) + collective_time(
-                    cluster,
-                    &z.world,
-                    Collective::ReduceScatter { shard_bytes: shard },
-                );
-            (per_layer * spec.layers as f64 - z.overlap.clamp(0.0, 1.0) * compute_s).max(0.0)
-        }
-    };
+    let zero_exposed_s = spec.zero.map_or(0.0, |z| z.exposed_s(compute_s));
 
     SpStepReport {
         compute_s,

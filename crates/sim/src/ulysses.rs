@@ -8,24 +8,63 @@
 //! paper's Table 1 breakdown.
 //!
 //! ZeRO-3 traffic (parameter all-gathers and gradient reduce-scatters) is
-//! simulated over the *whole cluster* and overlapped against compute with a
-//! configurable efficiency, matching the paper's observation that ZeRO
-//! overhead is orthogonal to sequence parallelism.
+//! priced once over the *whole cluster* ([`ZeroTrafficSpec::priced`]) and
+//! overlapped against each group's compute with a configurable
+//! efficiency, matching the paper's observation that ZeRO overhead is
+//! orthogonal to sequence parallelism.
 
 use crate::collective::{collective_time, Collective};
 use crate::group::DeviceGroup;
 use crate::spec::ClusterSpec;
 
-/// ZeRO-3 sharding traffic description for one micro-batch step.
-#[derive(Debug, Clone, PartialEq)]
+/// ZeRO-3 sharding traffic of one micro-batch step, priced once.
+///
+/// The traffic runs over the whole sharding world, whatever SP group the
+/// step runs on, so [`ZeroTrafficSpec::priced`] prices its collectives
+/// once and every group step reuses the seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZeroTrafficSpec {
-    /// The sharding world (typically all GPUs in the cluster).
-    pub world: DeviceGroup,
-    /// bf16 parameter bytes of one layer (gathered forward and backward).
-    pub param_bytes_per_layer: u64,
-    /// Fraction of ZeRO communication hidden under compute by prefetching
-    /// (0 = fully exposed, 1 = fully hidden).
+    /// Un-overlapped seconds of the step's ZeRO-3 traffic: per layer, a
+    /// forward parameter gather, a backward re-gather and a gradient
+    /// reduce-scatter over the sharding world.
+    pub raw_s: f64,
+    /// Fraction of a group's compute that hides ZeRO communication by
+    /// prefetching (0 = fully exposed, 1 = fully hidden).
     pub overlap: f64,
+}
+
+impl ZeroTrafficSpec {
+    /// Prices `layers` layers of ZeRO-3 traffic for `param_bytes_per_layer`
+    /// bf16 parameter bytes sharded over `world` (typically every GPU in
+    /// the cluster).
+    pub fn priced(
+        cluster: &ClusterSpec,
+        world: &DeviceGroup,
+        param_bytes_per_layer: u64,
+        layers: u64,
+        overlap: f64,
+    ) -> Self {
+        let shard = param_bytes_per_layer / (world.degree() as u64).max(1);
+        // Forward gather + backward re-gather + gradient reduce-scatter
+        // per layer.
+        let per_layer = 2.0
+            * collective_time(cluster, world, Collective::AllGather { shard_bytes: shard })
+            + collective_time(
+                cluster,
+                world,
+                Collective::ReduceScatter { shard_bytes: shard },
+            );
+        Self {
+            raw_s: per_layer * layers as f64,
+            overlap,
+        }
+    }
+
+    /// Seconds of the traffic left exposed by a group whose compute takes
+    /// `compute_s`.
+    pub fn exposed_s(&self, compute_s: f64) -> f64 {
+        (self.raw_s - self.overlap.clamp(0.0, 1.0) * compute_s).max(0.0)
+    }
 }
 
 /// Workload of one SP group processing its assigned sequences for one
@@ -48,7 +87,7 @@ pub struct SpStepSpec {
     pub fwd_rounds_per_layer: u64,
     /// All-to-All rounds per layer in backward (Ulysses: 4).
     pub bwd_rounds_per_layer: u64,
-    /// Optional ZeRO-3 traffic.
+    /// Optional ZeRO-3 traffic, priced for the same `layers`.
     pub zero: Option<ZeroTrafficSpec>,
 }
 
@@ -131,27 +170,7 @@ pub fn simulate_sp_step(
     );
     let alltoall_s = per_round * spec.total_rounds() as f64;
 
-    let zero_exposed_s = match &spec.zero {
-        None => 0.0,
-        Some(z) => {
-            let world = z.world.degree() as u64;
-            let shard = z.param_bytes_per_layer / world.max(1);
-            // Forward gather + backward re-gather + gradient reduce-scatter
-            // per layer.
-            let per_layer =
-                2.0 * collective_time(
-                    cluster,
-                    &z.world,
-                    Collective::AllGather { shard_bytes: shard },
-                ) + collective_time(
-                    cluster,
-                    &z.world,
-                    Collective::ReduceScatter { shard_bytes: shard },
-                );
-            let raw = per_layer * spec.layers as f64;
-            (raw - z.overlap.clamp(0.0, 1.0) * compute_s).max(0.0)
-        }
-    };
+    let zero_exposed_s = spec.zero.map_or(0.0, |z| z.exposed_s(compute_s));
 
     SpStepReport {
         compute_s,
@@ -194,11 +213,14 @@ mod tests {
     fn zero_traffic_mostly_hides_under_compute() {
         let cluster = ClusterSpec::a100_cluster(8);
         let mut spec = base_spec();
-        spec.zero = Some(ZeroTrafficSpec {
-            world: DeviceGroup::aligned(0, 64),
-            param_bytes_per_layer: 400 << 20, // GPT-7B layer in bf16
-            overlap: 0.9,
-        });
+        // 400 MiB: one GPT-7B layer in bf16.
+        spec.zero = Some(ZeroTrafficSpec::priced(
+            &cluster,
+            &DeviceGroup::aligned(0, 64),
+            400 << 20,
+            spec.layers,
+            0.9,
+        ));
         let r = simulate_sp_step(&cluster, &DeviceGroup::aligned(0, 64), &spec);
         assert!(
             r.zero_exposed_s < 0.2 * r.compute_s,
@@ -213,11 +235,13 @@ mod tests {
         let cluster = ClusterSpec::a100_cluster(8);
         let mut spec = base_spec();
         spec.flops_per_gpu = 1e9; // negligible compute: nothing to hide under
-        spec.zero = Some(ZeroTrafficSpec {
-            world: DeviceGroup::aligned(0, 64),
-            param_bytes_per_layer: 400 << 20,
-            overlap: 1.0,
-        });
+        spec.zero = Some(ZeroTrafficSpec::priced(
+            &cluster,
+            &DeviceGroup::aligned(0, 64),
+            400 << 20,
+            spec.layers,
+            1.0,
+        ));
         let r = simulate_sp_step(&cluster, &DeviceGroup::aligned(0, 64), &spec);
         assert!(r.zero_exposed_s > 0.0, "exposed when compute is tiny");
     }
