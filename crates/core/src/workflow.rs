@@ -3,9 +3,21 @@
 //! For each candidate micro-batch count `M ∈ [M_min, M_min + M′)`, blast
 //! the batch into micro-batches, bucket each micro-batch, plan each with
 //! the parallelism planner, and keep the plan with the lowest total
-//! predicted time. Candidate counts are explored in parallel (the paper's
-//! "two-level multi-process solving", realized with scoped threads).
+//! predicted time.
+//!
+//! The paper's two-level parallel solving (across counts, and across the
+//! micro-batches of each count) runs as one job list on one worker pool:
+//! every count is blasted once, each (count, micro-batch) pair becomes a
+//! job, and the jobs are sorted largest first by tokens (ties by count,
+//! then by micro-batch index). As many workers as the host has CPUs, the
+//! calling thread among them, take the next job from a shared cursor, and
+//! each result lands in its job's slot. A trial is assembled from its
+//! slots in micro-batch order, so no plan depends on which worker ran
+//! which job, or when.
 
+use std::cmp::Reverse;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 // lint: allow(clock) wall-clock solve time is part of SolvedIteration's functional output
 use std::time::Instant;
 
@@ -16,7 +28,7 @@ use flexsp_sim::NodeSlots;
 use crate::blaster::{blast, min_micro_batches};
 use crate::bucketing::{bucket_dp, bucket_exact, bucket_fixed_interval, Bucket};
 use crate::error::PlanError;
-use crate::plan::{IterationPlan, PlanStats};
+use crate::plan::{IterationPlan, MicroBatchPlan, PlanStats};
 use crate::planner::{plan_micro_batch_within, PlannerConfig};
 
 /// Sequence-bucketing strategy (§4.1.3 + the Fig. 7 / Table 4 ablations).
@@ -166,6 +178,49 @@ impl FlexSpSolver {
         }
     }
 
+    /// Plans each count in `counts` (one trial per count, in order) as
+    /// one job list on one worker pool; see the module docs. A trial's
+    /// total sums its micro-batches' predicted times in micro-batch
+    /// order, and its error is the first in micro-batch order.
+    fn plan_trials(
+        &self,
+        batch: &[Sequence],
+        counts: &[usize],
+        slots: &NodeSlots,
+    ) -> Vec<Result<(IterationPlan, f64), PlanError>> {
+        let blasted: Vec<Vec<Vec<Sequence>>> = counts
+            .iter()
+            .map(|&m| blast(batch, m, self.config.sort_by_length))
+            .collect();
+        // Job `j` is the `j`-th micro-batch in (count, index) order.
+        let jobs: Vec<&[Sequence]> = blasted.iter().flatten().map(Vec::as_slice).collect();
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_cached_key(|&j| (Reverse(jobs[j].iter().map(|s| s.len).sum::<u64>()), j));
+        let mut planned = run_jobs(&order, |j| {
+            let buckets = self.bucket(jobs[j]);
+            plan_micro_batch_within(&self.cost, &buckets, slots, &self.config.planner)
+        })
+        .into_iter();
+
+        blasted
+            .iter()
+            .map(|micro_batches| {
+                // Take all of this count's results before `?` can return,
+                // so the next count starts at its own first result.
+                let results: Vec<Result<MicroBatchPlan, PlanError>> =
+                    planned.by_ref().take(micro_batches.len()).collect();
+                let mut plans = Vec::with_capacity(results.len());
+                let mut total = 0.0;
+                for r in results {
+                    let plan = r?;
+                    total += plan.predicted_time(&self.cost);
+                    plans.push(plan);
+                }
+                Ok((IterationPlan::new(plans), total))
+            })
+            .collect()
+    }
+
     /// Solves one training iteration for `batch` (Algorithm 1).
     ///
     /// # Errors
@@ -226,61 +281,11 @@ impl FlexSpSolver {
             }
         }
         counts.sort_unstable();
-        let slots = &slots;
-        let solve_one = |m: usize| -> Result<(IterationPlan, f64), PlanError> {
-            let micro_batches = blast(batch, m, self.config.sort_by_length);
-            // Second level of the paper's two-level parallel solving: the
-            // micro-batches of one trial are planned concurrently.
-            let solve_mb = |mb: &Vec<flexsp_data::Sequence>| {
-                let buckets = self.bucket(mb);
-                plan_micro_batch_within(&self.cost, &buckets, slots, &self.config.planner)
-            };
-            let results: Vec<Result<_, PlanError>> = if micro_batches.len() > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = micro_batches
-                        .iter()
-                        .map(|mb| scope.spawn(move || solve_mb(mb)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        // lint: allow(unwrap) join fails only on a child panic; re-raise it, don't swallow it
-                        .map(|h| h.join().expect("micro-batch planner panicked"))
-                        .collect()
-                })
-            } else {
-                micro_batches.iter().map(solve_mb).collect()
-            };
-            let mut plans = Vec::with_capacity(results.len());
-            let mut total = 0.0;
-            for r in results {
-                let plan = r?;
-                total += plan.predicted_time(&self.cost);
-                plans.push(plan);
-            }
-            Ok((IterationPlan::new(plans), total))
-        };
-
-        type TrialResult = (usize, Result<(IterationPlan, f64), PlanError>);
-        let results: Vec<TrialResult> = if counts.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = counts
-                    .iter()
-                    .map(|&m| scope.spawn(move || (m, solve_one(m))))
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: allow(unwrap) join fails only on a child panic; re-raise it, don't swallow it
-                    .map(|h| h.join().expect("solver thread panicked"))
-                    .collect()
-            })
-        } else {
-            counts.iter().map(|&m| (m, solve_one(m))).collect()
-        };
 
         let mut best: Option<(IterationPlan, f64)> = None;
-        let mut trials = Vec::with_capacity(results.len());
+        let mut trials = Vec::with_capacity(counts.len());
         let mut fatal: Option<PlanError> = None;
-        for (m, r) in results {
+        for (&m, r) in counts.iter().zip(self.plan_trials(batch, &counts, &slots)) {
             match r {
                 Ok((plan, t)) => {
                     trials.push((m, Some(t)));
@@ -305,7 +310,8 @@ impl FlexSpSolver {
         if best.is_none() {
             let from = m_min + self.config.trials.max(1);
             for m in from..from + 12 {
-                match solve_one(m) {
+                // One count in, one trial out.
+                match self.plan_trials(batch, &[m], &slots).swap_remove(0) {
                     Ok((plan, t)) => {
                         trials.push((m, Some(t)));
                         best = Some((plan, t));
@@ -330,6 +336,39 @@ impl FlexSpSolver {
             ))),
         }
     }
+}
+
+/// Runs `job` once for each index in `order` on
+/// `available_parallelism().min(order.len())` workers, the calling thread
+/// among them; each worker takes the next index from a shared cursor.
+/// Results come back by index (`order` must be a permutation of
+/// `0..order.len()`), so they do not depend on which worker ran what.
+fn run_jobs<T: Send>(order: &[usize], job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(order.len());
+    // `Relaxed` suffices: the cursor only hands out indices (each one
+    // once, by the atomic add); results travel back through `join`.
+    let cursor = AtomicUsize::new(0);
+    let (job, cursor) = (&job, &cursor);
+    let work = move || {
+        let mut done = Vec::new();
+        while let Some(&j) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            done.push((j, job(j)));
+        }
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            // lint: allow(unwrap) join fails only on a worker panic; re-raise it, don't swallow it
+            done.extend(h.join().expect("planner worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(j, _)| j);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -431,6 +470,71 @@ mod tests {
         let other = flexsp_sim::Topology::new(4, 4);
         let _ = FlexSpSolver::new(cost, SolverConfig::fast())
             .with_availability(NodeSlots::new(&other), 1);
+    }
+
+    /// Re-plans every trial of `out` serially, micro-batch by micro-batch,
+    /// and checks that each trial's total and the chosen plan match
+    /// `solve_iteration`'s bit for bit.
+    fn assert_serial_replan_matches(s: &FlexSpSolver, batch: &[Sequence], out: &SolvedIteration) {
+        let slots = s
+            .availability()
+            .cloned()
+            .unwrap_or_else(|| NodeSlots::new(s.cost().topology()));
+        let mut chosen = None;
+        for &(m, total) in &out.trials {
+            let plans: Result<Vec<_>, _> = blast(batch, m, s.config().sort_by_length)
+                .iter()
+                .map(|mb| {
+                    plan_micro_batch_within(s.cost(), &s.bucket(mb), &slots, &s.config().planner)
+                })
+                .collect();
+            let serial = plans.ok().map(|plans| {
+                let mut t = 0.0;
+                for p in &plans {
+                    t += p.predicted_time(s.cost());
+                }
+                (IterationPlan::new(plans), t)
+            });
+            assert_eq!(
+                total.map(f64::to_bits),
+                serial.as_ref().map(|(_, t)| t.to_bits()),
+                "trial M={m}: pooled {total:?}, serial {:?}",
+                serial.as_ref().map(|(_, t)| t)
+            );
+            // The first trial at the lowest total is the chosen one.
+            if chosen.is_none() && total.map(f64::to_bits) == Some(out.predicted_s.to_bits()) {
+                chosen = serial.map(|(plan, _)| plan);
+            }
+        }
+        let chosen = chosen.expect("the chosen total is one of the trials");
+        assert_eq!(chosen, out.plan);
+        assert_eq!(chosen.solver_stats(), out.stats);
+    }
+
+    #[test]
+    fn scheduling_cannot_move_a_plan() {
+        use flexsp_data::{GlobalBatchLoader, LengthDistribution};
+        use flexsp_sim::{GpuId, NodeSlots};
+        // The paper's Fig. 6 point: GPT-7B, CommonCrawl, 128K, 64 GPUs.
+        let cluster = ClusterSpec::a100_cluster(8);
+        let model = ModelConfig::gpt_7b(128 << 10);
+        let cost = CostModel::fit(&cluster, &model, ActivationPolicy::None);
+        let mut loader =
+            GlobalBatchLoader::new(LengthDistribution::common_crawl(), 512, 128 << 10, 1);
+        let whole = FlexSpSolver::new(cost.clone(), SolverConfig::fast());
+        // A 36-GPU lease: nodes 4..8 and half of node 3.
+        let owned: Vec<GpuId> = (28..64).map(GpuId).collect();
+        let lease = FlexSpSolver::new(cost.clone(), SolverConfig::fast())
+            .with_availability(NodeSlots::restricted_to(cost.topology(), &owned), 7);
+        for _ in 0..2 {
+            let batch = loader.next_batch();
+            let out = whole.solve_iteration(&batch).unwrap();
+            assert!(out.trials.len() > 1, "several counts race on the pool");
+            assert_serial_replan_matches(&whole, &batch, &out);
+        }
+        let batch = loader.next_batch();
+        let out = lease.solve_iteration(&batch).unwrap();
+        assert_serial_replan_matches(&lease, &batch, &out);
     }
 
     #[test]
