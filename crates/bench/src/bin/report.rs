@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the FlexSP paper.
 //!
 //! ```text
-//! report all            # everything (takes a few minutes)
+//! report all            # everything (a few seconds in release)
 //! report quick          # reduced grids
 //! report table1 figure2 # a subset
 //! ```

@@ -461,9 +461,8 @@ fn realize(
 
 /// Splits the per-shape aggregate assignment into concrete groups,
 /// validating per-group memory. Each shape's pool is split by LPT, or by
-/// first fit when LPT strands a sequence. Longer sequences in a bucket
-/// are handed out first so the representative-length approximation
-/// stays safe.
+/// first fit when LPT strands a sequence. Each bucket deals its members
+/// shortest first, shape by shape in shape order.
 fn split_into_groups(
     cost: &CostModel,
     buckets: &[Bucket],
@@ -471,7 +470,8 @@ fn split_into_groups(
     counts: &[u64],
     assignment: &Assignment,
 ) -> Option<Vec<Slot>> {
-    // Per-bucket dealing cursors: longest members first.
+    // Per-bucket dealing stacks: sorted longest first, so `pop()` deals
+    // the shortest member first.
     let mut pools: Vec<Vec<Sequence>> = buckets
         .iter()
         .map(|b| {
