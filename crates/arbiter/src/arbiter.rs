@@ -2,7 +2,8 @@
 //! concurrent jobs share, with epoch counting, queued admission, lease
 //! terms, and priority preemption — scaled out as a **sharded** concurrent
 //! subsystem: the ledger is split by node range behind per-shard locks,
-//! reads serve from lock-free published snapshots, and admission runs in
+//! reads serve from atomic gauges and published snapshots without the
+//! queue or a shard lock, and admission runs in
 //! batched priority-sorted waves (see [`crate::shard`] for the lock
 //! ordering rule every path follows).
 
@@ -768,11 +769,14 @@ impl Drop for LedgerGuard<'_> {
 /// **Scale:** the ledger is sharded by node range
 /// ([`with_shards`](ClusterArbiter::with_shards)); a grant that fits one
 /// shard touches only that shard's lock, spanning grants take the shard
-/// locks in index order, and every read
-/// ([`sync`](Lease::sync), [`free_gpus`](ClusterArbiter::free_gpus),
-/// [`stats`](ClusterArbiter::stats), fairness) serves from lock-free
-/// published snapshots — readers never block behind a grant or a
-/// maintenance pass. The default is one shard, which is behaviorally
+/// locks in index order, and no read waits on the queue lock or a shard
+/// lock: [`free_gpus`](ClusterArbiter::free_gpus) and
+/// [`stats`](ClusterArbiter::stats) read atomics only (lock-free),
+/// [`sync`](Lease::sync) and [`fingerprint`](ClusterArbiter::fingerprint)
+/// load published snapshots through a per-shard publish-slot mutex held
+/// for one pointer copy, and [`fairness`](ClusterArbiter::fairness) takes
+/// one stripe mutex — readers never wait out a grant or a maintenance
+/// pass. The default is one shard, which is behaviorally
 /// identical (including placement) to the pre-sharding arbiter.
 ///
 /// Cloning is cheap (shared state); clones arbitrate the same ledger.
@@ -1245,7 +1249,9 @@ impl ClusterArbiter {
     /// GPUs currently held by `job`'s live leases (the right-hand side
     /// of the fairness conservation law: per job,
     /// `gpus_granted − gpus_released − gpus_moved == leased_gpus`).
-    /// Lock-free: served from the published shard snapshots.
+    /// Served from the published shard snapshots: takes each shard's
+    /// publish-slot mutex for a pointer copy, never the queue or a shard
+    /// lock.
     // lint: lock-free
     pub fn leased_gpus(&self, job: JobId) -> u32 {
         self.inner
@@ -1275,8 +1281,9 @@ impl ClusterArbiter {
     }
 
     /// A fingerprint of the whole ledger — the global epoch hashed with
-    /// every shard's published free fingerprint. Lock-free; two equal
-    /// fingerprints mean readers saw the same ledger.
+    /// every shard's published free fingerprint. Takes each shard's
+    /// publish-slot mutex for a pointer copy, never the queue or a shard
+    /// lock; two equal fingerprints mean readers saw the same ledger.
     // lint: lock-free
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
@@ -2137,7 +2144,7 @@ mod tests {
         // The reader-latency-under-writer-storm pin, made deterministic:
         // the "storm" is the worst case — the admission queue and every
         // shard lock held at once — and the reader thread must still
-        // finish every lock-free read (sync included) within the
+        // finish every read of the read surface (sync included) within the
         // watchdog window.
         let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo).with_shards(4);
         let mut lease = arb.try_lease(req(1, 4)).unwrap();

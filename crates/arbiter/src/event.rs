@@ -9,13 +9,14 @@
 //!   old entry (the stale heap node is skipped lazily on pop), which is
 //!   exactly what a lease renewal needs: the old expiry must never fire.
 //! * [`MaintenancePump`] owns an arbiter plus a heap keyed by lease id.
-//!   It rescans the published shard snapshots — lock-free — whenever a
-//!   shard published since its last scan, schedules each termed or
-//!   demanded lease's nearest deadline, and runs the arbiter's
-//!   maintenance pass only when a deadline is actually due; nothing else
-//!   runs that pass. Because every capacity change in the arbiter
-//!   settles at its source operation, a pass at a time with no due
-//!   deadline would be observably a no-op, so skipping it loses nothing.
+//!   It rescans the published shard snapshots — without the queue or a
+//!   shard lock — whenever a shard published since its last scan,
+//!   schedules each termed or demanded lease's nearest deadline, and
+//!   runs the arbiter's maintenance pass only when a deadline is
+//!   actually due; nothing else runs that pass. Because every capacity
+//!   change in the arbiter settles at its source operation, a pass at a
+//!   time with no due deadline would be observably a no-op, so skipping
+//!   it loses nothing.
 //!   This module's `maintain_after_poll_is_quiet_and_changes_nothing`
 //!   property pins that under random churn.
 //!
@@ -249,8 +250,9 @@ impl MaintenancePump {
     }
 
     /// Re-derives the heap from the published shard snapshots if any
-    /// shard published since the last scan. Lock-free: snapshot loads
-    /// are pointer copies; nothing here touches a shard lock.
+    /// shard published since the last scan. Each snapshot load takes the
+    /// shard's publish-slot mutex for one pointer copy; nothing here
+    /// touches the queue lock or a shard lock.
     ///
     /// Each lease contributes its *nearest* deadline — `min(expires_at,
     /// demand.deadline)` — keyed by lease id, so a renewal (new
@@ -758,7 +760,8 @@ mod tests {
         daemon.shutdown();
     }
 
-    /// Everything a maintenance pass may change, read lock-free: epoch,
+    /// Everything a maintenance pass may change, read without the queue
+    /// or a shard lock: epoch,
     /// ledger fingerprint, stats, every job's fairness counters, and each
     /// live lease's slots, demand and expiry.
     fn observe(arb: &ClusterArbiter) -> String {

@@ -43,10 +43,13 @@ pub enum LeaseEvent {
 ///   the lease was (re)stamped at together with its per-node slot
 ///   vector; plan caches keyed by it can never replay a plan across a
 ///   grow, shrink, renewal, revocation, or any other ledger change.
-/// * **Lock-free reads** — [`Lease::sync`], [`Lease::is_live`],
+/// * **Snapshot reads** — [`Lease::sync`], [`Lease::is_live`],
 ///   [`Lease::pending_demand`], and [`Lease::expires_at`] serve from the
-///   home shard's published snapshot and never block behind a grant or
-///   a maintenance pass, no matter how many writers are mid-flight.
+///   home shard's published snapshot. They never wait on the queue lock
+///   or a shard lock, only on the snapshot's publish-slot mutex, which
+///   a holder keeps for one pointer copy or swap, so they never wait
+///   for a grant or a maintenance pass to finish, however many writers
+///   are mid-flight.
 /// * **Revocation** — the arbiter may demand GPUs back
 ///   ([`Lease::pending_demand`]) when a higher-priority job cannot be
 ///   admitted, and force-reclaims at the demand's deadline; a lease
@@ -119,7 +122,8 @@ impl Lease {
     }
 
     /// The arbiter-side record, read from the home shard's published
-    /// snapshot (lock-free; `None` once reaped or fully revoked).
+    /// snapshot (no queue or shard lock; `None` once reaped or fully
+    /// revoked).
     // lint: lock-free
     fn record(&self) -> Option<Arc<LeaseView>> {
         self.arbiter.inner.shards[self.home]
@@ -131,14 +135,14 @@ impl Lease {
     }
 
     /// True while the lease exists arbiter-side (not reaped, not fully
-    /// revoked). Lock-free.
+    /// revoked). Reads the published snapshot.
     // lint: lock-free
     pub fn is_live(&self) -> bool {
         self.record().is_some()
     }
 
     /// The logical time this lease lapses unless renewed (`None` for
-    /// untermed or already-lapsed leases). Lock-free.
+    /// untermed or already-lapsed leases). Reads the published snapshot.
     // lint: lock-free
     pub fn expires_at(&self) -> Option<u64> {
         self.record().and_then(|r| r.expires_at)
@@ -147,7 +151,8 @@ impl Lease {
     /// The arbiter's pending shrink demand against this lease, if any:
     /// give back [`ShrinkDemand::gpus`] GPUs before
     /// [`ShrinkDemand::deadline`] (via [`Lease::shrink`], which clears
-    /// the demand) or the arbiter force-reclaims them. Lock-free.
+    /// the demand) or the arbiter force-reclaims them. Reads the
+    /// published snapshot.
     // lint: lock-free
     pub fn pending_demand(&self) -> Option<ShrinkDemand> {
         self.record().and_then(|r| r.demand)
@@ -162,8 +167,10 @@ impl Lease {
     /// own, but a live pre-sync solver would still plan onto GPUs the
     /// arbiter has since moved to another tenant.
     ///
-    /// Syncs are lock-free: they read the home shard's published
-    /// snapshot and never block, even mid-grant or mid-maintenance.
+    /// Syncs read the home shard's published snapshot and never wait on
+    /// the queue lock or a shard lock, even mid-grant or
+    /// mid-maintenance; the snapshot load takes only the publish-slot
+    /// mutex for a pointer copy.
     // lint: lock-free
     pub fn sync(&mut self) -> LeaseEvent {
         match self.record() {

@@ -37,8 +37,9 @@
 //!   fingerprint guarantees no stale plan ever replays.
 //! * **Event-driven maintenance** — one path runs maintenance: a
 //!   [`MaintenancePump`] keeps a [`DeadlineHeap`] of each lease's next
-//!   term or grace deadline (rebuilt lock-free from the published
-//!   snapshots whenever a shard publishes) and sweeps the ledger
+//!   term or grace deadline (rebuilt from the published snapshots,
+//!   without the queue or a shard lock, whenever a shard publishes)
+//!   and sweeps the ledger
 //!   only when a deadline is actually due. Deployments run it in a
 //!   [`ClusterDaemon`] on a [`WallClock`]; the `flexsp-trace`
 //!   discrete-event simulator and tests poll it on a [`LogicalClock`].

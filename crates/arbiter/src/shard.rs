@@ -1,6 +1,7 @@
 //! Ledger shards: the arbiter's free/busy state split by contiguous node
 //! range, each slice behind its own lock, each publishing an immutable
-//! epoch-stamped snapshot for the lock-free read path.
+//! epoch-stamped snapshot for the read path, which never waits on the
+//! queue lock or a shard lock.
 //!
 //! # Lock ordering
 //!
@@ -69,8 +70,8 @@ impl<T> Published<T> {
         }
     }
 
-    /// The current snapshot (wait-free in practice: the lock is only
-    /// ever held for a pointer copy).
+    /// The current snapshot. Takes the slot mutex, which every holder
+    /// keeps only for one pointer copy or swap, and no other lock.
     pub(crate) fn load(&self) -> Arc<T> {
         let _rank = rank::acquire(rank::PUBLISH);
         // lint: allow(lock) pointer-copy-only ArcSwap idiom; rank "publish slot"
@@ -147,8 +148,9 @@ impl ShardState {
     }
 }
 
-/// The lock-free read-side image of one shard, republished (pointer
-/// swap) before the shard lock is released after **every** mutation.
+/// The read-side image of one shard, republished (pointer swap) before
+/// the shard lock is released after **every** mutation; readers load it
+/// without the shard lock.
 #[derive(Debug)]
 pub(crate) struct ShardSnapshot {
     /// Global ledger epoch at publication — the snapshot's validity

@@ -52,6 +52,12 @@ impl FlexSpSystem {
         &self.solver
     }
 
+    /// The underlying executor (e.g. to inspect communicator-pool
+    /// statistics).
+    pub fn executor(&self) -> &Executor {
+        &self.executor
+    }
+
     /// The plan signature of the last iteration (Table 3 notation).
     pub fn last_signature(&self) -> &str {
         &self.last_signature

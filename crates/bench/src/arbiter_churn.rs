@@ -12,8 +12,9 @@
 //! - the same 1000-tenant churn against a **1-shard configuration** (the
 //!   pre-sharding single-mutex arbiter) — `sharded_speedup_at_1000` is
 //!   the headline number and the gate asserts it stays ≥ 5x;
-//! - **sync reads/sec + p99** for the lock-free read path while writer
-//!   threads churn grants underneath (readers must never block);
+//! - **sync reads/sec + p99** for the snapshot read path while writer
+//!   threads churn grants underneath (readers never wait on the queue
+//!   lock or a shard lock);
 //! - the **caller thread-scaling curve** (1/2/4/8 churn threads), skipped
 //!   with a logged notice when the host exposes one CPU — serialized
 //!   threads measure the scheduler, not the arbiter.
@@ -72,7 +73,7 @@ pub struct Report {
     pub baseline_1shard_grants_per_s: f64,
     /// Sharded grants/sec over 1-shard grants/sec at 1000 tenants.
     pub sharded_speedup_at_1000: f64,
-    /// Lock-free reads/sec (lease sync + ledger gauges) under a
+    /// Reads/sec (lease sync + ledger gauges) under a
     /// two-writer grant storm.
     pub sync_reads_per_s: f64,
     /// 99th-percentile read latency (microseconds) under that storm.
@@ -158,7 +159,7 @@ fn rounds_for(tenants: u32, quick: bool) -> u32 {
     (budget / tenants).max(1)
 }
 
-/// Lock-free reads/sec and p99 while two writer threads churn grants.
+/// Read-path reads/sec and p99 while two writer threads churn grants.
 fn sync_storm(quick: bool) -> (f64, f64) {
     let tenants = if quick { 100 } else { 400 };
     let reads = if quick { 20_000u64 } else { 200_000 };

@@ -35,10 +35,11 @@
 //!
 //! The top-level entry points are [`FlexSpSolver`] (Algorithm 1: parallel
 //! exploration of micro-batch counts, bucketing, MILP planning, placement)
-//! and [`Trainer`] (solve → place → execute loop with
-//! disaggregated-solving overlap accounting). [`SolverService`] adds plan
+//! and [`Executor`] (runs a placed plan). [`SolverService`] adds plan
 //! caching keyed by batch histogram *and* a full topology fingerprint
-//! (per-node widths and SKUs included).
+//! (per-node widths and SKUs included). The multi-iteration
+//! solve → execute loop is `flexsp-baselines`' `FlexSpSystem`, run by
+//! `evaluate_system` like every baseline.
 //!
 //! # Example
 //!
@@ -81,21 +82,17 @@ mod error;
 mod milp_formulations;
 mod plan;
 mod service;
-mod trainer;
 mod workflow;
 
 pub use error::PlanError;
 pub use executor::{ExecError, Executor, IterationReport, MicroBatchReport};
-pub use placement::{
-    place_degrees, place_degrees_within, place_shapes, place_shapes_within, PlaceError,
-};
+pub use placement::{place_shapes, place_shapes_within, PlaceError};
 pub use plan::{GroupAssignment, IterationPlan, MicroBatchPlan, PlanStats};
 pub use planner::{
     plan_homogeneous, plan_homogeneous_within, plan_micro_batch, plan_micro_batch_within,
     Formulation, PlannerConfig,
 };
 pub use service::{CacheStats, SharedPlanCache, SolverService};
-pub use trainer::{IterationStats, TrainError, Trainer, TrainingStats};
 pub use workflow::{BucketingMode, FlexSpSolver, SolvedIteration, SolverConfig};
 
 // Solver internals callers commonly need alongside the planner API.

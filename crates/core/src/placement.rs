@@ -62,14 +62,18 @@ impl fmt::Display for PlaceError {
 
 impl std::error::Error for PlaceError {}
 
-/// Places groups of the given `degrees` onto `topo`, returning one
-/// [`DeviceGroup`] per input degree, in input order.
+/// Places groups of the given `shapes` onto `topo` with **SKU affinity**,
+/// returning one [`DeviceGroup`] per input shape, in input order.
 ///
-/// Groups are packed largest-first from the fullest nodes (see the module
-/// docs for the guarantees). Unlike the legacy flat-aligned allocator,
-/// degrees need not be powers of two and node widths need not divide
-/// them — the engine simply never splits a group across more nodes than
-/// the free-slot pattern forces.
+/// Groups are packed largest-first from the fullest nodes, and each draw
+/// prefers the nodes of its shape's SKU class, touching other classes
+/// only when the preferred class has no free GPUs left (see the module
+/// docs for the guarantees). Only a shape's degree and SKU class steer
+/// the draw: degrees need not be powers of two and node widths need not
+/// divide them, and the engine never splits a group across more nodes
+/// than the free-slot pattern forces. Callers should re-derive each
+/// group's realized class with [`flexsp_sim::GroupShape::of`]: a spill
+/// draw may widen the span or slow the class relative to the plan.
 ///
 /// # Errors
 ///
@@ -79,73 +83,18 @@ impl std::error::Error for PlaceError {}
 /// # Example
 ///
 /// ```
-/// use flexsp_core::placement::place_degrees;
-/// use flexsp_sim::Topology;
+/// use flexsp_core::placement::place_shapes;
+/// use flexsp_sim::{GroupShape, Topology};
 ///
 /// // Four 6-GPU nodes: two degree-8 groups must span, the degree-4
 /// // groups stay intra-node on the remaining slots.
 /// let topo = Topology::new(4, 6);
-/// let groups = place_degrees(&topo, &[8, 8, 4, 4]).unwrap();
+/// let shapes: Vec<GroupShape> = [8, 8, 4, 4].map(GroupShape::intra).to_vec();
+/// let groups = place_shapes(&topo, &shapes).unwrap();
 /// assert_eq!(groups[0].nodes_spanned_on(&topo), 2);
 /// assert!(groups[2].is_intra_node_on(&topo));
 /// assert!(groups[3].is_intra_node_on(&topo));
 /// ```
-pub fn place_degrees(topo: &Topology, degrees: &[u32]) -> Result<Vec<DeviceGroup>, PlaceError> {
-    place_degrees_within(&NodeSlots::new(topo), degrees)
-}
-
-/// [`place_degrees`] against a **restricted** free-slot ledger: groups
-/// are drawn only from the GPUs `avail` still has free, so a job holding
-/// a lease can never place onto another job's slots. The input ledger is
-/// not mutated.
-///
-/// # Errors
-///
-/// [`PlaceError::OutOfGpus`] if `Σ degrees` exceeds the free slots;
-/// [`PlaceError::ZeroDegree`] for a zero degree.
-pub fn place_degrees_within(
-    avail: &NodeSlots,
-    degrees: &[u32],
-) -> Result<Vec<DeviceGroup>, PlaceError> {
-    if degrees.contains(&0) {
-        return Err(PlaceError::ZeroDegree);
-    }
-    let requested: u32 = degrees.iter().sum();
-    if requested > avail.total_free() {
-        return Err(PlaceError::OutOfGpus {
-            requested,
-            available: avail.total_free(),
-        });
-    }
-    let mut order: Vec<usize> = (0..degrees.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(degrees[i]), i));
-    let mut slots = avail.clone();
-    let mut out: Vec<Option<DeviceGroup>> = vec![None; degrees.len()];
-    for i in order {
-        let group = slots
-            .take_packed(degrees[i])
-            // lint: allow(unwrap) total degree vs free-slot budget verified before the placement loop
-            .expect("budget checked upfront");
-        out[i] = Some(group);
-    }
-    // lint: allow(unwrap) the loop above fills every index of `out`
-    Ok(out.into_iter().map(|g| g.expect("placed")).collect())
-}
-
-/// Places groups of the given `shapes` onto `topo` with **SKU affinity**,
-/// returning one [`DeviceGroup`] per input shape, in input order.
-///
-/// Like [`place_degrees`], groups are packed largest-first from the
-/// fullest nodes — but each draw prefers the nodes of its shape's SKU
-/// class, touching other classes only when the preferred class has no
-/// free GPUs left (see the module docs for the guarantees). Callers
-/// should re-derive each group's realized class with
-/// [`flexsp_sim::GroupShape::of`]: a spill draw may widen the span or
-/// slow the class relative to the plan.
-///
-/// # Errors
-///
-/// [`PlaceError::OutOfGpus`] if `Σ degrees` exceeds the cluster.
 pub fn place_shapes(
     topo: &Topology,
     shapes: &[GroupShape],
@@ -160,11 +109,15 @@ pub fn place_shapes(
 ///
 /// # Errors
 ///
-/// [`PlaceError::OutOfGpus`] if `Σ degrees` exceeds the free slots.
+/// [`PlaceError::OutOfGpus`] if `Σ degrees` exceeds the free slots;
+/// [`PlaceError::ZeroDegree`] for a zero degree.
 pub fn place_shapes_within(
     avail: &NodeSlots,
     shapes: &[GroupShape],
 ) -> Result<Vec<DeviceGroup>, PlaceError> {
+    if shapes.iter().any(|s| s.degree == 0) {
+        return Err(PlaceError::ZeroDegree);
+    }
     let requested: u32 = shapes.iter().map(|s| s.degree).sum();
     if requested > avail.total_free() {
         return Err(PlaceError::OutOfGpus {
@@ -193,12 +146,19 @@ pub fn place_shapes_within(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexsp_sim::GroupShape;
+    use flexsp_sim::SkuId;
+
+    /// One SKU-class-0 shape per degree. On a one-class topology the
+    /// placement sort key reduces to `(Reverse(degree), index)` and every
+    /// draw visits the fullest nodes first, whatever span a shape names.
+    fn shapes_of(degrees: &[u32]) -> Vec<GroupShape> {
+        degrees.iter().map(|&d| GroupShape::intra(d)).collect()
+    }
 
     #[test]
     fn groups_returned_in_input_order() {
         let topo = Topology::new(8, 8);
-        let groups = place_degrees(&topo, &[8, 32, 16, 4, 4]).unwrap();
+        let groups = place_shapes(&topo, &shapes_of(&[8, 32, 16, 4, 4])).unwrap();
         let degrees: Vec<u32> = groups.iter().map(|g| g.degree()).collect();
         assert_eq!(degrees, vec![8, 32, 16, 4, 4]);
     }
@@ -206,7 +166,7 @@ mod tests {
     #[test]
     fn gpus_used_at_most_once() {
         let topo = Topology::new(8, 8);
-        let groups = place_degrees(&topo, &[32, 16, 8, 4, 2, 1, 1]).unwrap();
+        let groups = place_shapes(&topo, &shapes_of(&[32, 16, 8, 4, 2, 1, 1])).unwrap();
         let mut seen = std::collections::HashSet::new();
         for g in &groups {
             for gpu in g.gpus() {
@@ -220,7 +180,7 @@ mod tests {
     fn power_of_two_mix_stays_intra_when_it_can() {
         // 2 nodes × 8: [8, 4, 4] packs all-intra.
         let topo = Topology::new(2, 8);
-        let groups = place_degrees(&topo, &[4, 8, 4]).unwrap();
+        let groups = place_shapes(&topo, &shapes_of(&[4, 8, 4])).unwrap();
         assert!(
             groups.iter().all(|g| g.is_intra_node_on(&topo)),
             "{groups:?}"
@@ -231,7 +191,7 @@ mod tests {
     fn spans_only_under_fragmentation() {
         // 2 nodes × 6: [4, 4, 4] — the third group has 2 + 2 left.
         let topo = Topology::new(2, 6);
-        let groups = place_degrees(&topo, &[4, 4, 4]).unwrap();
+        let groups = place_shapes(&topo, &shapes_of(&[4, 4, 4])).unwrap();
         let spanning = groups.iter().filter(|g| !g.is_intra_node_on(&topo)).count();
         assert_eq!(spanning, 1);
     }
@@ -240,26 +200,42 @@ mod tests {
     fn oversubscription_is_rejected() {
         let topo = Topology::new(1, 8);
         assert_eq!(
-            place_degrees(&topo, &[8, 2]),
+            place_shapes(&topo, &shapes_of(&[8, 2])),
             Err(PlaceError::OutOfGpus {
                 requested: 10,
                 available: 8
             })
         );
-        assert_eq!(place_degrees(&topo, &[0]), Err(PlaceError::ZeroDegree));
+    }
+
+    #[test]
+    fn zero_degree_shape_is_rejected() {
+        // `GroupShape::new` refuses degree 0, but the fields are public.
+        let zero = GroupShape {
+            degree: 0,
+            nodes_spanned: 1,
+            sku: SkuId(0),
+        };
+        let topo = Topology::new(1, 8);
+        assert_eq!(place_shapes(&topo, &[zero]), Err(PlaceError::ZeroDegree));
+        let avail = NodeSlots::new(&topo);
+        assert_eq!(
+            place_shapes_within(&avail, &[GroupShape::intra(4), zero]),
+            Err(PlaceError::ZeroDegree)
+        );
     }
 
     #[test]
     fn whole_cluster_group_spans_everything() {
         let topo = Topology::new(4, 8);
-        let groups = place_degrees(&topo, &[32]).unwrap();
+        let groups = place_shapes(&topo, &shapes_of(&[32])).unwrap();
         assert_eq!(groups[0].nodes_spanned_on(&topo), 4);
         assert_eq!(GroupShape::of(&groups[0], &topo), GroupShape::new(32, 4));
     }
 
     #[test]
     fn shapes_stay_in_their_sku_class() {
-        use flexsp_sim::{NodeSpec, SkuId};
+        use flexsp_sim::NodeSpec;
         let topo = Topology::from_nodes(vec![
             NodeSpec::new(8, SkuId(0)),
             NodeSpec::new(8, SkuId(0)),
@@ -314,8 +290,8 @@ mod tests {
                 available: 16
             })
         );
-        // Degrees path honors the restriction too.
-        let groups = place_degrees_within(&avail, &[8, 8]).unwrap();
+        // Filling the lease exactly stays inside it too.
+        let groups = place_shapes_within(&avail, &shapes_of(&[8, 8])).unwrap();
         assert!(groups
             .iter()
             .flat_map(|g| g.gpus())
@@ -324,7 +300,7 @@ mod tests {
 
     #[test]
     fn shapes_spill_honestly_under_scarcity() {
-        use flexsp_sim::{NodeSpec, SkuId};
+        use flexsp_sim::NodeSpec;
         let topo =
             Topology::from_nodes(vec![NodeSpec::new(8, SkuId(0)), NodeSpec::new(8, SkuId(1))]);
         // Two fast-class intra-8 groups, but only one fast node: the

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 
-use flexsp_core::{place_degrees, place_shapes, plan_micro_batch, PlannerConfig};
+use flexsp_core::{place_shapes, plan_micro_batch, PlannerConfig};
 use flexsp_sim::{GroupShape, NodeSpec, SkuId, Topology};
 use proptest::prelude::*;
 
@@ -100,7 +100,9 @@ proptest! {
         (topo, degrees) in topo_strategy()
             .prop_flat_map(|t| { let n = t.num_gpus(); (Just(t), degrees_for(n)) }),
     ) {
-        let groups = place_degrees(&topo, &degrees).expect("budget-respecting multiset");
+        // One SKU class: every draw takes the fullest nodes first.
+        let shapes: Vec<GroupShape> = degrees.iter().map(|&d| GroupShape::new(d, 1)).collect();
+        let groups = place_shapes(&topo, &shapes).expect("budget-respecting multiset");
         // Every planned group placed, at its degree, in input order.
         prop_assert_eq!(groups.len(), degrees.len());
         let mut used = HashSet::new();
@@ -123,7 +125,8 @@ proptest! {
         // layout exists; decreasing-order packing of divisible (power-of-
         // two) sizes must find one.
         let flat: Vec<u32> = degrees.iter().map(|&(d, _)| d).collect();
-        let groups = place_degrees(&topo, &flat).expect("intra-feasible multiset");
+        let shapes: Vec<GroupShape> = flat.iter().map(|&d| GroupShape::new(d, 1)).collect();
+        let groups = place_shapes(&topo, &shapes).expect("intra-feasible multiset");
         for g in &groups {
             prop_assert!(
                 g.is_intra_node_on(&topo),

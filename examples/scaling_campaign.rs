@@ -1,5 +1,6 @@
 //! Scaling campaign: a small training-throughput sweep across cluster
-//! sizes and context lengths, using the full [`Trainer`] loop.
+//! sizes and context lengths, stepping [`FlexSpSystem`] through its
+//! solve → execute loop.
 //!
 //! ```text
 //! cargo run --release --example scaling_campaign
@@ -7,13 +8,15 @@
 //!
 //! For each (cluster size, context) point, runs a few FlexSP training
 //! iterations end to end and reports token throughput per GPU, the mean
-//! All-to-All share, communicator-pool behaviour (paper §5: at most
-//! log₂N + 1 cached groups per GPU), and solver overlap headroom
-//! (paper Fig. 8).
+//! All-to-All share, the mean wall-clock solve time, communicator-pool
+//! behaviour (paper §5: at most log₂N + 1 cached groups per GPU), and
+//! the cost model's mean prediction error against the executed time.
 
+use flexsp::baselines::SystemStats;
 use flexsp::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    const ITERATIONS: usize = 3;
     println!(
         "{:>6} {:>6} {:>12} {:>10} {:>10} {:>12} {:>10}",
         "GPUs", "ctx", "tok/s/GPU", "a2a share", "solve (s)", "groups/GPU", "pred err"
@@ -35,27 +38,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .expect("some policy fits");
 
-            let cost = CostModel::fit(&cluster, &model, policy);
-            let solver = FlexSpSolver::new(cost, SolverConfig::fast());
-            let executor = Executor::new(cluster.clone(), model.clone(), policy);
-            let loader = GlobalBatchLoader::new(
+            let mut system = FlexSpSystem::fast(cluster, model, policy);
+            let mut loader = GlobalBatchLoader::new(
                 LengthDistribution::common_crawl(),
                 32 * nodes as usize,
                 max_ctx,
                 5,
             );
-            let mut trainer = Trainer::new(solver, executor, loader);
-            let stats = trainer.run(3)?;
-            let pool = trainer.executor().pool();
+            // `evaluate_system`'s loop, stepped by hand to read each
+            // iteration's predicted time next to its executed time.
+            let mut stats = SystemStats {
+                num_gpus: system.num_gpus(),
+                ..SystemStats::default()
+            };
+            let mut pred_err = 0.0;
+            for _ in 0..ITERATIONS {
+                let report = system.run_iteration(&loader.next_batch())?;
+                let plan = system.last_plan().expect("an iteration ran");
+                let predicted_s = plan.predicted_time(system.solver().cost());
+                pred_err += (predicted_s - report.total_s) / report.total_s;
+                stats.reports.push(report);
+            }
             println!(
                 "{:>6} {:>5}K {:>12.0} {:>9.1}% {:>10.3} {:>12} {:>9.1}%",
-                cluster.num_gpus(),
+                stats.num_gpus,
                 max_ctx / 1024,
                 stats.tokens_per_gpu_s(),
-                100.0 * stats.mean_alltoall_ratio(),
+                100.0 * stats.mean_comm_ratio(),
                 stats.mean_solve_s(),
-                pool.max_groups_per_gpu(),
-                100.0 * stats.mean_prediction_err().abs(),
+                system.executor().pool().max_groups_per_gpu(),
+                100.0 * (pred_err / ITERATIONS as f64).abs(),
             );
         }
     }

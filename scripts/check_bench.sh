@@ -7,7 +7,7 @@
 #     binary exits 1 on a >20% plans/sec regression (the
 #     microsecond-scale cache-hit metric rides a 3x band since it is
 #     jitter-dominated).
-#   - BENCH_arbiter_churn.json — arbiter grants/sec and lock-free sync
+#   - BENCH_arbiter_churn.json — arbiter grants/sec and snapshot sync
 #     reads/sec; the binary exits 1 on a >20% grants/sec regression
 #     (sync reads ride a 3x band) or if the sharded ledger's speedup
 #     over a 1-shard configuration at 1000 tenants drops below 5x.

@@ -88,7 +88,7 @@ pub mod prelude {
     };
     pub use flexsp_core::{
         Executor, FlexSpSolver, IterationPlan, PlannerConfig, SharedPlanCache, SolverConfig,
-        SolverService, Trainer,
+        SolverService,
     };
     pub use flexsp_cost::CostModel;
     pub use flexsp_data::{Corpus, GlobalBatchLoader, LengthDistribution, Sequence};

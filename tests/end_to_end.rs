@@ -1,56 +1,81 @@
 //! Cross-crate integration tests: full training loops, system ordering,
 //! communicator-pool invariants, and reproducibility.
 
+use flexsp::baselines::SystemStats;
 use flexsp::prelude::*;
 
-fn trainer(nodes: u32, ctx: u64, batch: usize, seed: u64) -> Trainer {
-    let cluster = ClusterSpec::a100_cluster(nodes);
-    let model = ModelConfig::gpt_7b(ctx);
-    let policy = ActivationPolicy::None;
-    let cost = CostModel::fit(&cluster, &model, policy);
-    Trainer::new(
-        FlexSpSolver::new(cost, SolverConfig::fast()),
-        Executor::new(cluster, model, policy),
-        GlobalBatchLoader::new(LengthDistribution::common_crawl(), batch, ctx, seed),
+fn flexsp(nodes: u32, ctx: u64) -> FlexSpSystem {
+    FlexSpSystem::fast(
+        ClusterSpec::a100_cluster(nodes),
+        ModelConfig::gpt_7b(ctx),
+        ActivationPolicy::None,
     )
+}
+
+fn loader(batch: usize, ctx: u64, seed: u64) -> GlobalBatchLoader {
+    GlobalBatchLoader::new(LengthDistribution::common_crawl(), batch, ctx, seed)
 }
 
 #[test]
 fn training_loop_runs_and_reports() {
-    let mut t = trainer(2, 64 * 1024, 64, 1);
-    let stats = t.run(3).expect("training runs");
-    assert_eq!(stats.iterations.len(), 3);
+    let mut fx = flexsp(2, 64 * 1024);
+    let mut batches = loader(64, 64 * 1024, 1);
+    let mut stats = SystemStats {
+        num_gpus: fx.num_gpus(),
+        ..SystemStats::default()
+    };
+    let mut pred_err = 0.0;
+    for _ in 0..3 {
+        let report = fx
+            .run_iteration(&batches.next_batch())
+            .expect("training runs");
+        let plan = fx.last_plan().expect("an iteration ran");
+        pred_err += (plan.predicted_time(fx.solver().cost()) - report.total_s) / report.total_s;
+        stats.reports.push(report);
+    }
     assert!(stats.mean_iteration_s() > 0.0);
     assert!(stats.tokens_per_gpu_s() > 0.0);
+    assert!(
+        stats.mean_comm_ratio() > 0.0,
+        "FlexSP reports its All-to-All"
+    );
     // Solver predictions track execution (the paper's premise that the
-    // cost model is accurate enough to optimize against).
-    assert!(stats.mean_prediction_err().abs() < 0.3);
+    // cost model is accurate enough to optimize against); the model
+    // leaves out the optimizer step and exposed ZeRO slivers.
+    let pred_err = pred_err / 3.0;
+    assert!(pred_err.abs() < 0.25, "prediction error {pred_err}");
 }
 
 #[test]
 fn group_pool_respects_log_n_bound() {
     // Across many varied iterations, aligned placement keeps every GPU in
-    // at most log2(N) + 1 distinct communicators (paper §5).
-    let mut t = trainer(2, 64 * 1024, 64, 2);
-    let _ = t.run(5).expect("training runs");
+    // at most log2(N) + 1 distinct communicators (paper §5), and later
+    // iterations reuse the communicators earlier ones built.
+    let mut fx = flexsp(2, 64 * 1024);
+    evaluate_system(&mut fx, loader(64, 64 * 1024, 2), 5).expect("training runs");
     let n: u32 = 16;
     let bound = (n.ilog2() + 1) as usize;
-    let max_groups = t.executor().pool().max_groups_per_gpu();
+    let pool = fx.executor().pool();
+    let max_groups = pool.max_groups_per_gpu();
     assert!(
         max_groups <= bound,
         "pool holds {max_groups} groups for one GPU, bound {bound}"
+    );
+    assert!(
+        pool.stats().hits > 0,
+        "iterations should reuse cached communicators"
     );
 }
 
 #[test]
 fn simulated_training_is_deterministic() {
     let run = || {
-        let mut t = trainer(2, 64 * 1024, 48, 3);
-        let stats = t.run(2).expect("training runs");
+        let stats = evaluate_system(&mut flexsp(2, 64 * 1024), loader(48, 64 * 1024, 3), 2)
+            .expect("training runs");
         stats
-            .iterations
+            .reports
             .iter()
-            .map(|i| (i.tokens, i.train_s.to_bits()))
+            .map(|r| (r.tokens, r.total_s.to_bits()))
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run(), "same seed must give identical simulations");
