@@ -75,3 +75,69 @@ pub use flexsp_adapter::FlexSpSystem;
 pub use megatron::{MegatronLm, MegatronStrategy};
 pub use partitioned::{PartitionError, StaticPartition};
 pub use system::{evaluate_system, BaselineError, SystemReport, SystemStats, TrainingSystem};
+
+// Unit tests of FlexSP's training loop: `FlexSpSystem` planning and
+// executing one batch per step, alone and through `evaluate_system`.
+#[cfg(test)]
+mod trainer {
+    mod tests {
+        use flexsp_data::{GlobalBatchLoader, LengthDistribution};
+        use flexsp_model::{ActivationPolicy, ModelConfig};
+        use flexsp_sim::ClusterSpec;
+
+        use crate::{evaluate_system, FlexSpSystem, TrainingSystem};
+
+        const CTX: u64 = 64 * 1024;
+
+        fn flexsp() -> FlexSpSystem {
+            FlexSpSystem::fast(
+                ClusterSpec::a100_cluster(2),
+                ModelConfig::gpt_7b(CTX),
+                ActivationPolicy::None,
+            )
+        }
+
+        fn loader() -> GlobalBatchLoader {
+            GlobalBatchLoader::new(LengthDistribution::wikipedia(), 48, CTX, 3)
+        }
+
+        #[test]
+        fn runs_and_aggregates() {
+            let stats = evaluate_system(&mut flexsp(), loader(), 3).unwrap();
+            assert_eq!(stats.reports.len(), 3);
+            assert!(stats.mean_iteration_s() > 0.0);
+            assert!(stats.tokens_per_gpu_s() > 0.0);
+            // FlexSP's communication share is its All-to-All.
+            assert!(stats.mean_comm_ratio() > 0.0);
+            assert!(stats.mean_solve_s() > 0.0, "solver wall time is recorded");
+        }
+
+        #[test]
+        fn predictions_track_execution() {
+            let mut fx = flexsp();
+            let mut batches = loader();
+            let pred_err = (0..3)
+                .map(|_| {
+                    let report = fx.run_iteration(&batches.next_batch()).unwrap();
+                    let predicted = fx.last_plan().unwrap().predicted_time(fx.solver().cost());
+                    (predicted - report.total_s) / report.total_s
+                })
+                .sum::<f64>()
+                / 3.0;
+            // The solver's cost model should predict execution within ~25 %
+            // (it ignores the optimizer overhead and exposed ZeRO slivers).
+            assert!(pred_err.abs() < 0.25, "prediction error {pred_err}");
+        }
+
+        #[test]
+        fn communicators_are_reused_across_iterations() {
+            let mut fx = flexsp();
+            evaluate_system(&mut fx, loader(), 4).unwrap();
+            let stats = fx.executor().pool().stats();
+            assert!(
+                stats.hits > 0,
+                "iterations should reuse cached communicators"
+            );
+        }
+    }
+}
