@@ -445,43 +445,64 @@ impl Inner {
 }
 
 /// The whole ledger, locked for one multi-shard change: the queue lock,
-/// then every shard lock ascending, plus the cluster-wide free pool
-/// merged from the shards once at [`LedgerGuard::lock`]. Every change
-/// goes through its methods, which keep the merged pool in step with
-/// the shards and note which shards they touched. Dropping the guard
-/// publishes exactly those shards and the queue depth, before any lock
-/// is released.
+/// then every shard lock ascending, plus a running count of the GPUs
+/// free cluster-wide. The shards' free ledgers are merged into one
+/// cluster-wide pool only when a change needs to place GPUs: at the
+/// first [`draw`](LedgerGuard::draw) or best-fit pick. A change that
+/// grants nothing (a request that waits, a cancel, a shrink, a queued
+/// release or a quiet maintenance pass) never builds it. Every change
+/// goes through the guard's methods, which keep the count and the pool
+/// in step with the shards and note which shards they touched. Dropping
+/// the guard publishes exactly those shards and the queue depth, before
+/// any lock is released.
 pub(crate) struct LedgerGuard<'a> {
     inner: &'a Inner,
     // Field order is drop order: the shard locks go before the queue's.
     shards: ShardGuards<'a>,
     pub(crate) q: QueueGuard<'a>,
-    merged: NodeSlots,
+    free: u32,
+    merged: Option<NodeSlots>,
     touched: Vec<bool>,
 }
 
 impl<'a> LedgerGuard<'a> {
-    /// Takes the queue lock, then every shard lock ascending, and merges
-    /// the shards' free ledgers.
+    /// Takes the queue lock, then every shard lock ascending, and counts
+    /// the free GPUs.
     pub(crate) fn lock(inner: &'a Inner) -> LedgerGuard<'a> {
         let q = inner.lock_queue();
         let shards = inner.lock_shards();
-        let mut all: Vec<GpuId> = Vec::with_capacity(inner.topo.num_gpus() as usize);
-        for g in shards.iter() {
-            all.extend(g.free.free_gpus());
-        }
+        // A shard's ledger spans every node but holds only its own
+        // nodes' GPUs, so counting those few nodes is exact.
+        let free = shards
+            .iter()
+            .zip(inner.shards.iter())
+            .map(|(g, s)| s.nodes.clone().map(|n| g.free.free_on(n)).sum::<u32>())
+            .sum();
         LedgerGuard {
             inner,
             touched: vec![false; shards.len()],
+            free,
             shards,
             q,
-            merged: NodeSlots::restricted_to(&inner.topo, &all),
+            merged: None,
         }
     }
 
     /// GPUs free cluster-wide.
     pub(crate) fn free(&self) -> u32 {
-        self.merged.total_free()
+        self.free
+    }
+
+    /// The cluster-wide free pool, merged from the shards on first use.
+    fn merged(&mut self) -> &mut NodeSlots {
+        let (topo, shards) = (&self.inner.topo, &self.shards);
+        self.merged.get_or_insert_with(|| {
+            let mut all: Vec<GpuId> = Vec::with_capacity(topo.num_gpus() as usize);
+            for g in shards.iter() {
+                all.extend(g.free.free_gpus());
+            }
+            NodeSlots::restricted_to(topo, &all)
+        })
     }
 
     /// Lease `id`'s record in shard `home`, if it is still live.
@@ -504,9 +525,10 @@ impl<'a> LedgerGuard<'a> {
     /// first) and claims them out of their shards. Returns them
     /// ascending, or `None` (nothing taken) if fewer are free.
     pub(crate) fn draw(&mut self, count: u32, prefer: Option<SkuId>) -> Option<Vec<GpuId>> {
+        let merged = self.merged();
         let group = match prefer {
-            Some(sku) => self.merged.take_packed_for(count, sku),
-            None => self.merged.take_packed(count),
+            Some(sku) => merged.take_packed_for(count, sku),
+            None => merged.take_packed(count),
         }?;
         let mut gpus = group.gpus().to_vec();
         gpus.sort_unstable();
@@ -514,16 +536,21 @@ impl<'a> LedgerGuard<'a> {
             let s = self.inner.shard_of(g);
             self.touch(s).free.claim(std::slice::from_ref(&g));
         }
+        self.free -= gpus.len() as u32;
         Some(gpus)
     }
 
-    /// Returns `gpus` to their shards and to the merged pool.
+    /// Returns `gpus` to their shards, to the free count and to the
+    /// merged pool if one was built.
     pub(crate) fn release(&mut self, gpus: &[GpuId]) {
         for &g in gpus {
             let s = self.inner.shard_of(g);
             self.touch(s).free.release(std::slice::from_ref(&g));
         }
-        self.merged.release(gpus);
+        self.free += gpus.len() as u32;
+        if let Some(merged) = &mut self.merged {
+            merged.release(gpus);
+        }
     }
 
     /// Removes lease `id` from shard `home` whole: its GPUs go back to
@@ -627,8 +654,15 @@ impl<'a> LedgerGuard<'a> {
                 }
             }
             AdmissionPolicy::BestFitSkuClass => loop {
+                // `pick` admits only requests that fit the free count; when
+                // none does, skip merging the pool just to hear that.
+                let free = self.free();
+                if self.q.pending.iter().all(|p| p.request.gpus > free) {
+                    break;
+                }
                 let queue: Vec<Pending> = self.q.pending.iter().copied().collect();
-                let Some(idx) = self.q.policy.pick(&queue, &self.merged) else {
+                let policy = self.q.policy;
+                let Some(idx) = policy.pick(&queue, self.merged()) else {
                     break;
                 };
                 // lint: allow(unwrap) `pick` returns an index into the queue snapshot taken two lines up
@@ -732,7 +766,8 @@ impl<'a> LedgerGuard<'a> {
     }
 
     /// Pump + enforce: grant what fits, then (re)issue shrink demands
-    /// for what does not. Every mutation path ends here.
+    /// for what does not. Every call that can change what this decides
+    /// ends here, so the queue is settled between public calls.
     pub(crate) fn settle(&mut self, now: u64) -> Vec<(JobId, u32)> {
         self.pump(now);
         self.enforce(now)
@@ -741,6 +776,19 @@ impl<'a> LedgerGuard<'a> {
 
 impl Drop for LedgerGuard<'_> {
     fn drop(&mut self) {
+        if !std::thread::panicking() {
+            debug_assert_eq!(
+                self.free,
+                self.shards.iter().map(|g| g.free.total_free()).sum::<u32>(),
+                "the running free count drifted from the shards"
+            );
+            debug_assert!(
+                self.merged
+                    .as_ref()
+                    .is_none_or(|m| m.total_free() == self.free),
+                "the merged pool drifted from the free count"
+            );
+        }
         for (i, g) in self.shards.iter().enumerate() {
             if self.touched[i] {
                 self.inner.publish(i, g);
@@ -1037,6 +1085,17 @@ impl ClusterArbiter {
         report
     }
 
+    /// Counts an immediate request denied for capacity or for a waiting
+    /// queue, and returns its error.
+    fn deny(&self, request: &SlotRequest, free: u32) -> LeaseError {
+        self.inner.with_counters(request.job, |c| c.denied += 1);
+        self.inner.stat_denials.inc();
+        LeaseError::Busy {
+            requested: request.gpus,
+            free,
+        }
+    }
+
     fn check(&self, request: &SlotRequest) -> Result<(), LeaseError> {
         if request.gpus == 0 || request.gpus > self.inner.topo.num_gpus() {
             return Err(LeaseError::Unsatisfiable {
@@ -1054,7 +1113,9 @@ impl ClusterArbiter {
     /// A request that fits a single shard takes exactly one shard lock
     /// (candidates picked fullest-first from the lock-free gauges and
     /// re-verified under the lock); only a spanning request locks the
-    /// whole ledger (the queue, then every shard).
+    /// whole ledger (the queue, then every shard). Either path checks
+    /// the queue again under its locks, so a request queued meanwhile
+    /// is denied, not jumped.
     ///
     /// # Errors
     ///
@@ -1070,12 +1131,7 @@ impl ClusterArbiter {
         // Queued requests keep priority: an immediate ask may not jump
         // over a queue the policy would serve first.
         if inner.pending_count.load(GAUGE) > 0 {
-            inner.with_counters(request.job, |c| c.denied += 1);
-            inner.stat_denials.inc();
-            return Err(LeaseError::Busy {
-                requested: request.gpus,
-                free: inner.summed(|s| &s.free_count),
-            });
+            return Err(self.deny(&request, inner.summed(|s| &s.free_count)));
         }
         // Single-shard fast path: fullest candidate first (the packing
         // bias of the unsharded ledger), sku-capable shards first when a
@@ -1098,6 +1154,13 @@ impl ClusterArbiter {
             let _hold_span =
                 tel::span!(tel::Category::Arbiter, "shard.lock_hold", "shard" => i as u64);
             let mut st = inner.lock_shard(i);
+            // A request queued since the check above stored its depth
+            // before it released this lock: check again, so the grant
+            // cannot jump it.
+            if inner.pending_count.load(GAUGE) > 0 {
+                drop(st);
+                return Err(self.deny(&request, inner.summed(|s| &s.free_count)));
+            }
             if st.free.total_free() >= request.gpus {
                 if let Some(out) = inner.grant_single(i, &mut st, &request, now) {
                     inner.publish(i, &st);
@@ -1116,14 +1179,9 @@ impl ClusterArbiter {
         // Spanning path: the whole ledger, merged draw.
         let mut ledger = LedgerGuard::lock(inner);
         let free = ledger.free();
-        if request.gpus > free {
+        if request.gpus > free || !ledger.q.pending.is_empty() {
             drop(ledger);
-            inner.with_counters(request.job, |c| c.denied += 1);
-            inner.stat_denials.inc();
-            return Err(LeaseError::Busy {
-                requested: request.gpus,
-                free,
-            });
+            return Err(self.deny(&request, free));
         }
         let out = ledger.grant(&request, now);
         drop(ledger);
@@ -1166,32 +1224,41 @@ impl ClusterArbiter {
     /// Claims the lease a queued request was granted, or `None` while it
     /// still waits (or after the granted lease's term already lapsed —
     /// its slots went back to the pool unclaimed).
+    ///
+    /// A claim changes nothing the admission queue is settled against,
+    /// so it settles nothing: every call that could admit a queued
+    /// request already settled the queue before it returned. It takes
+    /// only the queue lock, plus the grant's home shard lock to read its
+    /// record when the ticket was granted; a ticket that still waits
+    /// touches no shard.
     pub fn claim(&self, ticket: &Ticket) -> Option<Lease> {
         let _span = tel::span!(tel::Category::Arbiter, "arbiter.claim", "ticket" => ticket.id);
-        let now = self.now();
         let inner = &*self.inner;
-        let mut ledger = LedgerGuard::lock(inner);
-        ledger.settle(now);
-        let claimed = ledger
-            .q
-            .granted
-            .remove(&ticket.id)
-            .and_then(|(request, id, home)| {
-                // The grant may have been reaped (term lapsed) or revoked
-                // whole (preemption donor) before the claim.
-                let view = ledger.record(home, id)?;
-                debug_assert_eq!(
-                    view.gpus.len(),
-                    request.gpus as usize,
-                    "an unclaimed grant is only ever reclaimed whole"
-                );
-                Some((request, id, home, view.gpus.clone()))
-            });
-        drop(ledger);
-        claimed.map(|(request, id, home, gpus)| {
-            let epoch = inner.epoch.load(Ordering::SeqCst);
-            Lease::new(self.clone(), id, request.job, gpus, epoch, home)
-        })
+        let mut q = inner.lock_queue();
+        let (request, id, home) = q.granted.remove(&ticket.id)?;
+        // A reap or a whole revocation drops the grant from `granted`
+        // too, so a granted ticket's record is live; holding the queue
+        // lock keeps a maintenance pass from revoking it before it is
+        // read.
+        let shard = inner.lock_shard(home);
+        let view = shard.live().get(&id).cloned();
+        drop(shard);
+        drop(q);
+        let view = view?;
+        debug_assert_eq!(
+            view.gpus.len(),
+            request.gpus as usize,
+            "an unclaimed grant is only ever reclaimed whole"
+        );
+        let epoch = inner.epoch.load(Ordering::SeqCst);
+        Some(Lease::new(
+            self.clone(),
+            id,
+            request.job,
+            view.gpus.clone(),
+            epoch,
+            home,
+        ))
     }
 
     /// Abandons a queued request. If it was already granted, the slots
@@ -2186,6 +2253,37 @@ mod tests {
         let lease = reader.join().unwrap();
         drop(lease);
         assert_eq!(arb.free_gpus(), 32);
+        assert!(arb.audit().is_ok());
+    }
+
+    #[test]
+    fn a_waiting_claim_takes_no_shard_lock() {
+        // A claim of a ticket that still waits reads the queue alone, so
+        // it returns `None` while another thread holds every shard lock.
+        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo).with_shards(4);
+        let full = arb.try_lease(req(1, 32)).unwrap();
+        let ticket = arb.request(req(2, 8)).unwrap();
+        let guards: Vec<_> = arb
+            .inner
+            .shards
+            .iter()
+            .map(|s| s.state.lock().unwrap())
+            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let claimer = {
+            let arb = arb.clone();
+            std::thread::spawn(move || tx.send(arb.claim(&ticket).is_none()).unwrap())
+        };
+        let waiting = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a waiting claim must not wait on a shard lock");
+        assert!(waiting, "nothing was freed, so the ticket still waits");
+        drop(guards);
+        claimer.join().unwrap();
+        drop(full);
+        let lease = arb.claim(&ticket).expect("the release granted the ticket");
+        assert_eq!(lease.gpu_count(), 8);
+        drop(lease);
         assert!(arb.audit().is_ok());
     }
 }

@@ -83,17 +83,18 @@ impl TrainingSystem for FlexSpSystem {
 
     fn run_iteration(&mut self, batch: &[Sequence]) -> Result<SystemReport, BaselineError> {
         let solved = self.solver.solve_iteration(batch)?;
-        self.last_signature = solved.plan.signature().replace('\n', "; ");
-        self.last_plan = Some(solved.plan.clone());
+        // Stored before it runs, so `last_plan` holds a plan that failed.
+        let plan = self.last_plan.insert(solved.plan);
+        self.last_signature = plan.signature().replace('\n', "; ");
         let report = self
             .executor
-            .execute(&solved.plan)
+            .execute(plan)
             .map_err(|e| BaselineError::Exec(e.to_string()))?;
         Ok(SystemReport {
             total_s: report.total_s,
             comm_s: report.alltoall_s,
             compute_s: report.compute_s,
-            tokens: solved.plan.total_tokens(),
+            tokens: plan.total_tokens(),
             solve_wall_s: solved.solve_wall_s,
         })
     }
