@@ -502,7 +502,6 @@ impl Drop for ClusterDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbiter::Ticket;
     use crate::clock::LogicalClock;
     use crate::lease::Lease;
     use crate::policy::{JobId, Priority, SlotRequest};
@@ -790,7 +789,8 @@ mod tests {
     }
 
     /// A churn step `(kind, gpus, who, term, idx)`: immediate lease,
-    /// queued request (kinds 1 and 2), drop, shrink, grow, renew, claim
+    /// queued request (kinds 1 and 2; kind 2 first cancels a waiting or
+    /// granted ticket, if there is one), drop, shrink, grow, renew, claim
     /// every ticket, or (kinds 8 and 9) advance the clock `1 + idx % 3`
     /// ticks. `who` picks the job and its priority; `term > 3` bounds the
     /// lease to `term − 3` ticks. These weights make the pump both reap
@@ -804,6 +804,11 @@ mod tests {
         /// right after every poll, at the same tick, finds nothing to do
         /// and changes nothing — so maintaining only when the pump says a
         /// deadline is due is the same as maintaining on every tick.
+        ///
+        /// Every call also leaves the admission queue settled: a settle
+        /// run right after each step (and after each cancel) grants
+        /// nothing and changes nothing. `claim` rests on this to settle
+        /// nothing itself.
         #[test]
         fn maintain_after_poll_is_quiet_and_changes_nothing(
             ops in churn(),
@@ -822,6 +827,21 @@ mod tests {
                 let mut pump = MaintenancePump::new(arb.clone());
                 let mut held: Vec<Lease> = Vec::new();
                 let mut tickets = Vec::new();
+                let settled = |step: usize| -> Result<(), TestCaseError> {
+                    let before = observe(&arb);
+                    arb.settle_now();
+                    prop_assert_eq!(
+                        before,
+                        observe(&arb),
+                        "{} / {} shards / grace {}: step {} at t={} left the queue unsettled",
+                        policy,
+                        shards,
+                        grace,
+                        step,
+                        arb.now()
+                    );
+                    Ok(())
+                };
                 for (step, &(kind, gpus, who, term, idx)) in ops.iter().enumerate() {
                     let mut req = SlotRequest::new(JobId(u64::from(who)), gpus)
                         .with_priority(Priority(who * 100));
@@ -831,7 +851,13 @@ mod tests {
                     let pick = (!held.is_empty()).then(|| idx % held.len());
                     match (kind, pick) {
                         (0, _) => held.extend(arb.try_lease(req).ok()),
-                        (1 | 2, _) => tickets.extend(arb.request(req).ok()),
+                        (1 | 2, _) => {
+                            if kind == 2 && !tickets.is_empty() {
+                                arb.cancel(&tickets.remove(idx % tickets.len()));
+                                settled(step)?;
+                            }
+                            tickets.extend(arb.request(req).ok());
+                        }
                         (3, Some(i)) => drop(held.remove(i)),
                         (4, Some(i)) => {
                             let _ = held[i].shrink(gpus);
@@ -854,6 +880,7 @@ mod tests {
                         }
                         _ => {}
                     }
+                    settled(step)?;
                     held.retain_mut(|l| {
                         l.sync();
                         l.gpu_count() > 0
@@ -870,117 +897,6 @@ mod tests {
                     prop_assert_eq!(before, observe(&arb));
                 }
                 drop(held);
-                prop_assert!(arb.audit().is_ok(), "{:?}", arb.audit());
-            }
-        }
-    }
-
-    proptest! {
-        /// Every public call leaves the admission queue settled: a settle
-        /// run right after it grants nothing and changes nothing (epoch,
-        /// fingerprint, stats with the queue depth, fairness counters, and
-        /// each lease's slots, demand and expiry). `claim` rests on this
-        /// to settle nothing itself. The steps are the pump property's,
-        /// except that kind 2 first cancels a ticket (waiting or granted),
-        /// then queues its request.
-        #[test]
-        fn settle_after_any_call_is_quiet(
-            ops in churn(),
-            shards in 1u32..=3,
-            grace in 1u64..=3,
-        ) {
-            for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::BestFitSkuClass] {
-                let clock = LogicalClock::new();
-                let arb = ClusterArbiter::with_clock(
-                    &Topology::new(4, 4),
-                    policy,
-                    Arc::new(clock.clone()),
-                )
-                .with_shards(shards)
-                .with_grace(grace);
-                let mut pump = MaintenancePump::new(arb.clone());
-                let mut held: Vec<Lease> = Vec::new();
-                let mut tickets: Vec<Ticket> = Vec::new();
-                let quiet = |step: usize, call: &str| -> Result<(), TestCaseError> {
-                    let before = observe(&arb);
-                    arb.settle_now();
-                    prop_assert_eq!(
-                        before,
-                        observe(&arb),
-                        "{} / {} shards / grace {}: step {} at t={}: the settle after {} \
-                         changed the ledger",
-                        policy,
-                        shards,
-                        grace,
-                        step,
-                        arb.now(),
-                        call
-                    );
-                    Ok(())
-                };
-                for (step, &(kind, gpus, who, term, idx)) in ops.iter().enumerate() {
-                    let mut req = SlotRequest::new(JobId(u64::from(who)), gpus)
-                        .with_priority(Priority(who * 100));
-                    if term > 3 {
-                        req = req.with_term(u64::from(term - 3));
-                    }
-                    let pick = (!held.is_empty()).then(|| idx % held.len());
-                    match (kind, pick) {
-                        (0, _) => {
-                            held.extend(arb.try_lease(req).ok());
-                            quiet(step, "try_lease")?;
-                        }
-                        (1 | 2, _) => {
-                            if kind == 2 && !tickets.is_empty() {
-                                arb.cancel(&tickets.remove(idx % tickets.len()));
-                                quiet(step, "cancel")?;
-                            }
-                            tickets.extend(arb.request(req).ok());
-                            quiet(step, "request")?;
-                        }
-                        (3, Some(i)) => {
-                            drop(held.remove(i));
-                            quiet(step, "release")?;
-                        }
-                        (4, Some(i)) => {
-                            let _ = held[i].shrink(gpus);
-                            quiet(step, "shrink")?;
-                        }
-                        (5, Some(i)) => {
-                            let _ = held[i].grow(gpus, None);
-                            quiet(step, "grow")?;
-                        }
-                        (6, Some(i)) => {
-                            let _ = held[i].renew();
-                            quiet(step, "renew")?;
-                        }
-                        (7, _) => {
-                            for t in std::mem::take(&mut tickets) {
-                                match arb.claim(&t) {
-                                    Some(lease) => held.push(lease),
-                                    None => tickets.push(t),
-                                }
-                                quiet(step, "claim")?;
-                            }
-                        }
-                        (8 | 9, _) => {
-                            clock.advance(1 + idx as u64 % 3);
-                            quiet(step, "a clock advance")?;
-                        }
-                        _ => {}
-                    }
-                    held.retain_mut(|l| {
-                        l.sync();
-                        l.gpu_count() > 0
-                    });
-                    quiet(step, "sync")?;
-                    pump.poll();
-                    quiet(step, "poll")?;
-                }
-                while let Some(lease) = held.pop() {
-                    drop(lease);
-                    quiet(ops.len(), "release")?;
-                }
                 prop_assert!(arb.audit().is_ok(), "{:?}", arb.audit());
             }
         }
