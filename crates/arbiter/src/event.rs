@@ -1,24 +1,26 @@
-//! Event-driven maintenance, the one path that runs it: a keyed deadline
-//! heap (the timer-queue idiom), an epoch-gated [`MaintenancePump`], and
-//! a background [`ClusterDaemon`] thread.
+//! Event-driven maintenance, the one path that runs it: a
+//! [`MaintenancePump`] that fires lease deadlines, and a background
+//! [`ClusterDaemon`] thread that runs the pump on wall time.
 //!
-//! The design splits cleanly in two:
+//! [`MaintenancePump`] owns an arbiter plus a plain list of its leases'
+//! deadlines: one per termed or demanded lease, the nearer of its term
+//! expiry and its shrink demand's grace deadline. It rebuilds the list
+//! from the published shard snapshots — without the queue or a shard
+//! lock — whenever a shard published since its last scan, so a renewal
+//! or a satisfied demand replaces a lease's old deadline and a reaped or
+//! dropped lease's deadline is gone. The gate is the arbiter's
+//! publication count (`publish_seq`), which each publication bumps after
+//! storing its snapshot; the ledger epoch cannot serve, because
+//! mutations bump it before they publish and demand issuance publishes
+//! without bumping it.
 //!
-//! * [`DeadlineHeap`] is a pure, keyed min-heap of `(time, key)` entries
-//!   (`BinaryHeap<Reverse<_>>`). Rescheduling a key **supersedes** the
-//!   old entry (the stale heap node is skipped lazily on pop), which is
-//!   exactly what a lease renewal needs: the old expiry must never fire.
-//! * [`MaintenancePump`] owns an arbiter plus a heap keyed by lease id.
-//!   It rescans the published shard snapshots — without the queue or a
-//!   shard lock — whenever a shard published since its last scan,
-//!   schedules each termed or demanded lease's nearest deadline, and
-//!   runs the arbiter's maintenance pass only when a deadline is
-//!   actually due; nothing else runs that pass. Because every capacity
-//!   change in the arbiter settles at its source operation, a pass at a
-//!   time with no due deadline would be observably a no-op, so skipping
-//!   it loses nothing.
-//!   This module's `maintain_after_poll_is_quiet_and_changes_nothing`
-//!   property pins that under random churn.
+//! The pump runs the arbiter's maintenance pass only when a deadline is
+//! actually due; nothing else runs that pass. Because every capacity
+//! change in the arbiter settles at its source operation, a pass at a
+//! time with no due deadline would be observably a no-op, so skipping it
+//! loses nothing. This module's
+//! `maintain_after_poll_is_quiet_and_changes_nothing` property pins that
+//! under random churn.
 //!
 //! [`ClusterDaemon`] wraps the pump in a thread sleeping on a
 //! `Condvar` until the next deadline (converted to wall time by
@@ -27,9 +29,6 @@
 //! driven synchronously on a [`LogicalClock`](crate::LogicalClock), is
 //! the engine of the `flexsp-trace` discrete-event simulator.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -41,165 +40,25 @@ use flexsp_telemetry::{Counter, Histogram, HistogramSnapshot};
 use crate::arbiter::{ClusterArbiter, TickReport};
 use crate::clock::WallClock;
 
-/// One pending `(time, key)` entry. Ordered by `(at, seq)` — `seq` is a
-/// unique insertion counter, so the order is total and deterministic
-/// without requiring `K: Ord`.
-#[derive(Debug)]
-struct Entry<K> {
-    at: u64,
-    seq: u64,
-    key: K,
-}
-
-impl<K> PartialEq for Entry<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<K> Eq for Entry<K> {}
-impl<K> PartialOrd for Entry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K> Ord for Entry<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// A keyed timer queue: a min-heap of `(deadline, key)` entries where
-/// re-[`schedule`](DeadlineHeap::schedule)-ing a key supersedes its
-/// previous deadline and [`pop_until`](DeadlineHeap::pop_until) drains
-/// everything due, in nondecreasing time order.
-///
-/// Superseded and [`cancel`](DeadlineHeap::cancel)ed entries are left in
-/// the heap and skipped lazily when they surface (each is matched
-/// against the live `(key → seq)` map), so every operation stays
-/// `O(log n)` amortized.
-///
-/// # Example
-///
-/// ```
-/// use flexsp_arbiter::DeadlineHeap;
-/// let mut heap = DeadlineHeap::new();
-/// heap.schedule("lease-1", 5);
-/// heap.schedule("lease-2", 3);
-/// heap.schedule("lease-1", 9); // renewal: the entry at t=5 must not fire
-/// assert_eq!(heap.next_deadline(), Some(3));
-/// assert_eq!(heap.pop_until(5), vec![(3, "lease-2")]);
-/// assert_eq!(heap.pop_until(9), vec![(9, "lease-1")]);
-/// assert!(heap.is_empty());
-/// ```
-#[derive(Debug, Default)]
-pub struct DeadlineHeap<K> {
-    heap: BinaryHeap<Reverse<Entry<K>>>,
-    /// key → (seq, at) of the one live entry for that key.
-    live: HashMap<K, (u64, u64)>,
-    seq: u64,
-}
-
-impl<K: Eq + Hash + Clone> DeadlineHeap<K> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            live: HashMap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Number of live (scheduled, not superseded or canceled) deadlines.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether no live deadline is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// Schedules `key` to fire at `at`, superseding any previous
-    /// deadline for the same key.
-    pub fn schedule(&mut self, key: K, at: u64) {
-        self.seq += 1;
-        self.live.insert(key.clone(), (self.seq, at));
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: self.seq,
-            key,
-        }));
-    }
-
-    /// Removes `key`'s deadline, if scheduled. Returns whether one was.
-    pub fn cancel(&mut self, key: &K) -> bool {
-        self.live.remove(key).is_some()
-    }
-
-    /// The scheduled deadline for `key`, if any.
-    pub fn deadline_of(&self, key: &K) -> Option<u64> {
-        self.live.get(key).map(|&(_, at)| at)
-    }
-
-    /// Whether the entry at the top of the heap is stale (superseded or
-    /// canceled) and should be discarded.
-    fn top_is_stale(&self) -> Option<bool> {
-        self.heap
-            .peek()
-            .map(|Reverse(e)| self.live.get(&e.key).map(|&(seq, _)| seq) != Some(e.seq))
-    }
-
-    /// The earliest live deadline, pruning stale heap entries.
-    pub fn next_deadline(&mut self) -> Option<u64> {
-        while self.top_is_stale() == Some(true) {
-            self.heap.pop();
-        }
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Pops every deadline due at or before `now`, in nondecreasing time
-    /// order (ties broken by schedule order). Nothing with a deadline
-    /// after `now` ever fires.
-    pub fn pop_until(&mut self, now: u64) -> Vec<(u64, K)> {
-        let mut due = Vec::new();
-        loop {
-            match self.top_is_stale() {
-                None => break,
-                Some(true) => {
-                    self.heap.pop();
-                }
-                Some(false) => {
-                    if self.heap.peek().is_none_or(|Reverse(e)| e.at > now) {
-                        break;
-                    }
-                    let Some(Reverse(e)) = self.heap.pop() else {
-                        break;
-                    };
-                    self.live.remove(&e.key);
-                    due.push((e.at, e.key));
-                }
-            }
-        }
-        due
-    }
-}
-
-/// An arbiter plus a [`DeadlineHeap`] of its leases' next deadlines
-/// (term expiry or shrink-demand grace), kept current by an epoch-gated
-/// rescan of the published shard snapshots.
+/// An arbiter plus the deadlines of its leases (term expiry or
+/// shrink-demand grace), re-read from the published shard snapshots
+/// whenever a shard publishes.
 ///
 /// [`poll`](MaintenancePump::poll) is the single step both execution
 /// styles share: the [`ClusterDaemon`] calls it from a thread on a
 /// [`WallClock`](crate::WallClock); the `flexsp-trace` simulator and
 /// tests call it synchronously on a [`LogicalClock`](crate::LogicalClock).
 /// It is the only caller of the arbiter's maintenance pass, and calls it
-/// only when a scheduled deadline is due; because every capacity change
-/// settles at its source operation, a pass when none is due would
-/// change nothing.
+/// only when a deadline is due; because every capacity change settles at
+/// its source operation, a pass when none is due would change nothing.
 #[derive(Debug)]
 pub struct MaintenancePump {
     arbiter: ClusterArbiter,
-    heap: DeadlineHeap<u64>,
+    /// The nearest deadline, `min(expires_at, demand.deadline)`, of each
+    /// termed or demanded lease at the last rescan, less those a poll
+    /// fired since. Unordered: its readers want the minimum, the ones
+    /// due and the count.
+    deadlines: Vec<u64>,
     /// The arbiter's publication count read just before the last rescan
     /// — the rescan gate. Each publication bumps it after storing its
     /// snapshot, so one the scan missed always reopens the gate.
@@ -213,12 +72,12 @@ pub struct MaintenancePump {
 }
 
 impl MaintenancePump {
-    /// A pump over `arbiter`, with the heap primed from the current
+    /// A pump over `arbiter`, with its deadlines read from the current
     /// ledger.
     pub fn new(arbiter: ClusterArbiter) -> Self {
         let mut pump = Self {
             arbiter,
-            heap: DeadlineHeap::new(),
+            deadlines: Vec::new(),
             seen: None,
             wakeups: Arc::default(),
             lateness: Arc::default(),
@@ -232,10 +91,10 @@ impl MaintenancePump {
         &self.arbiter
     }
 
-    /// Live deadlines currently scheduled (one per termed or demanded
-    /// lease).
+    /// Deadlines currently pending (one per termed or demanded lease,
+    /// less those fired since the last rescan).
     pub fn scheduled(&self) -> usize {
-        self.heap.len()
+        self.deadlines.len()
     }
 
     /// Polls that found a deadline due and ran a maintenance pass.
@@ -249,15 +108,14 @@ impl MaintenancePump {
         self.lateness.snapshot()
     }
 
-    /// Re-derives the heap from the published shard snapshots if any
-    /// shard published since the last scan. Each snapshot load takes the
-    /// shard's publish-slot mutex for one pointer copy; nothing here
+    /// Rebuilds the deadline list from the published shard snapshots if
+    /// any shard published since the last scan. Each snapshot load takes
+    /// the shard's publish-slot mutex for one pointer copy; nothing here
     /// touches the queue lock or a shard lock.
     ///
-    /// Each lease contributes its *nearest* deadline — `min(expires_at,
-    /// demand.deadline)` — keyed by lease id, so a renewal (new
-    /// `expires_at`) or a satisfied demand supersedes the stale entry
-    /// and a reaped or dropped lease's entry is canceled.
+    /// Each rebuild reads every lease afresh, so a renewal (new
+    /// `expires_at`) or a satisfied demand replaces the lease's old
+    /// deadline, and a reaped or dropped lease's deadline is gone.
     // lint: lock-free
     fn refresh(&mut self) {
         let stamp = self.arbiter.inner.publish_seq.load(Ordering::Acquire);
@@ -266,64 +124,42 @@ impl MaintenancePump {
         }
         let _rescan_span = tel::span!(tel::Category::Pump, "pump.rescan", "publishes" => stamp);
         self.seen = Some(stamp);
-        let mut desired: Vec<(u64, u64)> = Vec::new();
+        self.deadlines.clear();
         for shard in self.arbiter.inner.shards.iter() {
             let snap = shard.snap.load();
-            for (&id, view) in snap.live.iter() {
-                let expiry = view.expires_at;
+            self.deadlines.extend(snap.live.values().filter_map(|view| {
                 let grace = view.demand.map(|d| d.deadline);
-                let at = match (expiry, grace) {
-                    (Some(e), Some(g)) => Some(e.min(g)),
-                    (Some(e), None) => Some(e),
-                    (None, Some(g)) => Some(g),
-                    (None, None) => None,
-                };
-                if let Some(at) = at {
-                    desired.push((id, at));
-                }
-            }
-        }
-        // Deterministic schedule order (snapshot maps iterate in
-        // arbitrary order) — pop ties then break by lease id.
-        desired.sort_unstable();
-        let stale: Vec<u64> = self
-            .heap
-            .live
-            .keys()
-            .filter(|id| !desired.iter().any(|(d, _)| d == *id))
-            .copied()
-            .collect();
-        for id in stale {
-            self.heap.cancel(&id);
-        }
-        for (id, at) in desired {
-            if self.heap.deadline_of(&id) != Some(at) {
-                self.heap.schedule(id, at);
-            }
+                view.expires_at.into_iter().chain(grace).min()
+            }));
         }
     }
 
-    /// The earliest scheduled deadline, after refreshing from the
-    /// ledger. `None` when no lease has a term or standing demand.
+    /// The earliest pending deadline, after refreshing from the ledger.
+    /// `None` when no lease has a term or standing demand.
     pub fn next_deadline(&mut self) -> Option<u64> {
         self.refresh();
-        self.heap.next_deadline()
+        self.deadlines.iter().copied().min()
     }
 
     /// One pump step at the arbiter clock's current time: refresh the
-    /// heap, and if any deadline is due, record how late each one fired,
-    /// run one maintenance pass and re-refresh (the pass mutates the
-    /// ledger). Returns the pass's report, or `None` when nothing was due
-    /// and maintenance was skipped entirely.
+    /// deadlines, and if any is due, remove the due ones, record how late
+    /// each fired, run one maintenance pass and re-refresh (the pass
+    /// mutates the ledger). Returns the pass's report, or `None` when
+    /// nothing was due and maintenance was skipped entirely. A fired
+    /// deadline cannot fire again until a shard publishes.
     pub fn poll(&mut self) -> Option<TickReport> {
         self.refresh();
         let now = self.arbiter.now();
-        let due = self.heap.pop_until(now);
-        if due.is_empty() {
+        let pending = self.deadlines.len();
+        self.deadlines.retain(|&at| {
+            let due = at <= now;
+            if due {
+                self.lateness.record(now - at);
+            }
+            !due
+        });
+        if self.deadlines.len() == pending {
             return None;
-        }
-        for (at, _) in due {
-            self.lateness.record(now - at);
         }
         let _wakeup_span = tel::span!(tel::Category::Pump, "pump.wakeup", "now" => now);
         self.wakeups.inc();
@@ -402,7 +238,7 @@ impl ClusterDaemon {
     /// Spawns the maintenance thread over `arbiter`, reading deadlines
     /// against `clock`. The arbiter should have been built with
     /// [`ClusterArbiter::with_clock`] over (a clone of) the same clock,
-    /// so the deadlines the pump schedules and the time maintenance runs
+    /// so the deadlines the pump reads and the time maintenance runs
     /// at agree.
     pub fn spawn(arbiter: ClusterArbiter, clock: WallClock) -> Self {
         let shared = Arc::new(DaemonShared::default());
@@ -508,33 +344,6 @@ mod tests {
     use crate::AdmissionPolicy;
     use flexsp_sim::Topology;
     use proptest::prelude::*;
-
-    #[test]
-    fn pop_until_is_nondecreasing_and_never_early() {
-        let mut h = DeadlineHeap::new();
-        h.schedule(1u32, 9);
-        h.schedule(2, 4);
-        h.schedule(3, 4);
-        h.schedule(4, 15);
-        assert_eq!(h.pop_until(3), vec![]);
-        assert_eq!(h.pop_until(9), vec![(4, 2), (4, 3), (9, 1)]);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.next_deadline(), Some(15));
-    }
-
-    #[test]
-    fn reschedule_supersedes_and_cancel_removes() {
-        let mut h = DeadlineHeap::new();
-        h.schedule("a", 2);
-        h.schedule("b", 3);
-        h.schedule("a", 10); // renewal
-        assert!(h.cancel(&"b"));
-        assert!(!h.cancel(&"b"));
-        assert_eq!(h.pop_until(5), vec![], "superseded entry must not fire");
-        assert_eq!(h.deadline_of(&"a"), Some(10));
-        assert_eq!(h.pop_until(10), vec![(10, "a")]);
-        assert!(h.is_empty());
-    }
 
     #[test]
     fn pump_reaps_only_at_due_deadlines() {
@@ -645,6 +454,38 @@ mod tests {
         drop(low);
         pump.next_deadline();
         assert_eq!(pump.scheduled(), 0);
+    }
+
+    #[test]
+    fn pump_keeps_the_nearer_of_a_leases_term_and_demand() {
+        let clock = LogicalClock::new();
+        let arb = ClusterArbiter::with_clock(
+            &Topology::new(2, 8),
+            AdmissionPolicy::Fifo,
+            Arc::new(clock.clone()),
+        )
+        .with_grace(2);
+        let mut pump = MaintenancePump::new(arb.clone());
+        let mut low = arb
+            .try_lease(
+                SlotRequest::new(JobId(1), 16)
+                    .with_priority(Priority::LOW)
+                    .with_term(10),
+            )
+            .unwrap();
+        let ticket = arb
+            .request(SlotRequest::new(JobId(2), 8).with_priority(Priority::CRITICAL))
+            .unwrap();
+        let demand = low
+            .pending_demand()
+            .expect("the queued request demands GPUs");
+        assert_eq!(demand.deadline, 2);
+        assert_eq!(pump.next_deadline(), Some(2), "the demand is nearer");
+        assert_eq!(pump.scheduled(), 1, "one deadline per lease");
+        low.shrink(demand.gpus).unwrap();
+        let _high = arb.claim(&ticket).expect("the shrink admitted the request");
+        assert_eq!(pump.next_deadline(), Some(10), "the term again");
+        assert_eq!(pump.scheduled(), 1);
     }
 
     #[test]

@@ -36,11 +36,10 @@
 //!   [`Lease::sync`] and replan by re-binding — the availability
 //!   fingerprint guarantees no stale plan ever replays.
 //! * **Event-driven maintenance** — one path runs maintenance: a
-//!   [`MaintenancePump`] keeps a [`DeadlineHeap`] of each lease's next
-//!   term or grace deadline (rebuilt from the published snapshots,
-//!   without the queue or a shard lock, whenever a shard publishes)
-//!   and sweeps the ledger
-//!   only when a deadline is actually due. Deployments run it in a
+//!   [`MaintenancePump`] keeps a list of each lease's next term or
+//!   grace deadline (rebuilt from the published snapshots, without the
+//!   queue or a shard lock, whenever a shard publishes) and sweeps the
+//!   ledger only when a deadline is actually due. Deployments run it in a
 //!   [`ClusterDaemon`] on a [`WallClock`]; the `flexsp-trace`
 //!   discrete-event simulator and tests poll it on a [`LogicalClock`].
 //!   An arbiter built with [`ClusterArbiter::new`] reads a clock nothing
@@ -109,6 +108,6 @@ pub use arbiter::{
     ArbiterStats, ClusterArbiter, LeaseError, ShrinkDemand, TickReport, Ticket, DEFAULT_GRACE_TICKS,
 };
 pub use clock::{Clock, LogicalClock, WallClock};
-pub use event::{ClusterDaemon, DeadlineHeap, MaintenancePump};
+pub use event::{ClusterDaemon, MaintenancePump};
 pub use lease::{Lease, LeaseEvent};
 pub use policy::{AdmissionPolicy, JobCounters, JobId, Priority, SlotRequest};

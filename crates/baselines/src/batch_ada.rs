@@ -138,6 +138,7 @@ impl TrainingSystem for FlexSpBatchAda {
             compute_s: report.compute_s,
             tokens: plan.total_tokens(),
             solve_wall_s,
+            predicted_s: None,
         })
     }
 }

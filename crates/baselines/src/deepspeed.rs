@@ -7,7 +7,7 @@ use std::time::Instant;
 use flexsp_cost::{sp_step_spec, ulysses_zero_spec, CostModel};
 use flexsp_data::{pack_best_fit_decreasing, PackedInput, Sequence};
 use flexsp_model::{ActivationPolicy, ModelConfig};
-use flexsp_sim::{simulate_sp_step, ClusterSpec, DeviceGroup, SpStepReport};
+use flexsp_sim::{simulate_sp_step, ClusterSpec, DeviceGroup, SpStepReport, OPTIMIZER_OVERHEAD_S};
 
 use crate::system::{BaselineError, SystemReport, TrainingSystem};
 
@@ -27,7 +27,6 @@ pub struct DeepSpeedUlysses {
     policy: ActivationPolicy,
     cost: CostModel,
     degree: Option<u32>,
-    optimizer_overhead_s: f64,
     last_signature: String,
 }
 
@@ -58,7 +57,6 @@ impl DeepSpeedUlysses {
             policy,
             cost,
             degree: None,
-            optimizer_overhead_s: 0.25,
             last_signature: String::new(),
         })
     }
@@ -110,11 +108,12 @@ impl DeepSpeedUlysses {
             .copied()
             .unwrap_or_default();
         SystemReport {
-            total_s: critical.total_s() + self.optimizer_overhead_s,
+            total_s: critical.total_s() + OPTIMIZER_OVERHEAD_S,
             comm_s: critical.alltoall_s,
             compute_s: critical.compute_s,
             tokens: packed.iter().map(|p| p.total_tokens()).sum(),
             solve_wall_s: 0.0,
+            predicted_s: None,
         }
     }
 

@@ -125,6 +125,7 @@ impl TrainingSystem for DegreeOnlyFlexSp {
             compute_s: report.compute_s,
             tokens,
             solve_wall_s,
+            predicted_s: None,
         })
     }
 }

@@ -14,7 +14,7 @@ use flexsp_core::{FlexSpSolver, IterationPlan, SolverConfig};
 use flexsp_cost::cp::{cp_zero_spec, fit_cp, simulate_cp_group, simulate_cp_replica};
 use flexsp_data::Sequence;
 use flexsp_model::{ActivationPolicy, ModelConfig};
-use flexsp_sim::{ClusterSpec, SpStepReport};
+use flexsp_sim::{ClusterSpec, SpStepReport, OPTIMIZER_OVERHEAD_S};
 
 use crate::system::{BaselineError, SystemReport, TrainingSystem};
 
@@ -26,7 +26,6 @@ pub struct FlexCpSystem {
     policy: ActivationPolicy,
     tp: u32,
     solver: FlexSpSolver,
-    optimizer_overhead_s: f64,
     last_signature: String,
 }
 
@@ -52,7 +51,6 @@ impl FlexCpSystem {
             policy,
             tp,
             solver: FlexSpSolver::new(cost, config),
-            optimizer_overhead_s: 0.25,
             last_signature: String::new(),
         }
     }
@@ -109,11 +107,12 @@ impl FlexCpSystem {
             compute += worst.compute_s;
         }
         Ok(SystemReport {
-            total_s: total + self.optimizer_overhead_s,
+            total_s: total + OPTIMIZER_OVERHEAD_S,
             comm_s: comm,
             compute_s: compute,
             tokens: plan.total_tokens(),
             solve_wall_s: 0.0,
+            predicted_s: None,
         })
     }
 }
@@ -159,7 +158,6 @@ pub struct HomogeneousCp {
     policy: ActivationPolicy,
     tp: u32,
     cp: u32,
-    optimizer_overhead_s: f64,
 }
 
 impl HomogeneousCp {
@@ -177,7 +175,6 @@ impl HomogeneousCp {
             policy,
             tp,
             cp,
-            optimizer_overhead_s: 0.25,
         }
     }
 
@@ -242,11 +239,12 @@ impl TrainingSystem for HomogeneousCp {
             .copied()
             .unwrap_or_default();
         Ok(SystemReport {
-            total_s: worst.total_s() + self.optimizer_overhead_s,
+            total_s: worst.total_s() + OPTIMIZER_OVERHEAD_S,
             comm_s: worst.alltoall_s,
             compute_s: worst.compute_s,
             tokens: packed.iter().map(|p| p.total_tokens()).sum(),
             solve_wall_s: start.elapsed().as_secs_f64(),
+            predicted_s: None,
         })
     }
 }

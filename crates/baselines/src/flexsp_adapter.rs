@@ -96,6 +96,7 @@ impl TrainingSystem for FlexSpSystem {
             compute_s: report.compute_s,
             tokens: plan.total_tokens(),
             solve_wall_s: solved.solve_wall_s,
+            predicted_s: Some(plan.predicted_time(self.solver.cost())),
         })
     }
 }

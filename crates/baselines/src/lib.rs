@@ -85,7 +85,7 @@ mod trainer {
         use flexsp_model::{ActivationPolicy, ModelConfig};
         use flexsp_sim::ClusterSpec;
 
-        use crate::{evaluate_system, FlexSpSystem, TrainingSystem};
+        use crate::{evaluate_system, FlexSpSystem};
 
         const CTX: u64 = 64 * 1024;
 
@@ -114,16 +114,8 @@ mod trainer {
 
         #[test]
         fn predictions_track_execution() {
-            let mut fx = flexsp();
-            let mut batches = loader();
-            let pred_err = (0..3)
-                .map(|_| {
-                    let report = fx.run_iteration(&batches.next_batch()).unwrap();
-                    let predicted = fx.last_plan().unwrap().predicted_time(fx.solver().cost());
-                    (predicted - report.total_s) / report.total_s
-                })
-                .sum::<f64>()
-                / 3.0;
+            let stats = evaluate_system(&mut flexsp(), loader(), 3).unwrap();
+            let pred_err = stats.mean_prediction_error().unwrap();
             // The solver's cost model should predict execution within ~25 %
             // (it ignores the optimizer overhead and exposed ZeRO slivers).
             assert!(pred_err.abs() < 0.25, "prediction error {pred_err}");

@@ -6,7 +6,9 @@ use std::time::Instant;
 
 use flexsp_data::{pack_best_fit_decreasing, PackedInput, Sequence};
 use flexsp_model::{ActivationPolicy, FlopsModel, ModelConfig, ZeroStage, BF16_BYTES};
-use flexsp_sim::{collective_time, ClusterSpec, Collective, DeviceGroup, GpuId};
+use flexsp_sim::{
+    collective_time, ClusterSpec, Collective, DeviceGroup, GpuId, OPTIMIZER_OVERHEAD_S,
+};
 
 use crate::system::{BaselineError, SystemReport, TrainingSystem};
 
@@ -49,7 +51,6 @@ pub struct MegatronLm {
     policy: ActivationPolicy,
     flops: FlopsModel,
     strategy: Option<MegatronStrategy>,
-    optimizer_overhead_s: f64,
 }
 
 impl MegatronLm {
@@ -62,7 +63,6 @@ impl MegatronLm {
             policy,
             flops,
             strategy: None,
-            optimizer_overhead_s: 0.25,
         }
     }
 
@@ -225,11 +225,12 @@ impl MegatronLm {
             comm += exposed;
         }
         SystemReport {
-            total_s: total + self.optimizer_overhead_s,
+            total_s: total + OPTIMIZER_OVERHEAD_S,
             comm_s: comm,
             compute_s: compute,
             tokens: packed.iter().map(|p| p.total_tokens()).sum(),
             solve_wall_s: 0.0,
+            predicted_s: None,
         }
     }
 

@@ -51,6 +51,9 @@ pub struct SystemReport {
     pub tokens: u64,
     /// Wall-clock seconds the system spent planning (CPU side).
     pub solve_wall_s: f64,
+    /// The planner's predicted iteration seconds, for systems that plan
+    /// against a cost model and report it ([`FlexSpSystem`](crate::FlexSpSystem)).
+    pub predicted_s: Option<f64>,
 }
 
 impl SystemReport {
@@ -132,6 +135,18 @@ impl SystemStats {
         }
         self.reports.iter().map(|r| r.solve_wall_s).sum::<f64>() / self.reports.len() as f64
     }
+
+    /// Mean signed prediction error, `(predicted − executed) / executed`,
+    /// over the iterations that report a prediction; `None` when none
+    /// does.
+    pub fn mean_prediction_error(&self) -> Option<f64> {
+        let (sum, n) = self
+            .reports
+            .iter()
+            .filter_map(|r| r.predicted_s.map(|p| (p - r.total_s) / r.total_s))
+            .fold((0.0, 0usize), |(sum, n), e| (sum + e, n + 1));
+        (n > 0).then(|| sum / n as f64)
+    }
 }
 
 /// Runs `system` for `iterations` batches from `loader` and aggregates.
@@ -169,9 +184,10 @@ mod tests {
             compute_s: 6.0,
             tokens: 1000,
             solve_wall_s: 0.1,
+            predicted_s: None,
         };
         assert!((r.comm_ratio() - 0.4).abs() < 1e-12);
-        let stats = SystemStats {
+        let mut stats = SystemStats {
             name: "x".into(),
             strategy: "s".into(),
             reports: vec![r, r],
@@ -179,5 +195,16 @@ mod tests {
         };
         assert!((stats.mean_iteration_s() - 10.0).abs() < 1e-12);
         assert!((stats.tokens_per_gpu_s() - 2000.0 / 20.0 / 10.0).abs() < 1e-12);
+        assert_eq!(stats.mean_prediction_error(), None);
+        // Only the iterations that report a prediction count.
+        stats.reports.push(SystemReport {
+            predicted_s: Some(9.0),
+            ..r
+        });
+        stats.reports.push(SystemReport {
+            predicted_s: Some(12.0),
+            ..r
+        });
+        assert!((stats.mean_prediction_error().unwrap() - 0.05).abs() < 1e-12);
     }
 }

@@ -14,7 +14,9 @@ use std::fmt;
 
 use flexsp_cost::{sp_step_spec, ulysses_zero_spec};
 use flexsp_model::{ActivationPolicy, ModelConfig, ZeroStage};
-use flexsp_sim::{simulate_sp_step, ClusterSpec, GroupPool, MemoryTracker, OomError};
+use flexsp_sim::{
+    simulate_sp_step, ClusterSpec, GroupPool, MemoryTracker, OomError, OPTIMIZER_OVERHEAD_S,
+};
 
 use crate::plan::IterationPlan;
 
@@ -108,20 +110,18 @@ pub struct Executor {
     model: ModelConfig,
     policy: ActivationPolicy,
     pool: GroupPool,
-    optimizer_overhead_s: f64,
 }
 
 impl Executor {
     /// Creates an executor with the default communicator creation cost
-    /// (1.5 s, paper: ≈10 s for the six groups of a 64-GPU run) and a
-    /// 0.25 s optimizer-step overhead.
+    /// (1.5 s, paper: ≈10 s for the six groups of a 64-GPU run). Every
+    /// iteration also pays the optimizer step, [`OPTIMIZER_OVERHEAD_S`].
     pub fn new(cluster: ClusterSpec, model: ModelConfig, policy: ActivationPolicy) -> Self {
         Self {
             cluster,
             model,
             policy,
             pool: GroupPool::new(1.5),
-            optimizer_overhead_s: 0.25,
         }
     }
 
@@ -244,8 +244,8 @@ impl Executor {
             report.zero_s += c.zero_exposed_s;
         }
 
-        report.overhead_s = self.optimizer_overhead_s;
-        report.total_s += self.optimizer_overhead_s;
+        report.overhead_s = OPTIMIZER_OVERHEAD_S;
+        report.total_s += OPTIMIZER_OVERHEAD_S;
         report.peak_mem_bytes = mem.max_peak();
         Ok(report)
     }

@@ -69,3 +69,8 @@ pub use pool::{allocate_aligned, AllocError, GroupPool, PoolFetch, PoolStats};
 pub use shape::{enumerate_shapes, GroupShape, NodeSlots, NodeSpec, SkuId, Topology};
 pub use spec::{ClusterSpec, GpuSpec, InterconnectSpec, SpecError};
 pub use ulysses::{simulate_sp_step, SpStepReport, SpStepSpec, ZeroTrafficSpec};
+
+/// Seconds of optimizer step every simulated training iteration adds to
+/// its critical path, once per iteration: FlexSP's executor and every
+/// baseline charge the same amount.
+pub const OPTIMIZER_OVERHEAD_S: f64 = 0.25;

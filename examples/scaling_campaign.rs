@@ -12,7 +12,6 @@
 //! behaviour (paper §5: at most log₂N + 1 cached groups per GPU), and
 //! the cost model's mean prediction error against the executed time.
 
-use flexsp::baselines::SystemStats;
 use flexsp::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,26 +38,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .expect("some policy fits");
 
             let mut system = FlexSpSystem::fast(cluster, model, policy);
-            let mut loader = GlobalBatchLoader::new(
+            let loader = GlobalBatchLoader::new(
                 LengthDistribution::common_crawl(),
                 32 * nodes as usize,
                 max_ctx,
                 5,
             );
-            // `evaluate_system`'s loop, stepped by hand to read each
-            // iteration's predicted time next to its executed time.
-            let mut stats = SystemStats {
-                num_gpus: system.num_gpus(),
-                ..SystemStats::default()
-            };
-            let mut pred_err = 0.0;
-            for _ in 0..ITERATIONS {
-                let report = system.run_iteration(&loader.next_batch())?;
-                let plan = system.last_plan().expect("an iteration ran");
-                let predicted_s = plan.predicted_time(system.solver().cost());
-                pred_err += (predicted_s - report.total_s) / report.total_s;
-                stats.reports.push(report);
-            }
+            let stats = evaluate_system(&mut system, loader, ITERATIONS)?;
+            let pred_err = stats
+                .mean_prediction_error()
+                .expect("FlexSP reports its predictions");
             println!(
                 "{:>6} {:>5}K {:>12.0} {:>9.1}% {:>10.3} {:>12} {:>9.1}%",
                 stats.num_gpus,
@@ -67,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 100.0 * stats.mean_comm_ratio(),
                 stats.mean_solve_s(),
                 system.executor().pool().max_groups_per_gpu(),
-                100.0 * (pred_err / ITERATIONS as f64).abs(),
+                100.0 * pred_err.abs(),
             );
         }
     }

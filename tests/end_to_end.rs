@@ -1,7 +1,6 @@
 //! Cross-crate integration tests: full training loops, system ordering,
 //! communicator-pool invariants, and reproducibility.
 
-use flexsp::baselines::SystemStats;
 use flexsp::prelude::*;
 
 fn flexsp(nodes: u32, ctx: u64) -> FlexSpSystem {
@@ -18,21 +17,8 @@ fn loader(batch: usize, ctx: u64, seed: u64) -> GlobalBatchLoader {
 
 #[test]
 fn training_loop_runs_and_reports() {
-    let mut fx = flexsp(2, 64 * 1024);
-    let mut batches = loader(64, 64 * 1024, 1);
-    let mut stats = SystemStats {
-        num_gpus: fx.num_gpus(),
-        ..SystemStats::default()
-    };
-    let mut pred_err = 0.0;
-    for _ in 0..3 {
-        let report = fx
-            .run_iteration(&batches.next_batch())
-            .expect("training runs");
-        let plan = fx.last_plan().expect("an iteration ran");
-        pred_err += (plan.predicted_time(fx.solver().cost()) - report.total_s) / report.total_s;
-        stats.reports.push(report);
-    }
+    let stats = evaluate_system(&mut flexsp(2, 64 * 1024), loader(64, 64 * 1024, 1), 3)
+        .expect("training runs");
     assert!(stats.mean_iteration_s() > 0.0);
     assert!(stats.tokens_per_gpu_s() > 0.0);
     assert!(
@@ -42,7 +28,9 @@ fn training_loop_runs_and_reports() {
     // Solver predictions track execution (the paper's premise that the
     // cost model is accurate enough to optimize against); the model
     // leaves out the optimizer step and exposed ZeRO slivers.
-    let pred_err = pred_err / 3.0;
+    let pred_err = stats
+        .mean_prediction_error()
+        .expect("FlexSP reports its predictions");
     assert!(pred_err.abs() < 0.25, "prediction error {pred_err}");
 }
 
