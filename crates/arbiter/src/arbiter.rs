@@ -3,9 +3,9 @@
 //! terms, and priority preemption — scaled out as a **sharded** concurrent
 //! subsystem: the ledger is split by node range behind per-shard locks,
 //! reads serve from atomic gauges and published snapshots without the
-//! queue or a shard lock, and admission runs in
-//! batched priority-sorted waves (see [`crate::shard`] for the lock
-//! ordering rule every path follows).
+//! queue or a shard lock, and admission settles a queue kept in service
+//! order in one pass (see [`crate::shard`] for the lock ordering rule
+//! every path follows).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -18,7 +18,7 @@ use flexsp_telemetry::Counter;
 
 use crate::clock::{Clock, LogicalClock};
 use crate::lease::Lease;
-use crate::policy::{AdmissionPolicy, JobCounters, JobId, Priority, SlotRequest};
+use crate::policy::{best_fit, AdmissionPolicy, JobCounters, JobId, Priority, SlotRequest};
 use crate::rank;
 use crate::shard::{partition_nodes, LeaseView, Shard, ShardSnapshot, ShardState, GAUGE};
 
@@ -143,7 +143,7 @@ pub struct Ticket {
     pub job: JobId,
 }
 
-/// One queued request (ticket id + ask), in arrival order.
+/// One queued request (ticket id + ask).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pending {
     pub(crate) ticket: u64,
@@ -254,7 +254,11 @@ const FAIRNESS_STRIPES: usize = 16;
 /// small lock, while the ledger itself lives in the shards.
 #[derive(Debug)]
 pub(crate) struct QueueState {
-    /// Queued requests, arrival order.
+    /// Queued requests in service order: priority descending, then
+    /// arrival. [`ClusterArbiter::request`] inserts each request behind
+    /// every request of its priority or higher, and every other change
+    /// only removes, so the front is always the request FIFO serves next
+    /// and the one preemption reclaims capacity for.
     pub(crate) pending: VecDeque<Pending>,
     /// Granted-but-unclaimed queued requests:
     /// ticket id → (ask, lease id, home shard).
@@ -611,88 +615,58 @@ impl<'a> LedgerGuard<'a> {
         (view.job, n)
     }
 
-    /// Grants queued requests until nothing (more) fits. FIFO admits a
-    /// whole **batched wave**: the grant order is fixed up front
-    /// (priority descending, arrival ascending — exactly the repeated
-    /// effective-front pick) and grants stop at the first non-fit, so
-    /// one pass over the queue replaces a re-scan per grant. Best-fit
-    /// re-scores after every grant (its rank depends on the ledger), so
-    /// it keeps the pick loop. Losers accumulate a wait round per grant
-    /// they sat through.
+    /// Grants queued requests until nothing (more) fits. The queue is
+    /// in service order, so FIFO grants from the front until the front
+    /// does not fit (head-of-line blocking), and best-fit re-scores the
+    /// queue in place after every grant (its rank depends on the
+    /// ledger). Wait rounds are charged in the same pass: the k-th grant
+    /// (counting from 0) sat through the k grants before it, and each
+    /// request left waiting sat through all of them.
     fn pump(&mut self, now: u64) {
         let inner = self.inner;
-        match self.q.policy {
-            AdmissionPolicy::Fifo => {
-                let mut order: Vec<usize> = (0..self.q.pending.len()).collect();
-                order.sort_unstable_by_key(|&i| {
-                    (std::cmp::Reverse(self.q.pending[i].request.priority), i)
-                });
-                let mut granted = vec![false; self.q.pending.len()];
-                for &i in &order {
-                    let p = self.q.pending[i];
-                    if p.request.gpus > self.free() {
-                        break; // head-of-line blocking: the front must go first
-                    }
-                    let out = self.grant(&p.request, now);
-                    granted[i] = true;
-                    self.q
-                        .granted
-                        .insert(p.ticket, (p.request, out.id, out.home));
-                    for (j, waiting) in self.q.pending.iter().enumerate() {
-                        if !granted[j] {
-                            inner.with_counters(waiting.request.job, |c| c.wait_rounds += 1);
-                        }
-                    }
-                }
-                if granted.iter().any(|&g| g) {
-                    let kept: VecDeque<Pending> = self
-                        .q
-                        .pending
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !granted[*i])
-                        .map(|(_, p)| *p)
-                        .collect();
-                    self.q.pending = kept;
-                }
+        let mut grants = 0;
+        while let Some(i) = self.next_grant() {
+            // lint: allow(unwrap) `next_grant` returns an index into this same locked queue
+            let p = self.q.pending.remove(i).expect("index from the queue");
+            let out = self.grant(&p.request, now);
+            self.q
+                .granted
+                .insert(p.ticket, (p.request, out.id, out.home));
+            if grants > 0 {
+                inner.with_counters(p.request.job, |c| c.wait_rounds += grants);
             }
-            AdmissionPolicy::BestFitSkuClass => loop {
-                let queue: Vec<Pending> = self.q.pending.iter().copied().collect();
-                let policy = self.q.policy;
-                let Some(idx) = policy.pick(&queue, self.merged()) else {
-                    break;
-                };
-                // lint: allow(unwrap) `pick` returns an index into the queue snapshot taken two lines up
-                let p = self.q.pending.remove(idx).expect("index from the queue");
-                let out = self.grant(&p.request, now);
-                self.q
-                    .granted
-                    .insert(p.ticket, (p.request, out.id, out.home));
-                for waiting in &self.q.pending {
-                    inner.with_counters(waiting.request.job, |c| c.wait_rounds += 1);
-                }
-            },
+            grants += 1;
+        }
+        if grants > 0 {
+            for waiting in &self.q.pending {
+                inner.with_counters(waiting.request.job, |c| c.wait_rounds += grants);
+            }
         }
     }
 
-    /// Re-evaluates preemption: for the highest-priority pending request
-    /// the pump could not admit, issues shrink demands against
-    /// strictly-lower-priority lease holders (lowest priority first,
-    /// youngest lease first) until the shortfall is covered — but only
-    /// when lower-priority holdings *can* cover it, so doomed demands
-    /// never thrash tenants without admitting anyone. Demands no longer
-    /// justified are withdrawn; persisting demands keep their original
-    /// deadline. Returns the freshly issued demands.
+    /// The queue index the policy grants next, or `None` when it grants
+    /// nothing more: the front while it fits under FIFO, the best-scored
+    /// request that fits under best-fit.
+    fn next_grant(&mut self) -> Option<usize> {
+        let front = self.q.pending.front()?;
+        if self.q.policy == AdmissionPolicy::Fifo {
+            return (front.request.gpus <= self.free).then_some(0);
+        }
+        self.merged(); // built before scoring borrows the queue
+        best_fit(&self.q.pending, self.merged.as_ref()?)
+    }
+
+    /// Re-evaluates preemption: for the queue's front (the
+    /// highest-priority request the pump could not admit), issues shrink
+    /// demands against strictly-lower-priority lease holders (lowest
+    /// priority first, youngest lease first) until the shortfall is
+    /// covered — but only when lower-priority holdings *can* cover it, so
+    /// doomed demands never thrash tenants without admitting anyone.
+    /// Demands no longer justified are withdrawn; persisting demands keep
+    /// their original deadline. Returns the freshly issued demands.
     fn enforce(&mut self, now: u64) -> Vec<(JobId, u32)> {
         let mut wanted: HashMap<u64, u32> = HashMap::new();
-        if let Some(target) = self
-            .q
-            .pending
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, p)| (p.request.priority, std::cmp::Reverse(*i)))
-            .map(|(_, p)| p.request)
-        {
+        if let Some(target) = self.q.pending.front().map(|p| p.request) {
             let shortfall = target.gpus.saturating_sub(self.free());
             if shortfall > 0 {
                 let mut donors: Vec<(u64, Priority, u32)> = Vec::new();
@@ -1192,7 +1166,8 @@ impl ClusterArbiter {
         ))
     }
 
-    /// Queues a lease request; the admission policy decides when it is
+    /// Queues a lease request behind every queued request of its
+    /// priority or higher; the admission policy decides when it is
     /// granted. Poll with [`ClusterArbiter::claim`]. A request whose
     /// priority exceeds some live leases' and cannot be admitted makes
     /// the arbiter demand shrinks from those holders (see
@@ -1207,10 +1182,17 @@ impl ClusterArbiter {
         let mut ledger = LedgerGuard::lock(inner);
         let id = ledger.q.next_ticket;
         ledger.q.next_ticket += 1;
-        ledger.q.pending.push_back(Pending {
-            ticket: id,
-            request,
-        });
+        let at = ledger
+            .q
+            .pending
+            .partition_point(|p| p.request.priority >= request.priority);
+        ledger.q.pending.insert(
+            at,
+            Pending {
+                ticket: id,
+                request,
+            },
+        );
         ledger.settle(now);
         Ok(Ticket {
             id,
@@ -1612,6 +1594,77 @@ mod tests {
                 // observable.
                 assert!(arb.fairness(JobId(1)).wait_rounds > 0);
             }
+        }
+    }
+
+    #[test]
+    fn fifo_serves_a_later_higher_priority_request_first() {
+        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        // High-priority holders, so no queued request preempts them.
+        let first = arb
+            .try_lease(req(0, 16).with_priority(Priority::HIGH))
+            .unwrap();
+        let second = arb
+            .try_lease(req(0, 16).with_priority(Priority::HIGH))
+            .unwrap();
+        let t_low = arb.request(req(1, 16)).unwrap();
+        let t_high = arb
+            .request(req(2, 16).with_priority(Priority::HIGH))
+            .unwrap();
+        drop(first);
+        let _high = arb
+            .claim(&t_high)
+            .expect("the later, higher request goes first");
+        assert!(arb.claim(&t_low).is_none());
+        drop(second);
+        let _low = arb.claim(&t_low).expect("served once capacity returns");
+        assert!(arb.audit().is_ok());
+    }
+
+    #[test]
+    fn fifo_front_that_does_not_fit_blocks_the_queue() {
+        let arb = ClusterArbiter::new(&topo4x8(), AdmissionPolicy::Fifo);
+        let _hold = arb
+            .try_lease(req(0, 24).with_priority(Priority::HIGH))
+            .unwrap();
+        let freed = arb
+            .try_lease(req(0, 8).with_priority(Priority::HIGH))
+            .unwrap();
+        let t_small = arb.request(req(1, 4)).unwrap();
+        let t_big = arb
+            .request(req(2, 16).with_priority(Priority::HIGH))
+            .unwrap();
+        drop(freed);
+        // 8 free: the earlier small request would fit, but the later,
+        // higher-priority one is the front and does not.
+        assert_eq!(arb.free_gpus(), 8);
+        assert!(arb.claim(&t_small).is_none(), "the front blocks the queue");
+        assert!(arb.claim(&t_big).is_none());
+        arb.cancel(&t_big);
+        let _small = arb.claim(&t_small).expect("served once the front leaves");
+        assert!(arb.audit().is_ok());
+    }
+
+    #[test]
+    fn one_settle_charges_each_grant_the_grants_before_it() {
+        // 32 GPUs return at once to four queued requests. FIFO grants
+        // jobs 1, 2 and 3 in order and stops at job 4's 16; best-fit
+        // grants job 4 first (least slack), then jobs 1 and 2, and job 3
+        // no longer fits. The k-th grant waited k rounds, the request
+        // left waiting all three.
+        for (policy, want) in [
+            (AdmissionPolicy::Fifo, [0, 1, 2, 3]),
+            (AdmissionPolicy::BestFitSkuClass, [1, 2, 3, 0]),
+        ] {
+            let arb = ClusterArbiter::new(&topo4x8(), policy);
+            let hold = arb.try_lease(req(0, 32)).unwrap();
+            for (job, gpus) in [(1, 8), (2, 8), (3, 8), (4, 16)] {
+                arb.request(req(job, gpus)).unwrap();
+            }
+            drop(hold);
+            let rounds = [1, 2, 3, 4].map(|job| arb.fairness(JobId(job)).wait_rounds);
+            assert_eq!(rounds, want, "{policy}");
+            assert_eq!(arb.pending_requests(), 1, "{policy}");
         }
     }
 

@@ -1,5 +1,6 @@
 //! Admission policies, priority classes, and per-job fairness accounting.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use flexsp_sim::{NodeSlots, SkuId};
@@ -8,14 +9,15 @@ use crate::arbiter::Pending;
 
 /// Which pending job gets freed slots when capacity returns.
 ///
-/// Both policies serve strictly by [`Priority`] first: among the pending
-/// requests, only the highest priority class present competes, and the
-/// policy's own rule orders requests *within* that class. With every
-/// request at the default priority this reduces to the policy's classic
-/// behavior.
+/// Both policies serve strictly by [`Priority`] first. The admission
+/// queue is stored in service order — priority descending, then arrival
+/// — and each policy reads it in place: FIFO only ever looks at the
+/// front, and best-fit scores the requests that fit, ranking a higher
+/// priority class ahead of any slack. With every request at the default
+/// priority this reduces to the policy's classic behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Strict arrival order with head-of-line blocking: the queue's front
+    /// Strict service order with head-of-line blocking: the queue's front
     /// request (highest priority, earliest arrival) is granted as soon as
     /// it fits; nothing behind it may jump ahead. Predictable,
     /// starvation-free within a priority class, but fragments capacity
@@ -43,55 +45,40 @@ impl fmt::Display for AdmissionPolicy {
     }
 }
 
-impl AdmissionPolicy {
-    /// The index (into `pending`) of the next request to grant given the
-    /// current free ledger, or `None` when the policy grants nothing.
-    pub(crate) fn pick(&self, pending: &[Pending], free: &NodeSlots) -> Option<usize> {
-        let fits = |p: &Pending| p.request.gpus <= free.total_free();
-        match self {
-            AdmissionPolicy::Fifo => {
-                // The effective front: highest priority, earliest arrival
-                // (unique keys — ties on priority break to the smaller
-                // index via Reverse).
-                let (i, front) = pending
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(i, p)| (p.request.priority, std::cmp::Reverse(*i)))?;
-                fits(front).then_some(i)
-            }
-            AdmissionPolicy::BestFitSkuClass => pending
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| fits(p))
-                .min_by_key(|(i, p)| {
-                    // Leftover in the preferred class after the grant; a
-                    // class-less request is scored against the whole
-                    // pool. A preferred class that cannot host the whole
-                    // request (free < requested) is *under capacity*:
-                    // granting would spill across classes, so it must
-                    // rank behind every request its class can satisfy
-                    // rather than tie an exact fit at slack 0.
-                    let (class_short, slack) = match p.request.prefer {
-                        Some(sku) => {
-                            let class_free = free.free_sku_gpus(sku);
-                            if class_free < p.request.gpus {
-                                (true, free.total_free() - p.request.gpus)
-                            } else {
-                                (false, class_free - p.request.gpus)
-                            }
-                        }
-                        None => (false, free.total_free() - p.request.gpus),
-                    };
-                    (
-                        std::cmp::Reverse(p.request.priority),
-                        class_short,
-                        slack,
-                        *i,
-                    )
-                })
-                .map(|(i, _)| i),
-        }
-    }
+/// The index (into `pending`, kept in service order) of the request
+/// [`AdmissionPolicy::BestFitSkuClass`] grants next from the free ledger
+/// `free`, or `None` when no request fits.
+pub(crate) fn best_fit(pending: &VecDeque<Pending>, free: &NodeSlots) -> Option<usize> {
+    pending
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.request.gpus <= free.total_free())
+        .min_by_key(|(i, p)| {
+            // Leftover in the preferred class after the grant; a
+            // class-less request is scored against the whole pool. A
+            // preferred class that cannot host the whole request (free <
+            // requested) is *under capacity*: granting would spill across
+            // classes, so it must rank behind every request its class can
+            // satisfy rather than tie an exact fit at slack 0.
+            let (class_short, slack) = match p.request.prefer {
+                Some(sku) => {
+                    let class_free = free.free_sku_gpus(sku);
+                    if class_free < p.request.gpus {
+                        (true, free.total_free() - p.request.gpus)
+                    } else {
+                        (false, class_free - p.request.gpus)
+                    }
+                }
+                None => (false, free.total_free() - p.request.gpus),
+            };
+            (
+                std::cmp::Reverse(p.request.priority),
+                class_short,
+                slack,
+                *i,
+            )
+        })
+        .map(|(i, _)| i)
 }
 
 /// Identifier a submitting job chooses for itself; fairness counters are
@@ -214,8 +201,9 @@ pub struct JobCounters {
     /// `gpus_released` — a forced reclaim is capacity moved by the
     /// arbiter, not returned by the tenant.
     pub gpus_moved: u64,
-    /// Grant passes the job's queued requests sat through without being
-    /// picked (a growing gap versus other jobs' `granted` is starvation).
+    /// Grants to other requests that the job's queued requests sat
+    /// through while waiting, summed over its requests (a growing gap
+    /// versus other jobs' `granted` is starvation).
     pub wait_rounds: u64,
 }
 
@@ -236,37 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn fifo_blocks_at_the_head() {
+    fn best_fit_ranks_priority_ahead_of_slack() {
         let topo = Topology::new(1, 8);
         let free = NodeSlots::new(&topo);
-        let queue = vec![pending(0, 16, None), pending(1, 4, None)];
-        // The front does not fit: nothing is granted, even though the
-        // second request would.
-        assert_eq!(AdmissionPolicy::Fifo.pick(&queue, &free), None);
-        let queue = vec![pending(0, 8, None), pending(1, 4, None)];
-        assert_eq!(AdmissionPolicy::Fifo.pick(&queue, &free), Some(0));
-    }
-
-    #[test]
-    fn priorities_reorder_both_policies() {
-        let topo = Topology::new(1, 8);
-        let free = NodeSlots::new(&topo);
-        // A later high-priority request becomes the effective front.
-        let mut queue = vec![pending(0, 4, None), pending(1, 4, None)];
-        queue[1].request = queue[1].request.with_priority(Priority::HIGH);
-        assert_eq!(AdmissionPolicy::Fifo.pick(&queue, &free), Some(1));
-        assert_eq!(
-            AdmissionPolicy::BestFitSkuClass.pick(&queue, &free),
-            Some(1)
-        );
-        // ...and blocks the head-of-line when it does not fit (FIFO),
-        // while best-fit only considers its class once it could fit.
-        queue[1].request.gpus = 16;
-        assert_eq!(AdmissionPolicy::Fifo.pick(&queue, &free), None);
-        assert_eq!(
-            AdmissionPolicy::BestFitSkuClass.pick(&queue, &free),
-            Some(0)
-        );
+        // Service order puts the later high-priority request first, and
+        // it wins although the earlier low-priority one fits exactly.
+        let mut high = pending(1, 4, None);
+        high.request = high.request.with_priority(Priority::HIGH);
+        let mut queue = VecDeque::from([high, pending(0, 8, None)]);
+        assert_eq!(best_fit(&queue, &free), Some(0));
+        // A higher class only competes once it fits.
+        queue[0].request.gpus = 16;
+        assert_eq!(best_fit(&queue, &free), Some(1));
     }
 
     #[test]
@@ -276,23 +245,14 @@ mod tests {
         let free = NodeSlots::new(&topo);
         // 8 GPUs free in each class. The fast-class request is an exact
         // fit for its class; the class-less request would leave slack.
-        let queue = vec![pending(0, 4, None), pending(1, 8, Some(SkuId(0)))];
-        assert_eq!(
-            AdmissionPolicy::BestFitSkuClass.pick(&queue, &free),
-            Some(1)
-        );
+        let queue = VecDeque::from([pending(0, 4, None), pending(1, 8, Some(SkuId(0)))]);
+        assert_eq!(best_fit(&queue, &free), Some(1));
         // Ties (equal leftover) go to arrival order.
-        let queue = vec![pending(0, 8, Some(SkuId(1))), pending(1, 8, Some(SkuId(0)))];
-        assert_eq!(
-            AdmissionPolicy::BestFitSkuClass.pick(&queue, &free),
-            Some(0)
-        );
+        let queue = VecDeque::from([pending(0, 8, Some(SkuId(1))), pending(1, 8, Some(SkuId(0)))]);
+        assert_eq!(best_fit(&queue, &free), Some(0));
         // Unlike FIFO, a too-large front does not block the queue.
-        let queue = vec![pending(0, 32, None), pending(1, 4, None)];
-        assert_eq!(
-            AdmissionPolicy::BestFitSkuClass.pick(&queue, &free),
-            Some(1)
-        );
+        let queue = VecDeque::from([pending(0, 32, None), pending(1, 4, None)]);
+        assert_eq!(best_fit(&queue, &free), Some(1));
     }
 
     #[test]
@@ -305,24 +265,21 @@ mod tests {
         let mut free = NodeSlots::new(&topo);
         // Class 1 has only 4 free; a request for 8 preferring it would
         // spill into class 0.
-        let queue = vec![pending(0, 8, Some(SkuId(1))), pending(1, 8, Some(SkuId(0)))];
+        let queue = VecDeque::from([pending(0, 8, Some(SkuId(1))), pending(1, 8, Some(SkuId(0)))]);
         assert_eq!(
-            AdmissionPolicy::BestFitSkuClass.pick(&queue, &free),
+            best_fit(&queue, &free),
             Some(1),
             "the exact class fit must beat the under-capacity class"
         );
         // With no class-satisfiable competitor, the short request is
         // still grantable (scored against the whole pool).
-        let queue = vec![pending(0, 8, Some(SkuId(1)))];
-        assert_eq!(
-            AdmissionPolicy::BestFitSkuClass.pick(&queue, &free),
-            Some(0)
-        );
+        let queue = VecDeque::from([pending(0, 8, Some(SkuId(1)))]);
+        assert_eq!(best_fit(&queue, &free), Some(0));
         // And once its class genuinely cannot be part of any grant (the
         // whole pool is short), it is not granted at all.
         let taken: Vec<GpuId> = free.take_packed(8).unwrap().gpus().to_vec();
         assert_eq!(taken.len(), 8);
-        let queue = vec![pending(0, 8, Some(SkuId(1)))];
-        assert_eq!(AdmissionPolicy::BestFitSkuClass.pick(&queue, &free), None);
+        let queue = VecDeque::from([pending(0, 8, Some(SkuId(1)))]);
+        assert_eq!(best_fit(&queue, &free), None);
     }
 }

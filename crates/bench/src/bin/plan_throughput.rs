@@ -22,6 +22,7 @@
 //! cargo run --release -p flexsp-bench --bin plan_throughput -- --quick --trace-out plan_trace.json
 //! ```
 
+use flexsp_bench::cli::path_flag;
 use flexsp_bench::plan_throughput::{regressions, run, to_json};
 use flexsp_telemetry as tel;
 
@@ -32,20 +33,9 @@ const GATE_TOLERANCE: f64 = 0.20;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--check requires a baseline path");
-            std::process::exit(2);
-        })
-    });
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned());
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1).cloned());
+    let check = path_flag(&args, "--check");
+    let out = path_flag(&args, "--out");
+    let trace_out = path_flag(&args, "--trace-out");
 
     if trace_out.is_some() {
         tel::tracing_start();

@@ -5,6 +5,8 @@
 //! report quick          # reduced grids
 //! report table1 figure2 # a subset
 //! ```
+//!
+//! An unknown experiment name exits with status 2 before anything runs.
 
 use std::time::Instant;
 
@@ -29,6 +31,11 @@ const ALL: &[&str] = &[
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = |a: &str| ALL.contains(&a) || a == "all" || a == "quick";
+    if let Some(other) = args.iter().find(|a| !known(a)) {
+        eprintln!("unknown experiment '{other}' (known: {ALL:?})");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "quick");
     let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all" || a == "quick")
     {
@@ -92,7 +99,7 @@ fn main() {
                 let cfg = appendix_e::Config::default();
                 println!("{}", appendix_e::render(&cfg, &appendix_e::run(&cfg)));
             }
-            other => eprintln!("unknown experiment '{other}' (known: {ALL:?})"),
+            other => unreachable!("'{other}' was checked against ALL"),
         }
         eprintln!("[{exp} done in {:.1}s]\n", start.elapsed().as_secs_f64());
     }

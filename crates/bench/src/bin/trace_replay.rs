@@ -28,6 +28,7 @@
 //! `flexsp_milp_*` counters cover the solves behind the freshly solved
 //! plans only.
 
+use flexsp_bench::cli::path_flag;
 use flexsp_telemetry as tel;
 use flexsp_trace::{generate, replay, ReplayConfig, TraceConfig};
 
@@ -50,18 +51,9 @@ fn main() {
     let seed = flag(&args, "--seed").unwrap_or(42);
     let plan_every = flag(&args, "--plan-every").unwrap_or(if quick { 64 } else { 16 });
     let shards = flag(&args, "--shards").unwrap_or(4) as u32;
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned());
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1).cloned());
-    let metrics_out = args
-        .iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1).cloned());
+    let out = path_flag(&args, "--out");
+    let trace_out = path_flag(&args, "--trace-out");
+    let metrics_out = path_flag(&args, "--metrics-out");
 
     let trace = generate(&TraceConfig::new(jobs, nodes, seed));
     let mut cfg = ReplayConfig::new();

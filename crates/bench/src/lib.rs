@@ -34,6 +34,7 @@
 pub mod appendix_e;
 pub mod arbiter_churn;
 pub mod case_study;
+pub mod cli;
 pub mod common;
 pub mod figure2;
 pub mod figure4;

@@ -146,7 +146,8 @@ pub fn run(quick: bool) -> Report {
     // Warm: one recurring shape, caching disabled — the solver re-runs
     // every time, but on a shape it has just solved (warm code paths,
     // hot allocator, no cache shortcut).
-    let warm_svc = SolverService::spawn_with_cache(service_solver(2), 2, 0);
+    let warm_svc =
+        SolverService::spawn_with_shared_cache(service_solver(2), 2, &SharedPlanCache::new(0));
     let template = batch(7, 16);
     let (warm_plans_per_s, _) = drive(&warm_svc, |i| reshape(&template, i), n_warm);
     warm_svc.shutdown();

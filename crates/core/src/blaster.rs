@@ -79,26 +79,17 @@ pub fn blast(batch: &[Sequence], m: usize, sort_by_length: bool) -> Vec<Vec<Sequ
 }
 
 /// Exact min-max token chunking of `seqs` (in order) into `m` consecutive
-/// chunks. Small inputs use the paper's DP (Appendix A, Eq. 24);
-/// large inputs switch to binary search on the achievable maximum with a
-/// greedy feasibility check, which finds the same optimal min-max value in
-/// `O(K·log ΣS)` (the chunk count is monotone in the cap). Returns the
-/// exclusive end index of each chunk.
-fn balanced_boundaries(seqs: &[Sequence], m: usize) -> Vec<usize> {
-    if seqs.len() > 2048 {
-        return balanced_boundaries_search(seqs, m);
-    }
-    balanced_boundaries_dp(seqs, m)
-}
-
-/// Eq. 24 in `O(m·k·log k)`. For `b ≥ 2` and `j ∈ [b−1, i)`,
+/// chunks, by the paper's DP (Appendix A, Eq. 24); returns the exclusive
+/// end index of each chunk.
+///
+/// Eq. 24 runs in `O(m·k·log k)`. For `b ≥ 2` and `j ∈ [b−1, i)`,
 /// `dp[j][b−1]` is non-decreasing in `j` and `seg(j, i)` non-increasing,
 /// so `max(dp[j][b−1], seg(j, i))` is minimized at the crossover: the
 /// smallest `j*` with `dp[j*][b−1] ≥ seg(j*, i)`, or the earliest `j`
 /// before it that attains `seg(j* − 1, i)` (prefix sums repeat over
 /// zero-length sequences). Ties keep the smaller index, so the
 /// boundaries are exactly those of the quadratic scan over every `j`.
-fn balanced_boundaries_dp(seqs: &[Sequence], m: usize) -> Vec<usize> {
+fn balanced_boundaries(seqs: &[Sequence], m: usize) -> Vec<usize> {
     let k = seqs.len();
     let mut prefix = vec![0u64; k + 1];
     for (i, s) in seqs.iter().enumerate() {
@@ -158,54 +149,6 @@ fn first_in(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize
     lo
 }
 
-/// Binary search on the optimal min-max chunk total; `fits(cap)` greedily
-/// checks whether `m` chunks of at most `cap` tokens suffice.
-fn balanced_boundaries_search(seqs: &[Sequence], m: usize) -> Vec<usize> {
-    let total: u64 = seqs.iter().map(|s| s.len).sum();
-    let max_item = seqs.iter().map(|s| s.len).max().unwrap_or(0);
-    let chunks_needed = |cap: u64| -> usize {
-        let mut chunks = 1usize;
-        let mut acc = 0u64;
-        for s in seqs {
-            if acc + s.len > cap {
-                chunks += 1;
-                acc = 0;
-            }
-            acc += s.len;
-        }
-        chunks
-    };
-    let (mut lo, mut hi) = (max_item.max(total.div_ceil(m as u64)), total);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if chunks_needed(mid) <= m {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    // Emit boundaries greedily at the optimal cap, and also cut once the
-    // sequences left only just fill the chunks still to open, so exactly
-    // `m` chunks come out. Cutting early never raises a chunk's total,
-    // so the min-max value stays optimal.
-    let cap = lo;
-    let mut bounds = Vec::with_capacity(m);
-    let mut acc = 0u64;
-    let mut start = 0usize;
-    for (i, s) in seqs.iter().enumerate() {
-        let only_enough_left = seqs.len() - i + bounds.len() + 1 == m;
-        if i > start && (acc + s.len > cap || only_enough_left) {
-            bounds.push(i);
-            start = i;
-            acc = 0;
-        }
-        acc += s.len;
-    }
-    bounds.push(seqs.len());
-    debug_assert_eq!(bounds.len(), m);
-    bounds
-}
-
 /// The max micro-batch token total achieved by [`blast`] — the DP's
 /// objective value, exposed for tests and diagnostics.
 pub fn max_chunk_tokens(micro_batches: &[Vec<Sequence>]) -> u64 {
@@ -229,7 +172,7 @@ mod tests {
     }
 
     /// Eq. 24 verbatim: every `j` for every `(i, b)`, keeping the first
-    /// minimizer. The oracle for [`balanced_boundaries_dp`].
+    /// minimizer. The oracle for [`balanced_boundaries`].
     fn quadratic_boundaries(seqs: &[Sequence], m: usize) -> Vec<usize> {
         let k = seqs.len();
         let mut prefix = vec![0u64; k + 1];
@@ -284,7 +227,7 @@ mod tests {
             let input = seqs(&lens);
             for m in 1..=lens.len() {
                 prop_assert_eq!(
-                    balanced_boundaries_dp(&input, m),
+                    balanced_boundaries(&input, m),
                     quadratic_boundaries(&input, m),
                     "lens {:?} m {}", lens, m
                 );
@@ -372,10 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn search_path_returns_exactly_m_chunks() {
-        // Above 2048 sequences the search path chunks greedily at the
-        // optimal cap (3000 here), which alone would close only two
-        // chunks: all the one-token sequences, then the long one.
+    fn dp_returns_exactly_m_chunks_above_2048_sequences() {
+        // Greedy chunking at the optimal cap (3000 here) would close only
+        // two chunks: all the one-token sequences, then the long one.
         let mut lens = vec![1u64; 2048];
         lens.push(3000);
         for m in [2, 3, 5] {
@@ -384,8 +326,6 @@ mod tests {
             assert_eq!(max_chunk_tokens(&micro), 3000);
             assert!(micro.iter().all(|c| !c.is_empty()));
         }
-        // One sequence fewer takes the DP path, which agrees.
-        assert_eq!(blast(&seqs(&lens[1..]), 3, true).len(), 3);
     }
 
     #[test]

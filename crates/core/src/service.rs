@@ -491,24 +491,19 @@ impl SolverService {
     ///
     /// Panics if `workers == 0`.
     pub fn spawn(solver: FlexSpSolver, workers: usize) -> Self {
-        Self::spawn_with_cache(solver, workers, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Spawns the service with an explicit plan-cache capacity
-    /// (`0` disables caching).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn spawn_with_cache(solver: FlexSpSolver, workers: usize, cache_capacity: usize) -> Self {
-        Self::spawn_with_shared_cache(solver, workers, &SharedPlanCache::new(cache_capacity))
+        Self::spawn_with_shared_cache(
+            solver,
+            workers,
+            &SharedPlanCache::new(DEFAULT_CACHE_CAPACITY),
+        )
     }
 
     /// Spawns the service against a [`SharedPlanCache`] several services
-    /// (one per job) may share. Entries are keyed by each service's full
-    /// solver fingerprint — including the availability fingerprint of a
-    /// lease-bound solver — so sharing capacity never shares plans across
-    /// cluster states.
+    /// (one per job) may share; a fresh `SharedPlanCache::new(capacity)`
+    /// gives it a cache of its own of that size (`0` disables caching).
+    /// Entries are keyed by each service's full solver fingerprint —
+    /// including the availability fingerprint of a lease-bound solver —
+    /// so sharing capacity never shares plans across cluster states.
     ///
     /// # Panics
     ///
@@ -764,7 +759,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let service = SolverService::spawn_with_cache(solver(), 1, 0);
+        let service = SolverService::spawn_with_shared_cache(solver(), 1, &SharedPlanCache::new(0));
         let b = batch(3, 16);
         service.submit(b.clone());
         service.submit(b);
@@ -776,7 +771,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_shape() {
-        let service = SolverService::spawn_with_cache(solver(), 1, 2);
+        let service = SolverService::spawn_with_shared_cache(solver(), 1, &SharedPlanCache::new(2));
         // Three distinct shapes through a 2-entry cache, oldest first out.
         for seed in 0..3 {
             service.submit(batch(seed, 4 + seed as usize));
